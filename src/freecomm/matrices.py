@@ -16,10 +16,8 @@ import numpy as np
 #: op-norm tolerance every constructed unitary must satisfy
 UNITARY_OP_TOL = 1e-10
 
-#: SVD is exact and cheap up to this size; power iteration above
-_SVD_MAX_DIM = 64
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 10_000
+#: column width of the Householder panels in ``_orthonormalize_haar``
+_PANEL_WIDTH = 32
 
 
 def subseed(master: int, *path: int) -> np.random.SeedSequence:
@@ -41,30 +39,16 @@ def as_array(u) -> np.ndarray:
 
 
 def op_norm(a: np.ndarray) -> float:
-    """Largest singular value: exact SVD for small matrices, power
-    iteration on A*A with 1e-12 convergence above."""
+    """Largest singular value, from LAPACK's SVD (values only) at every size.
+
+    Exact to rounding.  Above a few dozen rows the last few ulps can depend
+    on the BLAS thread count, far below the 12 significant digits reports
+    print; no CLI report prints the op norm of a matrix that large.
+    """
     a = as_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("op_norm expects a square matrix")
-    n = a.shape[0]
-    if n <= _SVD_MAX_DIM:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    rng = make_rng(0x0517EC7, n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = a @ v
-        sigma_next = float(np.linalg.norm(w))  # |Av| with unit v
-        v_next = a.conj().T @ w
-        nv = np.linalg.norm(v_next)
-        if nv == 0.0:
-            return 0.0
-        v = v_next / nv
-        if abs(sigma_next - sigma) <= _POWER_TOL * max(1.0, sigma_next):
-            return sigma_next
-        sigma = sigma_next
-    return sigma
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def normalized_trace(u) -> complex:
@@ -122,31 +106,61 @@ def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
     """Householder QR of z with the triangular factor's diagonal phases
     divided out, so the result follows the exact Haar law.
 
-    Implemented with fixed-order einsum/ufunc kernels instead of LAPACK:
-    threaded BLAS splits reductions differently per thread count, and this
-    routine must return bit-identical matrices in every environment.
+    Blocked compact-WY form (Schreiber & Van Loan 1989).  The columns are
+    factored in panels of ``_PANEL_WIDTH``.  Inside a panel, each reflector
+    H = I - tau v v* (v[0] carries the phase of the pivot, tau = 2/|v|^2)
+    is applied to the panel's own columns with fixed-order einsum kernels.
+    The panel's reflectors are then gathered as H_1 ... H_b = I - V T V*,
+    with T upper triangular (LAPACK ``larft``, forward and columnwise), and
+    the trailing columns get C -= V (T* (V* C)).  Q is formed by applying
+    the blocks to the identity in reverse, C -= V (T (V* C)).
+
+    The two block updates are complex GEMM, which carries almost all of the
+    O(N^3) work; everything else is einsum.  The result must be
+    bit-identical at every BLAS thread count.  LAPACK's own QR is not: its
+    bytes change between one thread and several.  Threaded GEMM splits the
+    output matrix, not the inner sums, across threads, so each entry is
+    summed in the same order at every thread count.
+    ``test_haar_bit_identical_across_thread_counts`` checks the bytes at 1,
+    2 and 4 BLAS threads for N = 2, 64, 200 and 1024, which covers a single
+    panel, many panels and a ragged last panel.
     """
     n = z.shape[0]
     a = z.astype(complex).copy()
-    reflectors: list[tuple[int, np.ndarray, float]] = []
-    for k in range(n):
-        x = a[k:, k]
-        xnorm = float(np.sqrt(np.einsum("i,i->", x.conj(), x).real))
-        alpha = x[0]
-        s = alpha / abs(alpha) if abs(alpha) > 0 else 1.0 + 0j
-        v = x.copy()
-        v[0] += s * xnorm
-        vnorm2 = float(np.einsum("i,i->", v.conj(), v).real)
-        if vnorm2 > 0:
-            w = np.einsum("i,ij->j", v.conj(), a[k:, k:])
-            a[k:, k:] -= np.multiply.outer(v, (2.0 / vnorm2) * w)
-        reflectors.append((k, v, vnorm2))
+    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for k0 in range(0, n, _PANEL_WIDTH):
+        k1 = min(k0 + _PANEL_WIDTH, n)
+        b = k1 - k0
+        v_blk = np.zeros((n - k0, b), dtype=complex)
+        taus = np.zeros(b)
+        for j in range(b):
+            k = k0 + j
+            x = a[k:, k]
+            xnorm = float(np.sqrt(np.einsum("i,i->", x.conj(), x).real))
+            alpha = x[0]
+            s = alpha / abs(alpha) if abs(alpha) > 0 else 1.0 + 0j
+            v = v_blk[j:, j]
+            v[:] = x
+            v[0] += s * xnorm
+            vnorm2 = float(np.einsum("i,i->", v.conj(), v).real)
+            if vnorm2 > 0:
+                taus[j] = 2.0 / vnorm2
+                w = np.einsum("i,ij->j", v.conj(), a[k:, k:k1])
+                a[k:, k:k1] -= np.multiply.outer(v, taus[j] * w)
+        gram = np.einsum("ij,ik->jk", v_blk.conj(), v_blk)
+        t = np.zeros((b, b), dtype=complex)
+        for j in range(b):
+            t[j, j] = taus[j]
+            t[:j, j] = -taus[j] * np.einsum("ij,j->i", t[:j, :j], gram[:j, j])
+        if k1 < n:
+            c = a[k0:, k1:]
+            c -= v_blk @ (t.conj().T @ (v_blk.conj().T @ c))
+        blocks.append((k0, v_blk, t))
     r_diag = np.diagonal(a).copy()
     q = np.eye(n, dtype=complex)
-    for k, v, vnorm2 in reversed(reflectors):
-        if vnorm2 > 0:
-            w = np.einsum("i,ij->j", v.conj(), q[k:, k:])
-            q[k:, k:] -= np.multiply.outer(v, (2.0 / vnorm2) * w)
+    for k0, v_blk, t in reversed(blocks):
+        c = q[k0:, k0:]
+        c -= v_blk @ (t @ (v_blk.conj().T @ c))
     mods = np.abs(r_diag)
     phases = np.where(mods > 0, r_diag / np.where(mods > 0, mods, 1.0), 1.0)
     return q * phases[np.newaxis, :]
@@ -265,13 +279,6 @@ def corner_haar(t: float, n: int, seed: int) -> UnitaryMatrix:
     return UnitaryMatrix(u, {"kind": "corner_haar", "dim": n, "t": t, "seed": int(seed)})
 
 
-def matrix_commutator(u, v) -> np.ndarray:
-    a, b = as_array(u), as_array(v)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return a @ b @ a.conj().T @ b.conj().T
-
-
 @dataclass(frozen=True)
 class FreenessReport:
     """Deviations of a matrix pair from the free trace identities."""
@@ -300,13 +307,17 @@ def freeness_report(u, v) -> FreenessReport:
     a, b = as_array(u), as_array(v)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
+    n = a.shape[0]
     tu, tv = normalized_trace(a), normalized_trace(b)
-    tuv = normalized_trace(a @ b)
-    tcomm = normalized_trace(matrix_commutator(a, b))
+    uv, vu = a @ b, b @ a
+    tuv = normalized_trace(uv)
+    # tau(UVU*V*) = tr(UV (VU)*) / N, paired entrywise; numpy's own
+    # fixed-order sum, not a BLAS dot, keeps the bytes thread-invariant
+    tcomm = complex((uv * vu.conj()).sum()) / n
     d1 = abs(tuv - tu * tv)
     rhs = 1.0 - (1.0 - abs(tu) ** 2) * (1.0 - abs(tv) ** 2)
     d2 = abs(tcomm - rhs)
-    return FreenessReport(a.shape[0], tu, tv, tuv, tcomm, d1, d2)
+    return FreenessReport(n, tu, tv, tuv, tcomm, d1, d2)
 
 
 def freeness_trial(n: int, master_seed: int, trial: int) -> FreenessReport:

@@ -34,8 +34,9 @@ def test_haar_determinism():
 
 
 def test_haar_bit_identical_across_thread_counts():
-    # construction avoids threaded BLAS, so the bytes cannot depend on
-    # the ambient thread settings
+    # the blocked sampler uses BLAS only for GEMM, whose bytes do not
+    # depend on the thread count; sizes cover one panel, several panels
+    # and a ragged last panel
     import hashlib
     import os
     import subprocess
@@ -45,12 +46,12 @@ def test_haar_bit_identical_across_thread_counts():
         "import hashlib\n"
         "from freecomm.matrices import sample_haar\n"
         "h = hashlib.sha256()\n"
-        "for n in (2, 64, 200):\n"
+        "for n in (2, 64, 200, 1024):\n"
         "    h.update(sample_haar(n, 12345).array.tobytes())\n"
         "print(h.hexdigest())\n"
     )
     digests = set()
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
@@ -64,20 +65,23 @@ def test_haar_bit_identical_across_thread_counts():
 
 
 def test_orthonormalization_matches_lapack_span():
-    # same Q R = Z factorization as LAPACK up to column phases
+    # same Q R = Z factorization as LAPACK up to column phases, within one
+    # panel (40) and across panels with a ragged last one (130)
     from freecomm.matrices import _orthonormalize_haar, make_rng
 
-    rng = make_rng(77)
-    z = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / np.sqrt(2)
-    u = _orthonormalize_haar(z)
-    q, r = np.linalg.qr(z)
-    u_ref = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[np.newaxis, :]
-    assert np.allclose(u, u_ref, atol=1e-10)
-    # and the result is a unitary with R' = U* Z upper triangular, positive diagonal
-    r_prime = u.conj().T @ z
-    assert np.allclose(np.tril(r_prime, -1), 0, atol=1e-10)
-    assert np.all(np.diagonal(r_prime).real > 0)
-    assert np.allclose(np.diagonal(r_prime).imag, 0, atol=1e-10)
+    for n in (40, 130):
+        rng = make_rng(77, n)
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        u = _orthonormalize_haar(z)
+        q, r = np.linalg.qr(z)
+        u_ref = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[np.newaxis, :]
+        assert np.allclose(u, u_ref, atol=1e-10)
+        # and the result is a unitary with R' = U* Z upper triangular,
+        # positive diagonal
+        r_prime = u.conj().T @ z
+        assert np.allclose(np.tril(r_prime, -1), 0, atol=1e-10)
+        assert np.all(np.diagonal(r_prime).real > 0)
+        assert np.allclose(np.diagonal(r_prime).imag, 0, atol=1e-10)
 
 
 def test_haar_unitarity_invariant():
@@ -162,10 +166,15 @@ def test_two_norm_matches_length_formula():
         assert abs(lhs - rhs) <= 1e-12
 
 
-def test_op_norm_power_iteration_matches_svd():
+def test_op_norm_matches_svd():
     rng = np.random.Generator(np.random.Philox(99))
-    a = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
-    assert abs(op_norm(a) - np.linalg.svd(a, compute_uv=False)[0]) <= 1e-8 * 100
+    for n in (65, 128, 256):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = op_norm(a)
+        assert abs(sigma - np.linalg.svd(a, compute_uv=False)[0]) <= 1e-12
+        # independent route: the top eigenvalue of the Hermitian A*A
+        lam = np.linalg.eigvalsh(a.conj().T @ a)[-1]
+        assert abs(sigma - math.sqrt(lam)) <= 1e-12 * sigma
 
 
 def test_op_norm_rejects_nonsquare():
@@ -213,6 +222,15 @@ def test_freeness_report_identity_partner():
     rep = freeness_report(u, np.eye(32))
     assert rep.d1 == 0.0
     assert rep.d2 <= 1e-12
+
+
+def test_freeness_report_pairing_matches_full_commutator():
+    u = sample_haar(48, 21).array
+    v = sample_haar(48, 22).array
+    rep = freeness_report(u, v)
+    assert abs(rep.tau_uv - normalized_trace(u @ v)) <= 1e-14
+    full = normalized_trace(u @ v @ u.conj().T @ v.conj().T)
+    assert abs(rep.tau_commutator - full) <= 1e-13
 
 
 def test_freeness_report_self_pair_is_not_free():
