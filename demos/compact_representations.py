@@ -8,7 +8,7 @@ fails (it fixes the diagonal torus direction), and the dihedral chain in
 SO(3) shows how an ascending family loses uniform discreteness.
 """
 
-from freecomm import adjoint_fixed_space, commutant_dimension, least_dimension_criterion
+from freecomm import least_dimension_criterion
 from freecomm.reps import alt5_rotation_rep, cyclic_su2_rep, dihedral_chain_demo, quaternion_su2_rep
 
 print("Alt(5) as the icosahedral rotation group (3-dim, nontrivial dims 3,3,4,5):")
@@ -20,8 +20,8 @@ print(f"  commutant dim {v.commutant_dim}, fixed-space dim {v.fixed_space_dim}, 
 print("\nZ/8 in SU(2), diagonal:")
 c8 = cyclic_su2_rep(8)
 v8 = least_dimension_criterion(c8, [1] * 7)
-print(f"  commutant dim {commutant_dimension(c8)}, fixed-space dim "
-      f"{len(adjoint_fixed_space(c8))} (the diagonal direction) -> guarantee {v8.guarantee}")
+print(f"  commutant dim {v8.commutant_dim}, fixed-space dim "
+      f"{v8.fixed_space_dim} (the diagonal direction) -> guarantee {v8.guarantee}")
 
 print("\nquaternion group, its 2-dim irrep (1-dim nontrivial irreps exist):")
 q = quaternion_su2_rep()

@@ -8,14 +8,15 @@ it a trustworthy oracle for commutator trace identities: nothing here
 assumes any trace formula, products are expanded word by word.
 
 Words are flat tuples (factor, value, factor, value, ...) with adjacent
-factors distinct; for a finite factor the value is a non-identity element
-index, for an infinite cyclic factor it is a nonzero exponent.
+factors distinct; a factor is named by its index or by its mapping label.
+For a finite factor the value is a non-identity element index, for an
+infinite cyclic factor it is a nonzero exponent.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .groups import FiniteGroup
 
@@ -51,42 +52,58 @@ class SupportCapExceeded(RuntimeError):
 
 
 class FreeProductGroup:
-    """Free product of cyclic/finite factors with normal-form word arithmetic."""
+    """Free product of cyclic/finite factors with normal-form word arithmetic.
 
-    def __init__(self, factors: Sequence[FiniteGroup | str]):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("need at least one factor")
-        for f in factors:
-            if f is not Z and not isinstance(f, FiniteGroup):
-                raise ValueError(f"factor must be a FiniteGroup or Z, got {f!r}")
-        self.factors = factors
+    ``factors`` maps labels to factors; a sequence is labelled by index.
+    This is the package's one normal-form engine: algebra words, free-group
+    words and mixed words all reduce through ``concat``, ``inverse_word``
+    and ``normal_form``.
+    """
+
+    def __init__(self, factors: Sequence[FiniteGroup | str] | Mapping[Hashable, FiniteGroup | str]):
+        self.factors = dict(factors if isinstance(factors, Mapping) else enumerate(factors))
+        for fac in self.factors.values():
+            if fac is not Z and not isinstance(fac, FiniteGroup):
+                raise ValueError(f"factor must be a FiniteGroup or Z, got {fac!r}")
 
     identity_word: Word = ()
 
-    def is_infinite_cyclic(self, i: int) -> bool:
+    def is_infinite_cyclic(self, i) -> bool:
         return self.factors[i] is Z
 
-    def syllable_valid(self, f: int, v) -> bool:
-        if not 0 <= f < len(self.factors):
+    def syllable_valid(self, f, v) -> bool:
+        if f not in self.factors:
             return False
         fac = self.factors[f]
         if fac is Z:
             return isinstance(v, int) and v != 0
         return isinstance(v, int) and 0 <= v < fac.order and v != fac.identity
 
-    def word(self, syllables: Iterable[tuple[int, int]]) -> Word:
+    def word(self, syllables: Iterable[tuple]) -> Word:
         """Build a word from (factor, value) pairs, validating normal form."""
-        flat: list[int] = []
-        prev = -1
+        flat: list = []
+        prev = object()
         for f, v in syllables:
             if not self.syllable_valid(f, v):
-                raise ValueError(f"invalid syllable ({f}, {v})")
+                raise ValueError(f"invalid syllable ({f!r}, {v!r})")
             if f == prev:
                 raise ValueError("adjacent syllables from the same factor")
             flat.extend((f, v))
             prev = f
         return tuple(flat)
+
+    def normal_form(self, syllables: Iterable[tuple]) -> Word:
+        """Normal form of any (factor, value) sequence.
+
+        A fold of ``concat`` over the syllables; trivial syllables are
+        dropped, and a merge that cancels re-exposes the syllable before it.
+        """
+        out: Word = ()
+        for f, v in syllables:
+            fac = self.factors[f]
+            if v != (0 if fac is Z else fac.identity):
+                out = self.concat(out, self.word([(f, v)]))
+        return out
 
     def concat(self, a: Word, b: Word) -> Word:
         """Product of two normal-form words, reduced at the boundary."""
@@ -149,12 +166,12 @@ class FreeProductGroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeProductGroup):
             return NotImplemented
-        if len(self.factors) != len(other.factors):
-            return False
-        return all(f is g for f, g in zip(self.factors, other.factors))
+        return self.factors.keys() == other.factors.keys() and all(
+            fac is other.factors[f] for f, fac in self.factors.items()
+        )
 
     def __repr__(self) -> str:
-        names = ["Z" if f is Z else f.name for f in self.factors]
+        names = ["Z" if fac is Z else fac.name for fac in self.factors.values()]
         return "FreeProductGroup(" + " * ".join(names) + ")"
 
 

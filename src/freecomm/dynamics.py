@@ -31,12 +31,10 @@ from .algebra import (
     ell_bar_from_trace,
     ell_from_trace,
     involution_haar_ambient,
-    multiply,
     order_two_unitary,
-    star,
     trace,
 )
-from .matrices import as_array, normalized_trace
+from .matrices import as_array, normalized_trace, two_norm_dist
 from .words import FreeWord, w_sequence
 
 #: slack for the exact-model bound chain
@@ -150,10 +148,7 @@ class _ExactIteration:
         if self.element is not None:
             c = self._conjugated_u(self.n)
             try:
-                w = multiply(self.element, c, self.cap)
-                w = multiply(w, star(self.element), self.cap)
-                w = multiply(w, star(c), self.cap)
-                self.element = w
+                self.element = algebra.commutator_element(self.element, c, self.cap)
             except SupportCapExceeded:
                 self.element = None
         self.n += 1
@@ -183,14 +178,11 @@ def iter_exact_steps(
     it = _ExactIteration(alpha, support_cap)
     ell_u = ell_from_trace(complex(alpha))
     ell_bar_u = ell_bar_from_trace(complex(alpha))
-    recursion = [float(alpha)]
     while True:
         n = it.n
-        while len(recursion) < n:
-            t = recursion[-1]
-            recursion.append(1.0 - (1.0 - t * t) * (1.0 - alpha * alpha))
+        tau_rec = trace_recursion(alpha, n)[-1]
         tau_exact = it.exact_trace()
-        tau = recursion[n - 1] if tau_exact is None else tau_exact
+        tau = tau_rec if tau_exact is None else tau_exact
         source = "recursion" if tau_exact is None else "exact"
         lower, upper = _bounds(n, ell_u, ell_bar_u)
         ell_n = ell_from_trace(complex(tau))
@@ -203,7 +195,7 @@ def iter_exact_steps(
             upper=upper,
             in_bounds=in_bounds,
             trace=tau,
-            recursion_trace=recursion[n - 1],
+            recursion_trace=tau_rec,
             source=source,
         )
         it.advance()
@@ -234,6 +226,15 @@ def decay_curve_exact(
     return report
 
 
+def _matrix_lengths(w: np.ndarray, tau: complex) -> tuple[float, float]:
+    """ell and ell_bar measured on the matrix: the 2-norm distances to 1
+    and to the nearest unit scalar tau/|tau|.  Unlike sqrt(2 - 2 Re tau)
+    they do not cancel when tau is close to 1."""
+    eye = np.eye(w.shape[0])
+    phase = tau / abs(tau) if tau else 1.0
+    return two_norm_dist(w, eye), two_norm_dist(w, phase * eye)
+
+
 def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayReport:
     """Numerical decay curve at finite dimension.
 
@@ -247,8 +248,7 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
         raise ValueError("dimension mismatch")
     dim = a.shape[0]
     tau_u = normalized_trace(a)
-    ell_u = ell_from_trace(tau_u)
-    ell_bar_u = ell_bar_from_trace(tau_u)
+    ell_u, ell_bar_u = _matrix_lengths(a, tau_u)
 
     steps = []
     current = a
@@ -256,12 +256,12 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     for n in range(1, n_max + 1):
         tau = normalized_trace(current)
         lower, upper = _bounds(n, ell_u, ell_bar_u)
-        ell_n = ell_from_trace(tau)
+        ell_n, ell_bar_n = _matrix_lengths(current, tau)
         steps.append(
             DecayStep(
                 n=n,
                 ell=ell_n,
-                ell_bar=ell_bar_from_trace(tau),
+                ell_bar=ell_bar_n,
                 lower=lower,
                 upper=upper,
                 in_bounds=lower - slack <= ell_n <= upper + slack,

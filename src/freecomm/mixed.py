@@ -6,9 +6,11 @@ A word alternates group constants and powers of the variable t,
 
 and is kept in free-product normal form: every exponent is nonzero and
 every interior constant differs from the identity (leading and trailing
-constants may be trivial).  Substituting a group element for t turns the
-word into an element of G; a word whose every substitution is trivial is a
-mixed identity for G.
+constants may be trivial).  Normal forms come from
+``algebra.FreeProductGroup`` over the factors labelled ``"t"`` (Z) and
+``"g"`` (G); raw token streams use the same labels.  Substituting a group
+element for t turns the word into an element of G; a word whose every
+substitution is trivial is a mixed identity for G.
 """
 
 from __future__ import annotations
@@ -17,51 +19,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .algebra import FreeProductGroup, Word, Z
 from .groups import FiniteGroup
-
-# token kinds used during normalization
-_G = "g"
-_T = "t"
+from .words import carrier_power
+from .words import commutator as mixed_commutator
 
 
-def _normalize(group: FiniteGroup, tokens: Iterable[tuple[str, int]]):
-    """Stack reduction of an alternating token stream into normal form."""
-    out: list[tuple[str, int]] = []
-    for kind, val in tokens:
-        if kind == _G and val == group.identity:
-            continue
-        if kind == _T and val == 0:
-            continue
-        if out and out[-1][0] == kind:
-            prev = out.pop()[1]
-            merged = group.mul(prev, val) if kind == _G else prev + val
-            if kind == _G and merged == group.identity:
-                continue
-            if kind == _T and merged == 0:
-                continue
-            out.append((kind, merged))
-        else:
-            out.append((kind, val))
-        # a merge may have re-exposed equal kinds deeper in the stack
-        while len(out) >= 2 and out[-1][0] == out[-2][0]:
-            kind2, val2 = out.pop()
-            prev = out.pop()[1]
-            merged = group.mul(prev, val2) if kind2 == _G else prev + val2
-            if not (
-                (kind2 == _G and merged == group.identity)
-                or (kind2 == _T and merged == 0)
-            ):
-                out.append((kind2, merged))
-
-    coeffs = [group.identity]
-    exps: list[int] = []
-    for kind, val in out:
-        if kind == _G:
-            coeffs[-1] = group.mul(coeffs[-1], val)
-        else:
-            exps.append(val)
-            coeffs.append(group.identity)
-    return tuple(coeffs), tuple(exps)
+def _free_product(group: FiniteGroup) -> FreeProductGroup:
+    return FreeProductGroup({"t": Z, "g": group})
 
 
 @dataclass(frozen=True)
@@ -81,8 +46,28 @@ class MixedWord:
 
     @classmethod
     def from_tokens(cls, group: FiniteGroup, tokens: Iterable[tuple[str, int]]) -> "MixedWord":
-        coeffs, exps = _normalize(group, tokens)
-        return cls(group, coeffs, exps)
+        """Normal form of a raw ("t", exponent) / ("g", element) stream."""
+        return cls._from_word(group, _free_product(group).normal_form(tokens))
+
+    @classmethod
+    def _from_word(cls, group: FiniteGroup, word: Word) -> "MixedWord":
+        coeffs = [group.identity]
+        exps: list[int] = []
+        for label, v in zip(word[::2], word[1::2]):
+            if label == "g":
+                coeffs[-1] = v
+            else:
+                exps.append(v)
+                coeffs.append(group.identity)
+        return cls(group, tuple(coeffs), tuple(exps))
+
+    def _word(self) -> Word:
+        """This word in Z * G, where trivial constants are omitted."""
+        one = self.group.identity
+        out = [] if self.coeffs[0] == one else ["g", self.coeffs[0]]
+        for e, g in zip(self.exps, self.coeffs[1:]):
+            out += ("t", e) if g == one else ("t", e, "g", g)
+        return tuple(out)
 
     @classmethod
     def identity(cls, group: FiniteGroup) -> "MixedWord":
@@ -90,18 +75,11 @@ class MixedWord:
 
     @classmethod
     def t_power(cls, group: FiniteGroup, e: int) -> "MixedWord":
-        return cls.from_tokens(group, [(_T, e)])
+        return cls.from_tokens(group, [("t", e)])
 
     @classmethod
     def constant(cls, group: FiniteGroup, g: int) -> "MixedWord":
-        return cls.from_tokens(group, [(_G, g)])
-
-    def tokens(self) -> list[tuple[str, int]]:
-        toks: list[tuple[str, int]] = [(_G, self.coeffs[0])]
-        for e, g in zip(self.exps, self.coeffs[1:]):
-            toks.append((_T, e))
-            toks.append((_G, g))
-        return toks
+        return cls.from_tokens(group, [("g", g)])
 
     def is_trivial(self) -> bool:
         return not self.exps and self.coeffs[0] == self.group.identity
@@ -109,20 +87,18 @@ class MixedWord:
     def __mul__(self, other: "MixedWord") -> "MixedWord":
         if self.group is not other.group:
             raise ValueError("words over different coefficient groups")
-        return MixedWord.from_tokens(self.group, self.tokens() + other.tokens())
+        word = _free_product(self.group).concat(self._word(), other._word())
+        return MixedWord._from_word(self.group, word)
 
     def inverse(self) -> "MixedWord":
-        inv_tokens = []
-        for kind, val in reversed(self.tokens()):
-            inv_tokens.append((kind, self.group.inv(val) if kind == _G else -val))
-        return MixedWord.from_tokens(self.group, inv_tokens)
+        return MixedWord._from_word(self.group, _free_product(self.group).inverse_word(self._word()))
 
     def conjugate_variable(self, by: int) -> "MixedWord":
         """The word with t replaced by (by) t (by)^-1."""
-        toks: list[tuple[str, int]] = [(_G, self.coeffs[0])]
+        toks: list[tuple[str, int]] = [("g", self.coeffs[0])]
         inv = self.group.inv(by)
         for e, g in zip(self.exps, self.coeffs[1:]):
-            toks.extend([(_G, by), (_T, e), (_G, inv), (_G, g)])
+            toks.extend([("g", by), ("t", e), ("g", inv), ("g", g)])
         return MixedWord.from_tokens(self.group, toks)
 
     def evaluate(self, g: int) -> int:
@@ -151,16 +127,12 @@ def parse_mixed_word(group: FiniteGroup, literal: str) -> MixedWord:
         if pos % 2 == 1:
             if not seg.startswith("t^"):
                 raise ValueError(f"expected t^e at segment {pos}: {seg!r}")
-            tokens.append((_T, int(seg[2:])))
+            tokens.append(("t", int(seg[2:])))
         else:
-            tokens.append((_G, group.index_of(seg)))
+            tokens.append(("g", group.index_of(seg)))
     if len(segments) % 2 == 0:
         raise ValueError("literal must start and end with a coefficient label")
     return MixedWord.from_tokens(group, tokens)
-
-
-def mixed_commutator(a: MixedWord, b: MixedWord) -> MixedWord:
-    return a * b * a.inverse() * b.inverse()
 
 
 def iterated_commutator(ws: Sequence[MixedWord]) -> MixedWord:
@@ -223,8 +195,6 @@ def asymptotic_freeness_witness(constraints, candidates, carrier) -> FreenessWit
     for _, e in constraints:
         if int(e) == 0:
             raise ValueError("exponents must be nonzero")
-    from .words import carrier_power  # local import to avoid cycle at module load
-
     for idx, g in enumerate(candidates):
         prod = carrier.one()
         for s, e in constraints:

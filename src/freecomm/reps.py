@@ -4,7 +4,8 @@ The guarantee checked here: a nontrivial irreducible representation of
 least dimension among the nontrivial irreducibles leaves no invariant
 abelian Lie subalgebra of traceless skew-Hermitian matrices, which makes
 the family of discrete subgroups over the projective image uniformly
-discrete.  Irreducibility is decided by the commutant null space; the
+discrete.  Irreducibility and the invariant directions are integers given
+exactly by the character of the representation (Schur orthogonality); the
 least-dimension data is a caller-supplied fixture (character tables are
 inputs here, never computed).
 """
@@ -20,9 +21,6 @@ import numpy as np
 from .discrete import MatrixGroup, ell_op, group_closure
 from .groups import FiniteGroup
 from .matrices import as_array
-
-#: singular values below this count as zero in rank decisions
-RANK_TOL = 1e-8
 
 _HOM_TOL = 1e-10
 
@@ -68,61 +66,11 @@ def rep_from_matrix_group(mg: MatrixGroup, name: str = "matrix-group") -> Finite
 def commutant_dimension(rep: FiniteRep) -> int:
     """Complex dimension of {X : pi(g) X = X pi(g) for all g}.
 
-    Stacks the linear conditions on vec(X) (column-major) and counts the
-    null space by singular values; the result is 1 exactly when the
-    representation is irreducible.
+    By Schur orthogonality it is (1/|G|) sum_g |tr pi(g)|^2, the sum of the
+    squared multiplicities of the irreducible constituents, so it is 1
+    exactly when the representation is irreducible.
     """
-    n = rep.dim
-    eye = np.eye(n)
-    blocks = [np.kron(eye, m) - np.kron(m.T, eye) for m in rep.images]
-    system = np.vstack(blocks)
-    svals = np.linalg.svd(system, compute_uv=False)
-    rank = int(np.sum(svals > RANK_TOL))
-    return n * n - rank
-
-
-def su_basis(n: int) -> list[np.ndarray]:
-    """Real basis of traceless skew-Hermitian n x n matrices (n^2 - 1 of them)."""
-    basis: list[np.ndarray] = []
-    for k in range(n - 1):
-        d = np.zeros((n, n), dtype=complex)
-        d[k, k] = 1j
-        d[k + 1, k + 1] = -1j
-        basis.append(d)
-    for j in range(n):
-        for k in range(j + 1, n):
-            a = np.zeros((n, n), dtype=complex)
-            a[j, k] = 1.0
-            a[k, j] = -1.0
-            basis.append(a)
-            s = np.zeros((n, n), dtype=complex)
-            s[j, k] = 1j
-            s[k, j] = 1j
-            basis.append(s)
-    return basis
-
-
-def adjoint_fixed_space(rep: FiniteRep) -> list[np.ndarray]:
-    """Real basis of {X traceless skew-Hermitian : pi(g) X pi(g)* = X}.
-
-    A nonzero fixed vector is an invariant abelian Lie-subalgebra direction
-    (a torus direction); the space is zero iff the commutant is scalar.
-    """
-    n = rep.dim
-    basis = su_basis(n)
-    rows: list[np.ndarray] = []
-    for m in rep.images:
-        cols = []
-        for b in basis:
-            diff = m @ b @ m.conj().T - b
-            cols.append(np.concatenate([diff.real.ravel(), diff.imag.ravel()]))
-        rows.append(np.stack(cols, axis=1))
-    system = np.vstack(rows)  # (2 n^2 |G|) x (n^2 - 1), always at least square
-    _, svals, vt = np.linalg.svd(system)
-    fixed = []
-    for row in vt[svals <= RANK_TOL]:
-        fixed.append(sum(c * b for c, b in zip(row, basis)))
-    return fixed
+    return round(sum(abs(np.trace(m)) ** 2 for m in rep.images) / rep.group.order)
 
 
 @dataclass(frozen=True)
@@ -156,13 +104,14 @@ def least_dimension_criterion(
     if not dims:
         raise ValueError("need a nonempty list of nontrivial irreducible dimensions")
     cdim = commutant_dimension(rep)
-    fdim = len(adjoint_fixed_space(rep))
     irreducible = cdim == 1
     least = rep.dim <= min(dims)
     return CriterionVerdict(
         irreducible=irreducible,
         commutant_dim=cdim,
-        fixed_space_dim=fdim,
+        # the commutant is a *-algebra containing 1: its skew-Hermitian part
+        # has real dimension cdim, and the traceless part one less
+        fixed_space_dim=cdim - 1,
         least_dimension=least,
         guarantee=irreducible and least,
     )

@@ -1,9 +1,10 @@
 """Reduced words in free groups, and their evaluation in arbitrary carriers.
 
-Words are stored as syllable lists (generator, nonzero exponent) with
-adjacent generators distinct, so the commutator words used by the
-contraction dynamics stay linear-sized in the nesting depth even though
-their letter length grows geometrically.
+A word is an element of the free product of one infinite cyclic factor per
+generator name, reduced by ``algebra.FreeProductGroup``.  It is stored as
+syllables (generator, nonzero exponent) with adjacent generators distinct,
+so the commutator words used by the contraction dynamics stay linear-sized
+in the nesting depth even though their letter length grows geometrically.
 """
 
 from __future__ import annotations
@@ -13,9 +14,23 @@ from typing import Iterable, Mapping, Protocol, TypeVar
 
 import numpy as np
 
+from .algebra import FreeProductGroup, Word, Z
 from .groups import FiniteGroup
 
 T = TypeVar("T")
+
+
+def _free_group(syllables: Iterable[tuple[str, int]]) -> FreeProductGroup:
+    """The free group on the generator names in ``syllables``."""
+    return FreeProductGroup({g: Z for g, _ in syllables})
+
+
+def _flat(syllables: tuple[tuple[str, int], ...]) -> Word:
+    return tuple(x for syllable in syllables for x in syllable)
+
+
+def _from_flat(word: Word) -> "FreeWord":
+    return FreeWord(tuple(zip(word[::2], word[1::2])))
 
 
 @dataclass(frozen=True)
@@ -25,13 +40,7 @@ class FreeWord:
     syllables: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        prev = None
-        for g, e in self.syllables:
-            if e == 0:
-                raise ValueError(f"zero exponent on generator {g!r}")
-            if g == prev:
-                raise ValueError(f"unreduced word: repeated generator {g!r}")
-            prev = g
+        _free_group(self.syllables).word(self.syllables)  # raises unless reduced
 
     @classmethod
     def gen(cls, name: str, exponent: int = 1) -> "FreeWord":
@@ -51,10 +60,11 @@ class FreeWord:
         return sum(abs(e) for _, e in self.syllables)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _from_flat(_free_group(self.syllables).inverse_word(_flat(self.syllables)))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return reduce_free_word(self.syllables + other.syllables)
+        group = _free_group(self.syllables + other.syllables)
+        return _from_flat(group.concat(_flat(self.syllables), _flat(other.syllables)))
 
     def __pow__(self, n: int) -> "FreeWord":
         if n == 0:
@@ -72,28 +82,13 @@ class FreeWord:
 
 
 def reduce_free_word(raw: Iterable[tuple[str, int]]) -> FreeWord:
-    """Reduce an arbitrary syllable list to its unique normal form.
-
-    Single-pass stack reduction: merging a syllable into the top of the
-    stack may annihilate it, which re-exposes the previous syllable to
-    further cancellation.
-    """
-    stack: list[tuple[str, int]] = []
-    for g, e in raw:
-        e = int(e)
-        if e == 0:
-            continue
-        if stack and stack[-1][0] == g:
-            merged = stack[-1][1] + e
-            stack.pop()
-            if merged != 0:
-                stack.append((g, merged))
-        else:
-            stack.append((g, e))
-    return FreeWord(tuple(stack))
+    """Reduce an arbitrary syllable list to its unique normal form."""
+    raw = [(g, int(e)) for g, e in raw]
+    return _from_flat(_free_group(raw).normal_form(raw))
 
 
-def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
+def commutator(a, b):
+    """[a, b] = a b a^-1 b^-1, for any word type with ``*`` and ``inverse()``."""
     return a * b * a.inverse() * b.inverse()
 
 

@@ -40,6 +40,60 @@ def letters_to_syllables(letters):
     return tuple(out)
 
 
+#: singular values below this count as zero in the SVD rank oracles
+RANK_TOL = 1e-8
+
+
+def svd_commutant_dimension(rep):
+    """Null-space dimension of the stacked conditions pi(g) X = X pi(g) on
+    vec(X) (column-major), counted by singular values."""
+    n = rep.dim
+    eye = np.eye(n)
+    blocks = [np.kron(eye, m) - np.kron(m.T, eye) for m in rep.images]
+    svals = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return n * n - int(np.sum(svals > RANK_TOL))
+
+
+def su_basis(n):
+    """Real basis of traceless skew-Hermitian n x n matrices (n^2 - 1 of them)."""
+    basis = []
+    for k in range(n - 1):
+        d = np.zeros((n, n), dtype=complex)
+        d[k, k] = 1j
+        d[k + 1, k + 1] = -1j
+        basis.append(d)
+    for j in range(n):
+        for k in range(j + 1, n):
+            a = np.zeros((n, n), dtype=complex)
+            a[j, k] = 1.0
+            a[k, j] = -1.0
+            basis.append(a)
+            s = np.zeros((n, n), dtype=complex)
+            s[j, k] = 1j
+            s[k, j] = 1j
+            basis.append(s)
+    return basis
+
+
+def adjoint_fixed_space(rep):
+    """Real basis of {X traceless skew-Hermitian : pi(g) X pi(g)* = X}.
+
+    A nonzero fixed vector is an invariant abelian Lie-subalgebra direction
+    (a torus direction); the space is zero iff the commutant is scalar.
+    """
+    basis = su_basis(rep.dim)
+    rows = []
+    for m in rep.images:
+        cols = []
+        for b in basis:
+            diff = m @ b @ m.conj().T - b
+            cols.append(np.concatenate([diff.real.ravel(), diff.imag.ravel()]))
+        rows.append(np.stack(cols, axis=1))
+    system = np.vstack(rows)  # (2 n^2 |G|) x (n^2 - 1), always at least square
+    _, svals, vt = np.linalg.svd(system)
+    return [sum(c * b for c, b in zip(row, basis)) for row in vt[svals <= RANK_TOL]]
+
+
 def naive_closure(generators, tol=1e-8, max_elements=100_000):
     """Repeated all-pairs multiplication until no new elements appear."""
     elements = [np.eye(generators[0].shape[0], dtype=complex)]
@@ -76,3 +130,40 @@ def ks_uniform(samples) -> float:
     hi = np.max(np.abs(np.arange(1, n + 1) / n - xs))
     lo = np.max(np.abs(xs - np.arange(0, n) / n))
     return float(max(hi, lo))
+
+
+def reduce_mixed_letters(group, tokens):
+    """Letter-level normal form of a Z * G token stream.
+
+    ``("t", e)`` is spelled as |e| letters t^(+-1) and ``("g", g)`` as one
+    letter; each letter meets only the top of the stack.  Returns the
+    (coeffs, exps) pair of the alternating form g0 t^e1 g1 ... t^ek gk.
+    """
+    stack = []
+    for kind, val in tokens:
+        if kind == "g":
+            letters = [("g", val)]
+        else:
+            letters = [("t", 1 if val > 0 else -1)] * abs(val)
+        for kind1, v in letters:
+            if kind1 == "g":
+                if stack and stack[-1][0] == "g":
+                    v = group.mul(stack.pop()[1], v)
+                if v != group.identity:
+                    stack.append(("g", v))
+            elif stack and stack[-1] == ("t", -v):
+                stack.pop()
+            else:
+                stack.append(("t", v))
+    coeffs, exps = [group.identity], []
+    prev = None
+    for kind, v in stack:
+        if kind == "g":
+            coeffs[-1] = v
+        elif prev == "t":
+            exps[-1] += v
+        else:
+            exps.append(v)
+            coeffs.append(group.identity)
+        prev = kind
+    return tuple(coeffs), tuple(exps)

@@ -1,7 +1,8 @@
 import math
-import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freecomm.algebra import (
     AlgebraCarrier,
@@ -31,23 +32,32 @@ from freecomm.words import substitute, w_sequence
 GRID = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.9)
 
 
-def _random_element(ambient, rng, n_words=5, max_syllables=4):
-    coeffs = {}
-    for _ in range(n_words):
-        syllables = []
-        prev = -1
-        for _ in range(rng.randint(0, max_syllables)):
-            f = rng.choice([i for i in range(len(ambient.factors)) if i != prev])
-            fac = ambient.factors[f]
-            if fac is Z:
-                v = rng.choice([-2, -1, 1, 2])
-            else:
-                v = rng.randrange(1, fac.order)
-            syllables.append((f, v))
-            prev = f
-        w = ambient.word(syllables)
-        coeffs[w] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return AlgebraElement(ambient, coeffs)
+# C3 * Z * C2: a finite factor of odd order, an infinite cyclic one, an involution
+PROPERTY_AMBIENT = FreeProductGroup((cyclic_group(3), Z, cyclic_group(2)))
+
+
+@st.composite
+def normal_words(draw, max_syllables=4):
+    """Normal-form words of PROPERTY_AMBIENT, built syllable by syllable."""
+    amb = PROPERTY_AMBIENT
+    syllables = []
+    prev = -1
+    for _ in range(draw(st.integers(0, max_syllables))):
+        f = draw(st.sampled_from([i for i in range(len(amb.factors)) if i != prev]))
+        fac = amb.factors[f]
+        if fac is Z:
+            v = draw(st.sampled_from([-2, -1, 1, 2]))
+        else:
+            v = draw(st.integers(1, fac.order - 1))
+        syllables.append((f, v))
+        prev = f
+    return amb.word(syllables)
+
+
+_unit_floats = st.floats(-1.0, 1.0, allow_subnormal=False)
+elements = st.dictionaries(
+    normal_words(), st.builds(complex, _unit_floats, _unit_floats), max_size=5
+).map(lambda coeffs: AlgebraElement(PROPERTY_AMBIENT, coeffs))
 
 
 def test_multiply_identity_and_inverse_word():
@@ -85,14 +95,10 @@ def test_star_examples():
     assert abs(su.coefficient(amb.word([(0, 1)])) + 1j * math.sqrt(0.75)) < 1e-15
 
 
-def test_star_is_involutive_antihomomorphism():
-    amb = two_involution_ambient()
-    rng = random.Random(7)
-    for _ in range(50):
-        a = _random_element(amb, rng)
-        b = _random_element(amb, rng)
-        assert approx_equal(star(star(a)), a)
-        assert approx_equal(star(multiply(a, b)), multiply(star(b), star(a)))
+@given(elements, elements)
+def test_star_is_involutive_antihomomorphism(a, b):
+    assert approx_equal(star(star(a)), a, 0.0)
+    assert approx_equal(star(multiply(a, b)), multiply(star(b), star(a)))
 
 
 def test_trace_examples():
@@ -108,25 +114,18 @@ def test_trace_examples():
             assert abs(trace(multiply(u, v)) - a * b) <= 1e-12
 
 
-def test_trace_is_tracial_and_positive():
-    amb = two_involution_ambient()
-    rng = random.Random(11)
-    for _ in range(200):
-        a = _random_element(amb, rng)
-        b = _random_element(amb, rng)
-        assert abs(trace(multiply(a, b)) - trace(multiply(b, a))) <= 1e-12
-        p = trace(multiply(star(a), a))
-        assert p.real >= -1e-12 and abs(p.imag) <= 1e-12
+@given(elements, elements)
+def test_trace_is_tracial_and_positive(a, b):
+    assert abs(trace(multiply(a, b)) - trace(multiply(b, a))) <= 1e-12
+    p = trace(multiply(star(a), a))
+    assert p.real >= -1e-12 and abs(p.imag) <= 1e-12
 
 
-def test_parseval():
-    amb = involution_haar_ambient()
-    rng = random.Random(13)
-    for _ in range(50):
-        a = _random_element(amb, rng)
-        lhs = norm2(a) ** 2
-        rhs = trace(multiply(star(a), a)).real
-        assert abs(lhs - rhs) <= 1e-12
+@given(elements)
+def test_parseval(a):
+    lhs = norm2(a) ** 2
+    rhs = trace(multiply(star(a), a)).real
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_is_unitary_examples():
@@ -219,33 +218,17 @@ def test_support_cap_raises():
         multiply(u, v, support_cap=3)
 
 
-def test_word_normal_form_associativity():
-    amb = FreeProductGroup((cyclic_group(3), Z, cyclic_group(2)))
-    rng = random.Random(17)
-
-    def rand_word():
-        syll = []
-        prev = -1
-        for _ in range(rng.randint(0, 6)):
-            f = rng.choice([i for i in range(3) if i != prev])
-            fac = amb.factors[f]
-            v = rng.choice([-2, -1, 1, 2]) if fac is Z else rng.randrange(1, fac.order)
-            syll.append((f, v))
-            prev = f
-        return amb.word(syll)
-
-    for _ in range(300):
-        a, b, c = rand_word(), rand_word(), rand_word()
-        assert amb.concat(amb.concat(a, b), c) == amb.concat(a, amb.concat(b, c))
-        assert amb.concat(a, amb.inverse_word(a)) == ()
+@given(normal_words(6), normal_words(6), normal_words(6))
+def test_word_normal_form_associativity(a, b, c):
+    amb = PROPERTY_AMBIENT
+    assert amb.concat(amb.concat(a, b), c) == amb.concat(a, amb.concat(b, c))
+    assert amb.concat(a, amb.inverse_word(a)) == ()
 
 
-def test_serialization_roundtrip():
-    amb = involution_haar_ambient()
-    rng = random.Random(23)
-    a = _random_element(amb, rng, n_words=8)
+@given(elements)
+def test_serialization_roundtrip(a):
     records = element_to_records(a)
-    b = element_from_records(amb, records)
+    b = element_from_records(PROPERTY_AMBIENT, records)
     assert approx_equal(a, b, 1e-15)
     # records are sorted and json-friendly
     assert all(isinstance(lit, str) for lit, _, _ in records)

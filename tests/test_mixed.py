@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freecomm.catalog import finite_group_catalog
-from freecomm.groups import cyclic_group, symmetric_group
+from freecomm.groups import cyclic_group, quaternion_group, symmetric_group
 from freecomm.mixed import (
     MixedWord,
     asymptotic_freeness_witness,
@@ -12,6 +14,8 @@ from freecomm.mixed import (
     parse_mixed_word,
 )
 from freecomm.words import FreeWord, WordCarrier
+
+from oracles import reduce_mixed_letters
 
 
 def test_normal_form_merges_interior_identity():
@@ -27,6 +31,32 @@ def test_normal_form_cascade():
     w = MixedWord.from_tokens(g, [("t", 1), ("g", 1), ("g", 3), ("t", -1), ("g", 2)])
     assert w.exps == ()
     assert w.coeffs == (2,)
+
+
+@st.composite
+def group_and_tokens(draw):
+    """A coefficient group and two raw token streams over it; zero exponents
+    and identity constants included."""
+    group = draw(st.sampled_from((cyclic_group(4), symmetric_group(3), quaternion_group())))
+    token = st.one_of(
+        st.tuples(st.just("t"), st.integers(-3, 3)),
+        st.tuples(st.just("g"), st.integers(0, group.order - 1)),
+    )
+    return group, draw(st.lists(token, max_size=14)), draw(st.lists(token, max_size=14))
+
+
+@given(group_and_tokens())
+def test_normal_form_matches_letter_oracle(case):
+    group, toks1, toks2 = case
+    w1 = MixedWord.from_tokens(group, toks1)
+    w2 = MixedWord.from_tokens(group, toks2)
+    assert (w1.coeffs, w1.exps) == reduce_mixed_letters(group, toks1)
+    prod = w1 * w2
+    assert (prod.coeffs, prod.exps) == reduce_mixed_letters(group, toks1 + toks2)
+    inv = w1.inverse()
+    inv_toks = [(k, group.inv(v) if k == "g" else -v) for k, v in reversed(toks1)]
+    assert (inv.coeffs, inv.exps) == reduce_mixed_letters(group, inv_toks)
+    assert (w1 * inv).is_trivial()
 
 
 def test_invalid_normal_form_rejected():

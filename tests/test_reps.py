@@ -7,7 +7,6 @@ from freecomm.discrete import MatrixGroup, group_closure
 from freecomm.groups import cyclic_group
 from freecomm.reps import (
     FiniteRep,
-    adjoint_fixed_space,
     alt5_rotation_rep,
     commutant_dimension,
     cyclic_su2_rep,
@@ -15,9 +14,26 @@ from freecomm.reps import (
     dihedral_so3,
     least_dimension_criterion,
     quaternion_su2_rep,
-    su_basis,
     trivial_rep,
 )
+
+from oracles import adjoint_fixed_space, su_basis, svd_commutant_dimension
+
+
+def _c3_direct_sum():
+    g = cyclic_group(3)
+    w = np.exp(2j * np.pi / 3)
+    return FiniteRep(group=g, images=tuple(np.diag([w**k, w ** (2 * k)]) for k in range(3)))
+
+
+def _direct_sum(a, b):
+    images = []
+    for ma, mb in zip(a.images, b.images):
+        m = np.zeros((a.dim + b.dim,) * 2, dtype=complex)
+        m[: a.dim, : a.dim] = ma
+        m[a.dim :, a.dim :] = mb
+        images.append(m)
+    return FiniteRep(group=a.group, images=tuple(images))
 
 
 def test_rep_validation_catches_non_homomorphism():
@@ -52,10 +68,7 @@ def test_commutant_quaternion_irrep():
 
 
 def test_commutant_direct_sum_of_inequivalent():
-    g = cyclic_group(3)
-    w = np.exp(2j * np.pi / 3)
-    images = tuple(np.diag([w**k, w ** (2 * k)]) for k in range(3))
-    rep = FiniteRep(group=g, images=images)
+    rep = _c3_direct_sum()
     assert commutant_dimension(rep) == 2
     assert len(adjoint_fixed_space(rep)) == 1
 
@@ -80,6 +93,19 @@ def test_fixed_space_zero_iff_commutant_scalar():
     ]
     for rep in reps:
         assert (len(adjoint_fixed_space(rep)) == 0) == (commutant_dimension(rep) == 1)
+
+
+def test_character_formula_matches_svd_oracle():
+    from freecomm.catalog import rep_catalog
+
+    bundled = [rep for rep, _ in rep_catalog().values()]
+    bundled += [trivial_rep(cyclic_group(3), 2), trivial_rep(cyclic_group(2), 3), _c3_direct_sum()]
+    sums = [_direct_sum(rep, rep) for rep in bundled]
+    sums += [_direct_sum(rep, trivial_rep(rep.group, 1)) for rep in bundled]
+    for rep in bundled + sums:
+        verdict = least_dimension_criterion(rep, [1])
+        assert verdict.commutant_dim == commutant_dimension(rep) == svd_commutant_dimension(rep)
+        assert verdict.fixed_space_dim == len(adjoint_fixed_space(rep))
 
 
 def test_least_dimension_alt5():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freecomm.groups import cyclic_group, symmetric_group
 from freecomm.words import (
@@ -44,13 +46,21 @@ def _random_raw(rng, n_syllables=12):
     return [(rng.choice(gens), rng.randint(-3, 3)) for _ in range(n_syllables)]
 
 
-def test_reduce_is_idempotent_and_matches_oracle():
-    rng = random.Random(2026)
-    for _ in range(200):
-        raw = _random_raw(rng)
-        w = reduce_free_word(raw)
-        assert reduce_free_word(w.syllables) == w
-        assert letters_to_syllables(reduce_letters(word_to_letters(raw))) == w.syllables
+raw_syllables = st.lists(st.tuples(st.sampled_from("xyz"), st.integers(-3, 3)), max_size=14)
+
+
+def _letter_oracle(raw):
+    return letters_to_syllables(reduce_letters(word_to_letters(raw)))
+
+
+@given(raw_syllables, raw_syllables)
+def test_reduce_is_idempotent_and_matches_oracle(raw1, raw2):
+    w1, w2 = reduce_free_word(raw1), reduce_free_word(raw2)
+    assert reduce_free_word(w1.syllables) == w1
+    assert w1.syllables == _letter_oracle(raw1)
+    assert (w1 * w2).syllables == _letter_oracle(raw1 + raw2)
+    assert w1.inverse().syllables == _letter_oracle([(g, -e) for g, e in reversed(raw1)])
+    assert (w1 * w1.inverse()).is_identity()
 
 
 def test_word_invariants_rejected():
