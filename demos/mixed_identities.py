@@ -28,7 +28,7 @@ print(f"  identity: {verdict.is_identity}; witness g = {s3.label(verdict.witness
 nested = iterated_commutator([t, t.conjugate_variable(a), MixedWord.t_power(s3, 2)])
 print(f"\nright-nested commutator of three words: {nested}")
 print("  nonzero evaluations:",
-      sum(1 for g in s3.elements() if nested.evaluate(g) != s3.identity), "of", s3.order)
+      sum(1 for g in range(s3.order) if nested.evaluate(g) != s3.identity), "of", s3.order)
 
 print("\nsmall-window scan over Sym(3) (depth 2, exponents to 2):")
 report = mixed_identity_scan(s3, 2, 2)

@@ -66,8 +66,6 @@ class FreeProductGroup:
             if fac is not Z and not isinstance(fac, FiniteGroup):
                 raise ValueError(f"factor must be a FiniteGroup or Z, got {fac!r}")
 
-    identity_word: Word = ()
-
     def is_infinite_cyclic(self, i) -> bool:
         return self.factors[i] is Z
 
@@ -152,6 +150,7 @@ class FreeProductGroup:
     def parse_word(self, literal: str) -> Word:
         if literal == "1":
             return ()
+        labels = {str(f): f for f in self.factors}
         syllables = []
         for part in literal.split("."):
             if "^" in part:
@@ -160,7 +159,7 @@ class FreeProductGroup:
                 f, v = part.split(":")
             else:
                 raise ValueError(f"malformed word literal segment {part!r}")
-            syllables.append((int(f), int(v)))
+            syllables.append((labels.get(f, f), int(v)))
         return self.word(syllables)
 
     def __eq__(self, other) -> bool:
@@ -191,10 +190,6 @@ class AlgebraElement:
                 pruned[w] = c
         self.ambient = ambient
         self._coeffs = pruned
-
-    @classmethod
-    def zero(cls, ambient: FreeProductGroup) -> "AlgebraElement":
-        return cls(ambient, {})
 
     @classmethod
     def one(cls, ambient: FreeProductGroup, scale: complex = 1.0) -> "AlgebraElement":
@@ -379,7 +374,7 @@ def verify_free_commutator_identity(alpha: float, beta: float) -> CommutatorTrac
     u and v are order-two unitaries with traces alpha, beta on the two
     distinct free factors, so their freeness is structural, not assumed.
     """
-    ambient = FreeProductGroup((_order_two_factor(0), _order_two_factor(1)))
+    ambient = two_involution_ambient()
     u = order_two_unitary(ambient, alpha, 0)
     v = order_two_unitary(ambient, beta, 1)
     lhs = trace(commutator_element(u, v))

@@ -10,7 +10,6 @@ identity) is reported as an explicit non-discreteness witness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,41 +66,32 @@ class NonClosure:
     elements_found: int
 
 
-@dataclass
-class MatrixGroup:
-    """Finite unitary matrix group with a precomputed Cayley table.
+class MatrixGroup(FiniteGroup):
+    """Finite unitary matrix group: its Cayley table, with a matrix per index.
 
-    Subgroup generation and verdict checks run on the index table, so long
-    products never accumulate floating-point drift.
+    A ``FiniteGroup`` on the indices (identity 0), so the table passes the
+    exact group checks on construction.  Subgroup generation and verdict
+    checks run on the index table, so long products never accumulate
+    floating-point drift.
     """
 
-    elements: tuple[np.ndarray, ...]
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    generator_indices: tuple[int, ...]
-    merge_eps: float
-    identity_index: int = 0
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def __init__(
+        self,
+        elements: Sequence[np.ndarray],
+        table: Sequence[Sequence[int]],
+        generator_indices: Sequence[int],
+    ):
+        super().__init__(table, name="matrix-group")
+        self.elements = tuple(elements)
+        self.generator_indices = tuple(generator_indices)
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
-
     def element_ells(self) -> list[float]:
         eye = np.eye(self.dim)
         return [op_norm(eye - g) for g in self.elements]
-
-    def to_finite_group(self, name: str = "matrix-group") -> FiniteGroup:
-        return FiniteGroup(self.table, name=name)
 
 
 class _ElementIndex:
@@ -153,6 +143,13 @@ def group_closure(
     first), and rerunning with the same input yields the same indexing.
     Returns a NonClosure witness when the element count passes ``cap`` or
     a product lands in [merge_eps, near_identity_band] of the identity.
+
+    The Cayley table is read off the search by index arithmetic alone
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 4.1):
+    each element j > 0 was first met as elements[p] @ steps[k], so
+    elements[i] @ elements[j] is the step-k neighbour of elements[i] @
+    elements[p], a row entry already filled.  A table that float merging
+    made inconsistent fails the ``FiniteGroup`` checks with ValueError.
     """
     gens = [as_array(g) for g in generators]
     if not gens:
@@ -169,50 +166,37 @@ def group_closure(
     steps = gens + [g.conj().T for g in gens]
     index = _ElementIndex(dim, merge_eps)
     index.add(np.eye(dim, dtype=complex))
-    gen_indices = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for s in steps:
+    right: list[list[int]] = []  # right[i][k]: index of elements[i] @ steps[k]
+    found_by: list[tuple[int, int]] = []  # (parent, step) of elements 1, 2, ...
+    i = 0
+    while i < len(index):  # discovery order is breadth-first order
+        row = []
+        for k, s in enumerate(steps):
             p = index.matrices[i] @ s
             found = index.find(p)
-            if found is not None:
-                continue
-            d_id = op_norm(p - np.eye(dim))
-            if d_id <= near_identity_band:
-                # not merged with the identity, yet inside the band
-                return NonClosure("near_identity", p, d_id, len(index))
-            if len(index) >= cap:
-                return NonClosure("cap_exceeded", p, d_id, len(index))
-            new_idx = index.add(p)
-            queue.append(new_idx)
-    # record where the generators landed
-    for g in gens:
-        gen_indices.append(index.find(g))
+            if found is None:
+                d_id = op_norm(p - np.eye(dim))
+                if d_id <= near_identity_band:
+                    # not merged with the identity, yet inside the band
+                    return NonClosure("near_identity", p, d_id, len(index))
+                if len(index) >= cap:
+                    return NonClosure("cap_exceeded", p, d_id, len(index))
+                found = index.add(p)
+                found_by.append((i, k))
+            row.append(found)
+        right.append(row)
+        i += 1
 
-    elements = tuple(index.matrices)
-    n = len(elements)
     table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k = index.find(elements[i] @ elements[j])
-            if k is None:
-                raise AssertionError("closure is not closed; merge tolerance too tight")
-            row.append(k)
-        table.append(tuple(row))
-    inverse = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0 and table[j][i] == 0:
-                inverse[i] = j
-                break
+    for i in range(len(index)):
+        row = [i]
+        for parent, k in found_by:
+            row.append(right[row[parent]][k])
+        table.append(row)
     return MatrixGroup(
-        elements=elements,
-        table=tuple(table),
-        inverse=tuple(inverse),
-        generator_indices=tuple(gen_indices),
-        merge_eps=merge_eps,
+        elements=index.matrices,
+        table=table,
+        generator_indices=right[0][: len(gens)],
     )
 
 
@@ -251,24 +235,14 @@ def gamma_filter(group: MatrixGroup, threshold: float) -> FilterReport:
     ells = group.element_ells()
     gens = [i for i, l in enumerate(ells) if l < threshold]
 
-    members = {group.identity_index}
-    queue = deque([group.identity_index])
-    gen_steps = sorted(set(gens) | {group.inv(i) for i in gens})
-    while queue:
-        i = queue.popleft()
-        for j in gen_steps:
-            k = group.mul(i, j)
-            if k not in members:
-                members.add(k)
-                queue.append(k)
+    members = group.generated(gens)
     sub = tuple(sorted(members))
 
     abelian = all(
         group.mul(i, j) == group.mul(j, i) for i in sub for j in sub if j < i
     )
-    member_set = set(sub)
     normal = all(
-        group.mul(group.mul(g, h), group.inv(g)) in member_set
+        group.mul(group.mul(g, h), group.inv(g)) in members
         for g in range(group.order)
         for h in sub
     )

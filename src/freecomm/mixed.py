@@ -70,16 +70,8 @@ class MixedWord:
         return tuple(out)
 
     @classmethod
-    def identity(cls, group: FiniteGroup) -> "MixedWord":
-        return cls(group, (group.identity,), ())
-
-    @classmethod
     def t_power(cls, group: FiniteGroup, e: int) -> "MixedWord":
         return cls.from_tokens(group, [("t", e)])
-
-    @classmethod
-    def constant(cls, group: FiniteGroup, g: int) -> "MixedWord":
-        return cls.from_tokens(group, [("g", g)])
 
     def is_trivial(self) -> bool:
         return not self.exps and self.coeffs[0] == self.group.identity
@@ -168,7 +160,7 @@ def is_mixed_identity(word: MixedWord, group: FiniteGroup | None = None) -> Mixe
     grp = word.group if group is None else group
     if group is not None and group is not word.group:
         raise ValueError("word coefficients do not live in the given group")
-    for g in grp.elements():
+    for g in range(grp.order):
         val = word.evaluate(g)
         if val != grp.identity:
             return MixedIdentityVerdict(False, witness=g, value=val)
@@ -216,11 +208,11 @@ def enumerate_mixed_words(
     exp_values: list[int] = []
     for m in range(1, exp_bound + 1):
         exp_values.extend([m, -m])
-    nontrivial = [g for g in group.elements() if g != group.identity]
+    nontrivial = [g for g in range(group.order) if g != group.identity]
     for k in range(1, max_syllables + 1):
         for exps in itertools.product(exp_values, repeat=k):
             interior_choices = [nontrivial] * (k - 1)
-            outer = list(group.elements())
+            outer = list(range(group.order))
             for g0 in outer:
                 for interior in itertools.product(*interior_choices):
                     for gk in outer:

@@ -60,7 +60,7 @@ class FiniteRep:
 
 def rep_from_matrix_group(mg: MatrixGroup, name: str = "matrix-group") -> FiniteRep:
     """Package a closed matrix group as a representation of its own Cayley table."""
-    return FiniteRep(group=mg.to_finite_group(name), images=mg.elements)
+    return FiniteRep(group=FiniteGroup(mg.table, name=name), images=mg.elements)
 
 
 def commutant_dimension(rep: FiniteRep) -> int:
@@ -134,7 +134,7 @@ def cyclic_su2_rep(m: int) -> FiniteRep:
 
 
 def trivial_rep(group: FiniteGroup, n: int) -> FiniteRep:
-    return FiniteRep(group=group, images=tuple(np.eye(n, dtype=complex) for _ in group.elements()))
+    return FiniteRep(group=group, images=tuple(np.eye(n, dtype=complex) for _ in range(group.order)))
 
 
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:

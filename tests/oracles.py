@@ -167,3 +167,35 @@ def reduce_mixed_letters(group, tokens):
             coeffs.append(group.identity)
         prev = kind
     return tuple(coeffs), tuple(exps)
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose first row and first column
+    are 0, 1, ..., n-1 in order, by backtracking cell by cell."""
+    square = [[j if i == 0 else (i if j == 0 else -1) for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in square)
+            return
+        i, j = cells[k]
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                square[i][j] = v
+                yield from fill(k + 1)
+        square[i][j] = -1
+
+    yield from fill(0)
+
+
+def is_associative(table):
+    """(ab)c == a(bc) over all n^3 triples."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

@@ -152,7 +152,7 @@ def test_criterion_08_filter_instances():
                 assert abs(min(short) - 2 * math.sin(math.pi / 13)) <= 1e-9
                 assert 2 * math.sin(math.pi / 13) < 0.5
             else:
-                assert rep.subgroup_indices == (mg.identity_index,)
+                assert rep.subgroup_indices == (mg.identity,)
 
 
 def test_criterion_09_heisenberg_bound():

@@ -34,16 +34,17 @@ GRID = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.9)
 
 # C3 * Z * C2: a finite factor of odd order, an infinite cyclic one, an involution
 PROPERTY_AMBIENT = FreeProductGroup((cyclic_group(3), Z, cyclic_group(2)))
+# Z * C3 with named factors, labelled as mixed words label Z * G
+LABELLED_AMBIENT = FreeProductGroup({"t": Z, "g": cyclic_group(3)})
 
 
 @st.composite
-def normal_words(draw, max_syllables=4):
-    """Normal-form words of PROPERTY_AMBIENT, built syllable by syllable."""
-    amb = PROPERTY_AMBIENT
+def normal_words(draw, max_syllables=4, amb=PROPERTY_AMBIENT):
+    """Normal-form words of ``amb``, built syllable by syllable."""
     syllables = []
-    prev = -1
+    prev = None
     for _ in range(draw(st.integers(0, max_syllables))):
-        f = draw(st.sampled_from([i for i in range(len(amb.factors)) if i != prev]))
+        f = draw(st.sampled_from([f for f in amb.factors if f != prev]))
         fac = amb.factors[f]
         if fac is Z:
             v = draw(st.sampled_from([-2, -1, 1, 2]))
@@ -55,9 +56,15 @@ def normal_words(draw, max_syllables=4):
 
 
 _unit_floats = st.floats(-1.0, 1.0, allow_subnormal=False)
-elements = st.dictionaries(
-    normal_words(), st.builds(complex, _unit_floats, _unit_floats), max_size=5
-).map(lambda coeffs: AlgebraElement(PROPERTY_AMBIENT, coeffs))
+
+
+def algebra_elements(amb):
+    return st.dictionaries(
+        normal_words(amb=amb), st.builds(complex, _unit_floats, _unit_floats), max_size=5
+    ).map(lambda coeffs: AlgebraElement(amb, coeffs))
+
+
+elements = algebra_elements(PROPERTY_AMBIENT)
 
 
 def test_multiply_identity_and_inverse_word():
@@ -225,10 +232,10 @@ def test_word_normal_form_associativity(a, b, c):
     assert amb.concat(a, amb.inverse_word(a)) == ()
 
 
-@given(elements)
+@given(st.one_of(elements, algebra_elements(LABELLED_AMBIENT)))
 def test_serialization_roundtrip(a):
     records = element_to_records(a)
-    b = element_from_records(PROPERTY_AMBIENT, records)
+    b = element_from_records(a.ambient, records)
     assert approx_equal(a, b, 1e-15)
     # records are sorted and json-friendly
     assert all(isinstance(lit, str) for lit, _, _ in records)

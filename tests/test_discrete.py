@@ -72,15 +72,39 @@ def test_trivial_closure():
     assert mg.order == 1
 
 
+def _dicyclic_generators(order):
+    """diag(e^{i pi/m}, e^{-i pi/m}) and j with 4m = order, conjugated by a
+    fixed SU(2) element so that no entry is exact."""
+    a, b, c, d = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30.0)
+    conj = np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+    angle = 4 * math.pi / order
+    rot = np.diag([np.exp(1j * angle), np.exp(-1j * angle)])
+    j = np.array([[0, 1], [-1, 0]], dtype=complex)
+    return [conj @ g @ conj.conj().T for g in (rot, j)]
+
+
+CLOSURE_INPUTS = {
+    **{name: list(gens) for name, gens in unitary_group_catalog().items()},
+    "dicyclic120": _dicyclic_generators(120),
+}
+
+
 def test_closure_cayley_table_consistent():
-    mg = group_closure(list(quaternion_generators()))
-    assert mg.order == 8
-    for i in range(mg.order):
-        for j in range(mg.order):
-            prod = mg.elements[i] @ mg.elements[j]
-            assert np.linalg.norm(prod - mg.elements[mg.mul(i, j)]) <= 1e-8
-    for i in range(mg.order):
-        assert mg.mul(i, mg.inv(i)) == mg.identity_index
+    # the table is read off the search words; check it against the products
+    for name, gens in CLOSURE_INPUTS.items():
+        mg = group_closure(gens)
+        assert isinstance(mg, MatrixGroup), name
+        for i in range(mg.order):
+            for j in range(mg.order):
+                prod = mg.elements[i] @ mg.elements[j]
+                assert np.linalg.norm(prod - mg.elements[mg.mul(i, j)]) <= 1e-8, name
+        for i in range(mg.order):
+            assert mg.mul(i, mg.inv(i)) == mg.identity, name
+        for k, g in zip(mg.generator_indices, gens):
+            assert np.linalg.norm(mg.elements[k] - g) <= 1e-8, name
+    dicyclic = group_closure(CLOSURE_INPUTS["dicyclic120"])
+    assert dicyclic.order == 120
+    assert dicyclic.exponent() == 60
 
 
 def test_irrational_rotation_is_non_discrete():
@@ -128,7 +152,7 @@ def test_quaternion_filter_is_trivial():
     ells = mg.element_ells()
     assert min(l for l in ells if l > 1e-9) >= math.sqrt(2) - 1e-9
     rep = gamma_filter(mg, 0.5)
-    assert rep.subgroup_indices == (mg.identity_index,)
+    assert rep.subgroup_indices == (mg.identity,)
     assert rep.is_abelian and rep.is_normal
 
 
@@ -146,7 +170,7 @@ def test_cyclic13_filter_is_whole_group():
 def test_filter_threshold_zero():
     mg = group_closure(list(pauli_generators()))
     rep = gamma_filter(mg, 0.0)
-    assert rep.subgroup_indices == (mg.identity_index,)
+    assert rep.subgroup_indices == (mg.identity,)
 
 
 def test_filter_monotone_in_threshold():

@@ -12,6 +12,8 @@ from freecomm.groups import (
     symmetric_group,
 )
 
+from oracles import is_associative, reduced_latin_squares
+
 
 def test_cyclic_basics():
     g = cyclic_group(6)
@@ -110,7 +112,7 @@ def test_conjugate():
 
 def test_corrupted_table_fails_column_check():
     g = cyclic_group(100)
-    assert g.order == 100  # valid large table passes the sampled check
+    assert g.order == 100  # the valid table passes every exact check
     bad = [list(row) for row in g.table]
     bad[3][4], bad[3][5] = bad[3][5], bad[3][4]
     with pytest.raises(ValueError):
@@ -119,7 +121,8 @@ def test_corrupted_table_fails_column_check():
 
 def test_sampled_associativity_catches_large_loop():
     # order-5 loop (Latin, identity, inverses, non-associative) crossed
-    # with C13 gives an order-65 table, above the exhaustive bound
+    # with C13 gives an order-65 loop; Light's test over a generating set
+    # finds the failure at this order as at any other
     loop = [
         [0, 1, 2, 3, 4],
         [1, 0, 3, 4, 2],
@@ -136,3 +139,20 @@ def test_sampled_associativity_catches_large_loop():
                     table[a1 * 13 + b1][a2 * 13 + b2] = loop[a1][a2] * 13 + (b1 + b2) % 13
     with pytest.raises(ValueError, match="associative"):
         FiniteGroup(table)
+
+
+@pytest.mark.parametrize("n, squares, groups", [(1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 4, 4), (5, 56, 6)])
+def test_accepts_exactly_the_associative_latin_squares(n, squares, groups):
+    # a reduced Latin square has the two-sided identity 0, so it is a group
+    # table exactly when it is associative
+    seen = accepted = 0
+    for table in reduced_latin_squares(n):
+        seen += 1
+        try:
+            FiniteGroup(table)
+        except ValueError:
+            assert not is_associative(table), table
+        else:
+            assert is_associative(table), table
+            accepted += 1
+    assert (seen, accepted) == (squares, groups)

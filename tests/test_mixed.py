@@ -103,7 +103,7 @@ def test_sym3_conjugate_commutator_witness():
 
     # oracle: direct evaluation of [g, a g a^-1] over all six elements
     expected_witness = None
-    for g in s3.elements():
+    for g in range(s3.order):
         conj = s3.conjugate(g, a)
         val = s3.mul(s3.mul(g, conj), s3.mul(s3.inv(g), s3.inv(conj)))
         assert w.evaluate(g) == val
@@ -133,7 +133,7 @@ def test_iterated_commutator_three_words_matches_step_eval():
         MixedWord.t_power(s3, 2),
     ]
     nested = iterated_commutator(ws)
-    for g in s3.elements():
+    for g in range(s3.order):
         vals = [w.evaluate(g) for w in ws]
         inner = s3.mul(
             s3.mul(vals[1], vals[2]), s3.mul(s3.inv(vals[1]), s3.inv(vals[2]))
@@ -163,7 +163,7 @@ def test_freeness_failure_in_abelian_group():
     g = cyclic_group(6)
     carrier = GroupCarrier(g)
     constraints = [(2, 1), (g.inv(2), -1)]
-    assert asymptotic_freeness_witness(constraints, list(g.elements()), carrier) is None
+    assert asymptotic_freeness_witness(constraints, list(range(g.order)), carrier) is None
 
 
 def test_freeness_mixed_constraints_match_brute_force():
