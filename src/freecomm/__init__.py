@@ -42,7 +42,6 @@ from .dynamics import (
 )
 from .groups import FiniteGroup, cyclic_group, load_finite_group, quaternion_group, symmetric_group
 from .matrices import (
-    SpectralSpec,
     UnitaryMatrix,
     corner_haar,
     freeness_report,
@@ -52,12 +51,10 @@ from .matrices import (
     sample_haar,
     subseed,
     two_norm_dist,
-    unitary_from_spectrum,
     unitary_with_trace,
 )
 from .mixed import (
     MixedWord,
-    asymptotic_freeness_witness,
     is_mixed_identity,
     iterated_commutator,
     parse_mixed_word,
@@ -69,7 +66,7 @@ from .reps import (
     dihedral_chain_demo,
     least_dimension_criterion,
 )
-from .words import FreeWord, commutator, reduce_free_word, substitute, w_sequence
+from .words import FreeWord, commutator, w_sequence
 
 __all__ = [
     "AlgebraElement",
@@ -84,11 +81,9 @@ __all__ = [
     "MatrixGroup",
     "MixedWord",
     "NonClosure",
-    "SpectralSpec",
     "SupportCapExceeded",
     "UnitaryMatrix",
     "Z",
-    "asymptotic_freeness_witness",
     "commutant_dimension",
     "commutator",
     "commutator_ineq_check",
@@ -118,16 +113,13 @@ __all__ = [
     "order_two_unitary",
     "parse_mixed_word",
     "quaternion_group",
-    "reduce_free_word",
     "sample_haar",
     "star",
     "subseed",
-    "substitute",
     "symmetric_group",
     "trace",
     "trace_recursion",
     "two_norm_dist",
-    "unitary_from_spectrum",
     "unitary_with_trace",
     "verify_free_commutator_identity",
     "w_sequence",

@@ -138,30 +138,6 @@ class FreeProductGroup:
             out.extend((f, -v if fac is Z else fac.inv(v)))
         return tuple(out)
 
-    def format_word(self, w: Word) -> str:
-        if not w:
-            return "1"
-        parts = []
-        for i in range(0, len(w), 2):
-            f, v = w[i], w[i + 1]
-            parts.append(f"{f}^{v}" if self.factors[f] is Z else f"{f}:{v}")
-        return ".".join(parts)
-
-    def parse_word(self, literal: str) -> Word:
-        if literal == "1":
-            return ()
-        labels = {str(f): f for f in self.factors}
-        syllables = []
-        for part in literal.split("."):
-            if "^" in part:
-                f, v = part.split("^")
-            elif ":" in part:
-                f, v = part.split(":")
-            else:
-                raise ValueError(f"malformed word literal segment {part!r}")
-            syllables.append((labels.get(f, f), int(v)))
-        return self.word(syllables)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeProductGroup):
             return NotImplemented
@@ -337,10 +313,6 @@ def haar_generator(ambient: FreeProductGroup, factor: int) -> AlgebraElement:
     return AlgebraElement.from_word(ambient, ambient.word([(factor, 1)]))
 
 
-def conjugate(a: AlgebraElement, u: AlgebraElement, support_cap: int | None = None) -> AlgebraElement:
-    return multiply(multiply(u, a, support_cap), star(u), support_cap)
-
-
 def commutator_element(
     a: AlgebraElement, b: AlgebraElement, support_cap: int | None = None
 ) -> AlgebraElement:
@@ -404,49 +376,3 @@ def involution_haar_ambient() -> FreeProductGroup:
     """C2 * Z, the exact carrier for the contraction dynamics."""
     return FreeProductGroup((_order_two_factor(0), Z))
 
-
-# -- serialization --------------------------------------------------------------
-
-
-def element_to_records(a: AlgebraElement) -> list[tuple[str, float, float]]:
-    """(word-literal, re, im) records in sorted word order."""
-    fmt = a.ambient.format_word
-    return [(fmt(w), c.real, c.imag) for w, c in a.items_sorted()]
-
-
-def element_from_records(
-    ambient: FreeProductGroup, records: Iterable[tuple[str, float, float]]
-) -> AlgebraElement:
-    coeffs: dict[Word, complex] = {}
-    for literal, re, im in records:
-        w = ambient.parse_word(literal)
-        coeffs[w] = coeffs.get(w, 0j) + complex(re, im)
-    return AlgebraElement(ambient, coeffs)
-
-
-class AlgebraCarrier:
-    """Carrier adapter so free-group words can be evaluated in the algebra.
-
-    Inverses are adjoints, so assignments must map generators to unitaries.
-    """
-
-    def __init__(self, ambient: FreeProductGroup, support_cap: int | None = None):
-        self.ambient = ambient
-        self.support_cap = support_cap
-
-    def one(self) -> AlgebraElement:
-        return AlgebraElement.one(self.ambient)
-
-    def mul(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        return multiply(a, b, self.support_cap)
-
-    def inv(self, a: AlgebraElement) -> AlgebraElement:
-        return star(a)
-
-    def is_one(self, a: AlgebraElement) -> bool:
-        diff = a - AlgebraElement.one(self.ambient)
-        return norm2(diff) <= 1e-12
-
-
-def approx_equal(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:
-    return norm2(a - b) <= tol

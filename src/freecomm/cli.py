@@ -38,6 +38,17 @@ def _config(args: argparse.Namespace, keys: list[str]) -> dict:
     return cfg
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
@@ -93,6 +104,8 @@ def cmd_dynamics(args) -> int:
         slack = EXACT_SLACK if args.tol is None else args.tol
         report = decay_curve_exact(args.alpha, args.n_max, slack=slack)
     else:
+        if args.n < 2:
+            raise UsageError("the matrix model needs --n >= 2")
         slack = MATRIX_SLACK if args.tol is None else args.tol
         u, _ = unitary_with_trace(args.alpha, args.n, subseed(args.seed, 0))
         v = sample_haar(args.n, subseed(args.seed, 1))
@@ -117,6 +130,8 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_zassenhaus(args) -> int:
+    if args.t < 0:
+        raise UsageError("--t must be nonnegative")
     if args.catalog is None:
         catalog = unitary_group_catalog()
     else:
@@ -124,6 +139,9 @@ def cmd_zassenhaus(args) -> int:
             catalog = load_unitary_catalog(args.catalog)
         except (OSError, KeyError, ValueError) as exc:
             raise UsageError(f"unreadable catalog {args.catalog}: {exc}") from exc
+    too_many = sorted(name for name, gens in catalog.items() if len(gens) > args.cap)
+    if too_many:
+        raise UsageError(f"--cap {args.cap} is smaller than the generating set of {too_many}")
     out_dir = Path(args.out)
     failed = []
     for name in sorted(catalog):
@@ -160,8 +178,6 @@ def cmd_zassenhaus(args) -> int:
 
 
 def cmd_mif(args) -> int:
-    if args.depth < 1:
-        raise UsageError("depth must be >= 1")
     if args.group is not None:
         try:
             group = load_finite_group(args.group)
@@ -255,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="decay curve of the nested commutator words")
     p.add_argument("--alpha", type=float, required=True, help="trace of u")
-    p.add_argument("--n-max", type=int, default=6, help="last word index")
+    p.add_argument("--n-max", type=_positive_int, default=6, help="last word index")
     p.add_argument("--model", choices=["exact", "matrix"], default="exact")
-    p.add_argument("--n", type=int, default=256, help="matrix dimension (matrix model)")
+    p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension (matrix model)")
     p.add_argument("--seed", type=int, default=0, help="master seed (matrix model)")
     p.add_argument("--tol", type=float, default=None, help="bound slack override")
     p.add_argument("--require-contraction", action="store_true",
@@ -269,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zassenhaus", help="closure + short-element filtration per catalog entry")
     p.add_argument("--catalog", default=None, help="catalog JSON (bundled if omitted)")
     p.add_argument("--t", type=float, default=0.5, help="length threshold")
-    p.add_argument("--cap", type=int, default=10_000, help="closure element cap")
+    p.add_argument("--cap", type=_positive_int, default=10_000, help="closure element cap")
     p.add_argument("--out", default="zassenhaus_reports", help="output directory")
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_zassenhaus)
@@ -277,16 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mif", help="mixed-identity scan and specific word checks")
     p.add_argument("--group", default=None, help="finite group JSON document")
     p.add_argument("--group-name", default="cyclic2", help="bundled group name")
-    p.add_argument("--depth", type=int, required=True, help="max variable occurrences")
-    p.add_argument("--exp-bound", type=int, default=2, help="max |exponent| enumerated")
+    p.add_argument("--depth", type=_positive_int, required=True, help="max variable occurrences")
+    p.add_argument("--exp-bound", type=_positive_int, default=2, help="max |exponent| enumerated")
     p.add_argument("--word", action="append", help="mixed-word literal to check (repeatable)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_mif)
 
     p = sub.add_parser("freeness", help="trace deviations of independent Haar pairs")
-    p.add_argument("--n", type=int, default=256, help="matrix dimension")
-    p.add_argument("--trials", type=int, default=10, help="number of seeded pairs")
+    p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension")
+    p.add_argument("--trials", type=_positive_int, default=10, help="number of seeded pairs")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--tol", type=float, default=0.05, help="max allowed deviation")
     p.add_argument("--out", default=None)

@@ -182,64 +182,6 @@ def sample_haar(n: int, seed: int | np.random.SeedSequence) -> UnitaryMatrix:
     return UnitaryMatrix(u, {"kind": "haar", "dim": n, "seed": entropy})
 
 
-@dataclass(frozen=True)
-class SpectralSpec:
-    """Unit-modulus eigenvalues with weights summing to one."""
-
-    eigenvalues: tuple[complex, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.eigenvalues) != len(self.weights) or not self.eigenvalues:
-            raise ValueError("need matching, nonempty eigenvalue and weight lists")
-        for lam in self.eigenvalues:
-            if abs(abs(complex(lam)) - 1.0) > 1e-12:
-                raise ValueError(f"eigenvalue {lam} is not unit modulus")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    def expected_trace(self) -> complex:
-        return sum(w * complex(lam) for lam, w in zip(self.eigenvalues, self.weights))
-
-    def multiplicities(self, n: int) -> list[int]:
-        """Integer eigenvalue counts for dimension n (largest remainder)."""
-        floors = [int(w * n) for w in self.weights]
-        short = n - sum(floors)
-        fracs = sorted(
-            range(len(self.weights)),
-            key=lambda i: (-(self.weights[i] * n - floors[i]), i),
-        )
-        for i in fracs[:short]:
-            floors[i] += 1
-        return floors
-
-
-def unitary_from_spectrum(spec: SpectralSpec, n: int, seed) -> tuple[UnitaryMatrix, complex]:
-    """Unitary with the prescribed spectrum in a Haar-rotated basis.
-
-    Returns the matrix and its realized trace (exact from the integer
-    multiplicities, which round the requested weights).
-    """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    mults = spec.multiplicities(n)
-    diag = np.concatenate(
-        [np.full(m, complex(lam)) for lam, m in zip(spec.eigenvalues, mults)]
-    )
-    realized = complex(np.sum(diag)) / n
-    q = sample_haar(n, seed).array
-    u = (q * diag[np.newaxis, :]) @ q.conj().T
-    prov = {
-        "kind": "prescribed_spectrum",
-        "dim": n,
-        "multiplicities": mults,
-        "seed": seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed),
-    }
-    return UnitaryMatrix(u, prov), realized
-
-
 def unitary_with_trace(alpha: float, n: int, seed) -> tuple[UnitaryMatrix, float]:
     """Plus/minus-one spectrum realizing a target trace.
 

@@ -10,7 +10,9 @@ constants may be trivial).  Normal forms come from
 ``algebra.FreeProductGroup`` over the factors labelled ``"t"`` (Z) and
 ``"g"`` (G); raw token streams use the same labels.  Substituting a group
 element for t turns the word into an element of G; a word whose every
-substitution is trivial is a mixed identity for G.
+substitution is trivial is a mixed identity for G.  ``is_mixed_identity``
+decides this by evaluating at every element, and ``mixed_identity_scan``
+runs it over a finite window of words.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .algebra import FreeProductGroup, Word, Z
 from .groups import FiniteGroup
-from .words import carrier_power
 from .words import commutator as mixed_commutator
 
 
@@ -165,35 +166,6 @@ def is_mixed_identity(word: MixedWord, group: FiniteGroup | None = None) -> Mixe
         if val != grp.identity:
             return MixedIdentityVerdict(False, witness=g, value=val)
     return MixedIdentityVerdict(True)
-
-
-@dataclass(frozen=True)
-class FreenessWitness:
-    index: int
-    candidate: object
-    product: object
-
-
-def asymptotic_freeness_witness(constraints, candidates, carrier) -> FreenessWitness | None:
-    """First candidate g making s_1 g^e1 s_2 g^e2 ... g^ek nontrivial.
-
-    ``constraints`` is a list of (s_i, e_i) with e_i nonzero; the carrier
-    must support exact identity testing (finite groups, free words).
-    Returns None when every candidate satisfies the relation.
-    """
-    constraints = list(constraints)
-    if not constraints:
-        raise ValueError("constraint list must be nonempty")
-    for _, e in constraints:
-        if int(e) == 0:
-            raise ValueError("exponents must be nonzero")
-    for idx, g in enumerate(candidates):
-        prod = carrier.one()
-        for s, e in constraints:
-            prod = carrier.mul(prod, carrier.mul(s, carrier_power(carrier, g, e)))
-        if not carrier.is_one(prod):
-            return FreenessWitness(index=idx, candidate=g, product=prod)
-    return None
 
 
 def enumerate_mixed_words(

@@ -1,4 +1,4 @@
-"""Reduced words in free groups, and their evaluation in arbitrary carriers.
+"""Reduced words in free groups, and the nested-commutator family w_n.
 
 A word is an element of the free product of one infinite cyclic factor per
 generator name, reduced by ``algebra.FreeProductGroup``.  It is stored as
@@ -10,14 +10,9 @@ in the nesting depth even though their letter length grows geometrically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, TypeVar
-
-import numpy as np
+from typing import Iterable
 
 from .algebra import FreeProductGroup, Word, Z
-from .groups import FiniteGroup
-
-T = TypeVar("T")
 
 
 def _free_group(syllables: Iterable[tuple[str, int]]) -> FreeProductGroup:
@@ -52,9 +47,6 @@ class FreeWord:
 
     def is_identity(self) -> bool:
         return not self.syllables
-
-    def generators(self) -> set[str]:
-        return {g for g, _ in self.syllables}
 
     def letter_length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -109,93 +101,3 @@ def w_sequence(n: int) -> FreeWord:
         w = commutator(w, (y**k) * x * (y**-k))
     return w
 
-
-# -- evaluation ----------------------------------------------------------------
-
-
-class Carrier(Protocol[T]):
-    """Minimal multiplicative structure needed to evaluate words."""
-
-    def one(self) -> T: ...
-
-    def mul(self, a: T, b: T) -> T: ...
-
-    def inv(self, a: T) -> T: ...
-
-    def is_one(self, a: T) -> bool: ...
-
-
-def carrier_power(carrier: Carrier[T], a: T, e: int) -> T:
-    if e < 0:
-        a, e = carrier.inv(a), -e
-    out = carrier.one()
-    for _ in range(e):
-        out = carrier.mul(out, a)
-    return out
-
-
-def substitute(word: FreeWord, assignment: Mapping[str, T], carrier: Carrier[T]) -> T:
-    """Homomorphic evaluation of a word under generator -> element."""
-    missing = word.generators() - set(assignment)
-    if missing:
-        raise KeyError(f"assignment missing generators: {sorted(missing)}")
-    out = carrier.one()
-    for g, e in word.syllables:
-        out = carrier.mul(out, carrier_power(carrier, assignment[g], e))
-    return out
-
-
-@dataclass(frozen=True)
-class WordCarrier:
-    """Free-group elements themselves."""
-
-    def one(self) -> FreeWord:
-        return FreeWord.identity()
-
-    def mul(self, a: FreeWord, b: FreeWord) -> FreeWord:
-        return a * b
-
-    def inv(self, a: FreeWord) -> FreeWord:
-        return a.inverse()
-
-    def is_one(self, a: FreeWord) -> bool:
-        return a.is_identity()
-
-
-@dataclass(frozen=True)
-class GroupCarrier:
-    """Elements of a FiniteGroup, referenced by index."""
-
-    group: FiniteGroup
-
-    def one(self) -> int:
-        return self.group.identity
-
-    def mul(self, a: int, b: int) -> int:
-        return self.group.mul(a, b)
-
-    def inv(self, a: int) -> int:
-        return self.group.inv(a)
-
-    def is_one(self, a: int) -> bool:
-        return a == self.group.identity
-
-
-@dataclass(frozen=True)
-class UnitaryCarrier:
-    """Unitary matrices; inverses are taken as adjoints."""
-
-    dim: int
-    tol: float = 1e-9
-
-    def one(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
-
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        return a.conj().T
-
-    def is_one(self, a: np.ndarray) -> bool:
-        return bool(np.linalg.norm(a - np.eye(self.dim)) <= self.tol)

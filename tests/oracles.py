@@ -40,6 +40,17 @@ def letters_to_syllables(letters):
     return tuple(out)
 
 
+def evaluate_word(syllables, assignment, mul, inv, one):
+    """Value of a (gen, exponent) word under gen -> element, one letter at a
+    time: x^e is |e| factors of x (e > 0) or of inv(x) (e < 0)."""
+    out = one
+    for g, e in syllables:
+        letter = assignment[g] if e > 0 else inv(assignment[g])
+        for _ in range(abs(e)):
+            out = mul(out, letter)
+    return out
+
+
 #: singular values below this count as zero in the SVD rank oracles
 RANK_TOL = 1e-8
 

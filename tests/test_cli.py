@@ -13,6 +13,14 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def exit_code(argv):
+    """main's exit status, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_verify_identity_default_grid(capsys):
     code, doc = run_json(capsys, ["verify-identity"])
     assert code == 0
@@ -149,7 +157,7 @@ def test_mif_sym3_word_check(capsys, tmp_path):
 
 
 def test_mif_depth_validation(capsys):
-    assert main(["mif", "--group-name", "cyclic2", "--depth", "0"]) == 2
+    assert exit_code(["mif", "--group-name", "cyclic2", "--depth", "0"]) == 2
 
 
 def test_mif_bad_group_name(capsys):
@@ -186,3 +194,24 @@ def test_usage_error_exit_code_on_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         main(["dynamics", "--nope"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["dynamics", "--alpha", "0.9", "--n-max", "0"], id="dynamics-n-max-0"),
+    pytest.param(["dynamics", "--alpha", "0.9", "--model", "matrix", "--n", "1"],
+                 id="dynamics-matrix-n-1"),
+    pytest.param(["freeness", "--n", "0"], id="freeness-n-0"),
+    pytest.param(["freeness", "--trials", "0"], id="freeness-trials-0"),
+    pytest.param(["mif", "--group-name", "cyclic2", "--depth", "1", "--exp-bound", "0"],
+                 id="mif-exp-bound-0"),
+    pytest.param(["mif", "--group-name", "cyclic2", "--depth", "x"], id="mif-depth-x"),
+    pytest.param(["zassenhaus", "--cap", "0"], id="zassenhaus-cap-0"),
+    pytest.param(["zassenhaus", "--cap", "2"], id="zassenhaus-cap-below-generators"),
+    pytest.param(["zassenhaus", "--t", "-1"], id="zassenhaus-t-negative"),
+])
+def test_bad_numeric_argument_is_usage_error(argv, capsys):
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -187,36 +187,6 @@ def test_unitary_matrix_rejects_non_unitary():
         UnitaryMatrix(np.ones((2, 2)))
 
 
-def test_spectral_spec_validation():
-    from freecomm.matrices import SpectralSpec
-
-    with pytest.raises(ValueError):
-        SpectralSpec((2.0,), (1.0,))  # not unit modulus
-    with pytest.raises(ValueError):
-        SpectralSpec((1.0, -1.0), (0.7, 0.7))  # weights exceed 1
-    with pytest.raises(ValueError):
-        SpectralSpec((), ())
-    spec = SpectralSpec((1.0, -1.0), (0.75, 0.25))
-    assert abs(spec.expected_trace() - 0.5) <= 1e-15
-
-
-def test_unitary_from_spectrum():
-    from freecomm.matrices import SpectralSpec, unitary_from_spectrum
-
-    w = np.exp(2j * np.pi / 3)
-    spec = SpectralSpec((1.0, w, w.conjugate()), (0.5, 0.25, 0.25))
-    u, realized = unitary_from_spectrum(spec, 8, 3)
-    assert spec.multiplicities(8) == [4, 2, 2]
-    assert abs(realized - (4 + 2 * w + 2 * w.conjugate()) / 8) <= 1e-15
-    assert abs(normalized_trace(u.array) - realized) <= 1e-12
-    eig = np.linalg.eigvals(u.array)
-    assert np.allclose(np.sort(np.angle(eig)), np.sort(np.angle(np.array(
-        [1, 1, 1, 1, w, w, w.conjugate(), w.conjugate()]))), atol=1e-9)
-    # deterministic
-    again, _ = unitary_from_spectrum(spec, 8, 3)
-    assert np.array_equal(u.array, again.array)
-
-
 def test_freeness_report_identity_partner():
     u = sample_haar(32, 5).array
     rep = freeness_report(u, np.eye(32))

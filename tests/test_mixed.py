@@ -6,14 +6,12 @@ from freecomm.catalog import finite_group_catalog
 from freecomm.groups import cyclic_group, quaternion_group, symmetric_group
 from freecomm.mixed import (
     MixedWord,
-    asymptotic_freeness_witness,
     is_mixed_identity,
     iterated_commutator,
     mixed_commutator,
     mixed_identity_scan,
     parse_mixed_word,
 )
-from freecomm.words import FreeWord, WordCarrier
 
 from oracles import reduce_mixed_letters
 
@@ -145,52 +143,6 @@ def test_iterated_commutator_three_words_matches_step_eval():
 def test_iterated_commutator_empty_rejected():
     with pytest.raises(ValueError):
         iterated_commutator([])
-
-
-def test_freeness_witness_in_free_group():
-    x = FreeWord.gen("x")
-    y = FreeWord.gen("y")
-    wit = asymptotic_freeness_witness([(x, 1)], [y**n for n in range(1, 6)], WordCarrier())
-    assert wit.index == 0
-    assert wit.candidate == y
-    assert wit.product == x * y
-
-
-def test_freeness_failure_in_abelian_group():
-    # s g s^-1 g^-1 is trivial for every candidate in an abelian group
-    from freecomm.words import GroupCarrier
-
-    g = cyclic_group(6)
-    carrier = GroupCarrier(g)
-    constraints = [(2, 1), (g.inv(2), -1)]
-    assert asymptotic_freeness_witness(constraints, list(range(g.order)), carrier) is None
-
-
-def test_freeness_mixed_constraints_match_brute_force():
-    x = FreeWord.gen("x")
-    y = FreeWord.gen("y")
-    carrier = WordCarrier()
-    constraints = [(x, 2), (x.inverse(), -1), (x * y, 1)]
-    candidates = [y**n for n in range(1, 8)]
-    wit = asymptotic_freeness_witness(constraints, candidates, carrier)
-    # brute force with independent evaluation
-    expected = None
-    for i, cand in enumerate(candidates):
-        prod = FreeWord.identity()
-        for s, e in constraints:
-            prod = prod * s * cand**e
-        if not prod.is_identity():
-            expected = i
-            break
-    assert wit is not None and wit.index == expected
-
-
-def test_freeness_rejects_bad_input():
-    x = FreeWord.gen("x")
-    with pytest.raises(ValueError):
-        asymptotic_freeness_witness([], [x], WordCarrier())
-    with pytest.raises(ValueError):
-        asymptotic_freeness_witness([(x, 0)], [x], WordCarrier())
 
 
 def test_scan_finds_square_identity_for_c2():
