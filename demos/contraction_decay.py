@@ -17,8 +17,8 @@ report = decay_curve_exact(ALPHA, 6)
 print("  n   ell(w_n)     lower        upper        route")
 for s in report.steps:
     print(f"  {s.n}   {s.ell:.6f}   {s.lower:.6f}   {s.upper:.6f}   {s.source}")
-print("  (exact expansion stops once supports exceed the cap; the flagged")
-print("   rows extrapolate with the trace recursion the exact rows verify)")
+print("  (rows 1-4 expand w_n exactly, row 5 is the exact trace paired off w_4;")
+print("   later rows extrapolate with the trace recursion the exact rows verify)")
 
 res = find_small_element(ALPHA, 0.1)
 print(f"\nfirst word below 0.1: n={res.n}, ell={res.ell:.6f}, "

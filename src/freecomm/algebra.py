@@ -228,8 +228,9 @@ def multiply(a: AlgebraElement, b: AlgebraElement, support_cap: int | None = Non
         raise SupportCapExceeded(pairs, cap)
     concat = a.ambient.concat
     acc: dict[Word, complex] = {}
+    b_items = b.items_sorted()
     for wa, ca in a.items_sorted():
-        for wb, cb in b.items_sorted():
+        for wb, cb in b_items:
             w = concat(wa, wb)
             acc[w] = acc.get(w, 0j) + ca * cb
     return AlgebraElement(a.ambient, acc)
@@ -243,11 +244,6 @@ def star(a: AlgebraElement) -> AlgebraElement:
 
 def trace(a: AlgebraElement) -> complex:
     return a.coefficient(())
-
-
-def norm2(a: AlgebraElement) -> float:
-    """Trace 2-norm; by Parseval over the word basis this is the coefficient l2 norm."""
-    return math.sqrt(sum(abs(c) ** 2 for c in a._coeffs.values()))
 
 
 def is_unitary(a: AlgebraElement, tol: float = UNITARY_TOL, support_cap: int | None = None) -> bool:

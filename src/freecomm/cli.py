@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type for tolerances and thresholds: a number >= 0, not NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
     return value
 
 
@@ -130,8 +142,6 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_zassenhaus(args) -> int:
-    if args.t < 0:
-        raise UsageError("--t must be nonnegative")
     if args.catalog is None:
         catalog = unitary_group_catalog()
     else:
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-identity", help="exact commutator trace identity on a grid")
     p.add_argument("--alpha-grid", default=_DEFAULT_GRID, help="comma-separated traces for u")
     p.add_argument("--beta-grid", default=_DEFAULT_GRID, help="comma-separated traces for v")
-    p.add_argument("--tol", type=float, default=1e-12, help="max allowed deviation")
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-12, help="max allowed deviation")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_verify_identity)
@@ -275,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["exact", "matrix"], default="exact")
     p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension (matrix model)")
     p.add_argument("--seed", type=int, default=0, help="master seed (matrix model)")
-    p.add_argument("--tol", type=float, default=None, help="bound slack override")
+    p.add_argument("--tol", type=_nonnegative_float, default=None, help="bound slack override")
     p.add_argument("--require-contraction", action="store_true",
                    help="reject alpha <= 3/4 (no contraction guarantee)")
     p.add_argument("--out", default=None)
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zassenhaus", help="closure + short-element filtration per catalog entry")
     p.add_argument("--catalog", default=None, help="catalog JSON (bundled if omitted)")
-    p.add_argument("--t", type=float, default=0.5, help="length threshold")
+    p.add_argument("--t", type=_nonnegative_float, default=0.5, help="length threshold")
     p.add_argument("--cap", type=_positive_int, default=10_000, help="closure element cap")
     p.add_argument("--out", default="zassenhaus_reports", help="output directory")
     p.add_argument("--format", choices=["json"], default="json")
@@ -304,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension")
     p.add_argument("--trials", type=_positive_int, default=10, help="number of seeded pairs")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--tol", type=float, default=0.05, help="max allowed deviation")
+    p.add_argument("--tol", type=_nonnegative_float, default=0.05, help="max allowed deviation")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_freeness)

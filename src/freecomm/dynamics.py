@@ -2,37 +2,40 @@
 
 Two evaluation routes are kept deliberately separate:
 
-* the exact route expands w_n(u, v) word by word in the group algebra of
-  C2 * Z, where u = alpha + i sqrt(1-alpha^2) s and v is the cyclic
-  generator (a Haar unitary of the algebra), and reads the trace off the
-  identity coefficient;
+* the exact route works in the group algebra of C2 * Z, where
+  u = alpha + gamma x with gamma = i sqrt(1 - alpha^2) and v is the cyclic
+  generator (a Haar unitary of the algebra).  Every coefficient of w_n is
+  gamma^(x-count mod 2) times an integer polynomial in alpha, so w_1 .. w_4
+  are expanded word by word once per process, for every alpha at once, and
+  their traces are read off the identity coefficient.  tau_5 is the pairing
+  <w_4 c_4, c_4 w_4> of w_4 with itself; w_5 is never formed.  Each row is
+  evaluated in rational arithmetic at alpha and rounded once;
 * the scalar recursion tau_{n+1} = 1 - (1 - tau_n^2)(1 - alpha^2)
   predicts the same traces from freeness.
 
 Agreement of the two routes is the point.  Exact supports square at every
-step (2, 8, 128, 32768, ...), so past the support cap the curve switches
-to the recursion and every such row is flagged ``source="recursion"``.
+step (2, 8, 128, 32768, ~2.1e9), so rows n <= 4 are ``source="exact"``,
+row 5 is ``source="exact_trace"``, and later rows, or rows whose route
+would pass the support cap, come from the recursion and are flagged
+``source="recursion"``.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from . import algebra
 from .algebra import (
-    AlgebraElement,
     DEFAULT_SUPPORT_CAP,
-    SupportCapExceeded,
     ell_bar_from_trace,
     ell_from_trace,
     involution_haar_ambient,
-    order_two_unitary,
-    trace,
 )
 from .matrices import as_array, normalized_trace, two_norm_dist
 from .words import FreeWord, w_sequence
@@ -43,9 +46,10 @@ EXACT_SLACK = 1e-10
 #: default slack envelope for finite-dimensional models
 MATRIX_SLACK = 0.05
 
-#: full unitarity verification is skipped once it would need more than
-#: this many support pairs; the Parseval norm check still runs every step
-_UNITARY_CHECK_PAIR_BUDGET = 1_000_000
+#: w_1 .. w_4 are expanded word by word; tau_5 is paired off w_4
+EXPANDED_WORDS = 4
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class DecayStep:
     in_bounds: bool
     trace: float
     recursion_trace: float
-    source: str  # "exact", "recursion", or "matrix"
+    source: str  # "exact", "exact_trace", "recursion", or "matrix"
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,49 +128,231 @@ def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
     return lower, upper
 
 
-class _ExactIteration:
-    """Streams the exact commutator elements until the support cap bites."""
+class PolyElement:
+    """Element of the group algebra of C2 * Z with alpha-free coefficients.
 
-    def __init__(self, alpha: float, support_cap: int):
-        if not -1.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (-1, 1)")
-        self.ambient = involution_haar_ambient()
-        self.alpha = float(alpha)
-        self.cap = support_cap
-        self.u = order_two_unitary(self.ambient, alpha, 0)
-        self.element: AlgebraElement | None = self.u
-        self.n = 1
+    With u = alpha + gamma x, where x generates C2 and gamma = i sqrt(1 - alpha^2)
+    (so gamma^2 = alpha^2 - 1), every coefficient of w_n(u, v) at a word g is
+    gamma^parity(g) P_g(alpha), where parity(g) is the number of x syllables
+    mod 2 and P_g has integer coefficients.  ``coeffs[i]`` holds P of
+    ``words[i]``, lowest degree first, one int64 row per word.
+    """
 
-    def _conjugated_u(self, k: int) -> AlgebraElement:
-        """v^k u v^-k, built directly on words (v is the cyclic generator)."""
-        beta = 1j * math.sqrt(1.0 - self.alpha * self.alpha)
-        word = self.ambient.word([(1, k), (0, 1), (1, -k)])
-        return AlgebraElement(self.ambient, {(): self.alpha, word: beta})
+    __slots__ = ("words", "parity", "coeffs")
 
-    def advance(self) -> None:
-        """Replace the current element by its commutator with v^n u v^-n."""
-        if self.element is not None:
-            c = self._conjugated_u(self.n)
-            try:
-                self.element = algebra.commutator_element(self.element, c, self.cap)
-            except SupportCapExceeded:
-                self.element = None
-        self.n += 1
+    def __init__(self, words: list, coeffs: np.ndarray, parity: np.ndarray | None = None):
+        self.words = words
+        self.coeffs = coeffs
+        if parity is None:
+            parity = np.array([w[0::2].count(0) & 1 for w in words], dtype=np.int64)
+        self.parity = parity
 
-    def exact_trace(self) -> float | None:
-        if self.element is None:
-            return None
-        tau = trace(self.element)
-        if abs(tau.imag) > 1e-12:
-            raise AssertionError(f"commutator trace should be real, got {tau}")
-        # cheap necessary condition for unitarity (Parseval norm)
-        nrm = algebra.norm2(self.element)
-        if abs(nrm - 1.0) > 1e-10:
-            raise AssertionError(f"element 2-norm drifted from 1: {nrm}")
-        if self.element.support_size**2 <= _UNITARY_CHECK_PAIR_BUDGET:
-            if not algebra.is_unitary(self.element, 1e-9):
-                raise AssertionError("exact commutator element failed unitarity")
-        return tau.real
+    @property
+    def support_size(self) -> int:
+        return len(self.words)
+
+    def is_one(self) -> bool:
+        return self.words == [()] and self.coeffs.tolist() == [[1]]
+
+
+def _check_int64(*factors: int) -> None:
+    """Raise unless the product of these bounds (largest entries, terms
+    summed into one entry) fits in int64; called before every int64 product."""
+    if math.prod(factors) > _INT64_MAX:
+        raise OverflowError(f"an int64 product may overflow (bound {math.prod(factors)})")
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _trim_columns(coeffs: np.ndarray) -> np.ndarray:
+    nonzero = np.flatnonzero(coeffs.any(axis=0))
+    return coeffs[:, : nonzero[-1] + 1 if nonzero.size else 1]
+
+
+def _poly_multiply(a: PolyElement, b: PolyElement, ambient) -> PolyElement:
+    """Convolution product; gamma^2 = alpha^2 - 1 where two odd words meet."""
+    concat = ambient.concat
+    index: dict = {}
+    target = [index.setdefault(concat(wa, wb), len(index)) for wa in a.words for wb in b.words]
+    i = np.repeat(np.arange(a.support_size), b.support_size)
+    j = np.tile(np.arange(b.support_size), a.support_size)
+    da, db = a.coeffs.shape[1], b.coeffs.shape[1]
+    # each entry sums at most every pair's min(da, db) products, twice for gamma^2
+    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db), 2 * len(target))
+    pa, pb = a.coeffs[i], b.coeffs[j]
+    prod = np.zeros((len(target), da + db + 1), dtype=np.int64)  # two spare columns
+    for d in range(db):
+        prod[:, d : d + da] += pa * pb[:, d : d + 1]
+    odd = (a.parity[i] & b.parity[j]).astype(bool)
+    p = prod[odd]
+    alpha_sq_p = np.zeros_like(p)
+    alpha_sq_p[:, 2:] = p[:, :-2]
+    prod[odd] = alpha_sq_p - p
+    out = np.zeros((len(index), prod.shape[1]), dtype=np.int64)
+    np.add.at(out, np.array(target), prod)
+    keep = out.any(axis=1)
+    words = [w for w, k in zip(index, keep) if k]
+    return PolyElement(words, _trim_columns(out[keep]))
+
+
+def _poly_star(a: PolyElement, ambient) -> PolyElement:
+    """Adjoint: conj(gamma) = -gamma flips the sign of every odd word."""
+    inv = ambient.inverse_word
+    sign = 1 - 2 * a.parity
+    return PolyElement([inv(w) for w in a.words], a.coeffs * sign[:, None], a.parity)
+
+
+def _linear(word) -> PolyElement:
+    """alpha + gamma * word, for an involution word (u itself or a conjugate)."""
+    return PolyElement([(), word], np.array([[0, 1], [1, 0]], dtype=np.int64))
+
+
+def _conjugate_word(ambient, k: int):
+    """v^k x v^-k; k = 0 is x itself."""
+    return ambient.word([(1, k), (0, 1), (1, -k)] if k else [(0, 1)])
+
+
+def _sum_of_products(p: np.ndarray, q: np.ndarray) -> list[int]:
+    """sum_i p_i * q_i over the rows, as one polynomial."""
+    if not len(p):
+        return [0]
+    _check_int64(_max_abs(p), _max_abs(q), min(p.shape[1], q.shape[1]), len(p))
+    m = np.einsum("id,ie->de", p, q)  # m[d, e] multiplies alpha^(d + e)
+    out = [0] * (p.shape[1] + q.shape[1] - 1)
+    for d, row in enumerate(m.tolist()):
+        for e, c in enumerate(row):
+            out[d + e] += c
+    return out
+
+
+def _graded_pairing(w: PolyElement, image: np.ndarray) -> tuple[list[int], list[int]]:
+    """sum of P_g P_image(g) over the even and over the odd words g whose
+    image lies in the support (``image`` holds -1 elsewhere)."""
+    hit = image >= 0
+    even, odd = hit & (w.parity == 0), hit & (w.parity == 1)
+    return (_sum_of_products(w.coeffs[even], w.coeffs[image[even]]),
+            _sum_of_products(w.coeffs[odd], w.coeffs[image[odd]]))
+
+
+def _padd(*polys) -> list[int]:
+    out = [0] * max(len(p) for p in polys)
+    for p in polys:
+        for k, c in enumerate(p):
+            out[k] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pmul(p, q) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for d, a in enumerate(p):
+        for e, b in enumerate(q):
+            out[d + e] += a * b
+    return _padd(out)
+
+
+_ALPHA_SQ = (0, 0, 1)
+_ONE_MINUS_ALPHA_SQ = (1, 0, -1)  # gamma * conj(gamma)
+_ALPHA_ONE_MINUS_ALPHA_SQ = (0, 1, 0, -1)
+
+
+def _parseval(w: PolyElement) -> list[int]:
+    """tau(w* w) = sum over words of |gamma|^(2 parity) P^2."""
+    even, odd = _graded_pairing(w, np.arange(w.support_size))
+    return _padd(even, _pmul(_ONE_MINUS_ALPHA_SQ, odd))
+
+
+def paired_trace(w: PolyElement, k: int, ambient) -> list[int]:
+    """tau(w c w* c*) with c = alpha + gamma y, y = v^k x v^-k, as <w c, c w>.
+
+    Neither w c nor c w is formed: (w c)(g) = alpha w(g) + gamma w(g y) and
+    (c w)(g) = alpha w(g) + gamma w(y g), so, with conj(gamma) = -gamma,
+
+        <w c, c w> = alpha^2 <w, w> + alpha (1 - alpha^2) (S(y g) - S(g y))
+                     + (1 - alpha^2) T(y g y),
+
+    sums over the words g of w whose image under the map lies in w's support.
+    y g and g y flip the parity p of g, so w(g) conj(w(image)) carries one
+    gamma and the sign (-1)^(1 - p): S = odd - even.  y g y keeps the
+    parity: T = even + (1 - alpha^2) odd.
+    """
+    y = _conjugate_word(ambient, k)
+    concat = ambient.concat
+    row = {g: r for r, g in enumerate(w.words)}
+    yg, gy, ygy = [], [], []
+    for g in w.words:
+        h = concat(y, g)
+        yg.append(row.get(h, -1))
+        gy.append(row.get(concat(g, y), -1))
+        ygy.append(row.get(concat(h, y), -1))
+    e1, o1 = _graded_pairing(w, np.array(yg))
+    e2, o2 = _graded_pairing(w, np.array(gy))
+    e3, o3 = _graded_pairing(w, np.array(ygy))
+    s_diff = _padd(o1, e2, [-c for c in _padd(e1, o2)])
+    return _padd(
+        _pmul(_ALPHA_SQ, _parseval(w)),
+        _pmul(_ALPHA_ONE_MINUS_ALPHA_SQ, s_diff),
+        _pmul(_ONE_MINUS_ALPHA_SQ, _padd(e3, _pmul(_ONE_MINUS_ALPHA_SQ, o3))),
+    )
+
+
+def commutator_polynomials(n_max: int = EXPANDED_WORDS) -> list[tuple[PolyElement, int]]:
+    """w_1 .. w_{n_max}(u, v) over C2 * Z with alpha-free coefficients.
+
+    Each comes with the largest convolution (in support pairs) its
+    expansion needed, the measure the support cap bounds.  Built fresh on
+    every call; ``trace_polynomials`` keeps only the traces.
+    """
+    ambient = involution_haar_ambient()
+    w = _linear(_conjugate_word(ambient, 0))
+    pairs = 0
+    out = [(w, pairs)]
+    for k in range(1, n_max):
+        c = _linear(_conjugate_word(ambient, k))
+        wc = _poly_multiply(w, c, ambient)
+        wcw = _poly_multiply(wc, _poly_star(w, ambient), ambient)
+        pairs = max(pairs, 2 * w.support_size, wc.support_size * w.support_size,
+                    2 * wcw.support_size)
+        w = _poly_multiply(wcw, _poly_star(c, ambient), ambient)
+        out.append((w, pairs))
+    return out
+
+
+@functools.cache
+def trace_polynomials() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(tau_n, pairs_n) for n = 1 .. 5, computed once per process.
+
+    tau_n is the trace of w_n(u, v) as integer coefficients of alpha, lowest
+    degree first; pairs_n is the largest convolution its route needed.
+    tau_1 .. tau_4 are read off the expansion, which is checked exactly on
+    the way: Parseval (tau(w* w) = 1 as a polynomial) for every w_n and
+    w_n* w_n = 1 word by word for n <= 3.  tau_5 pairs w_4 with itself.
+    """
+    ambient = involution_haar_ambient()
+    words = commutator_polynomials()
+    rows = []
+    for n, (w, pairs) in enumerate(words, 1):
+        if _parseval(w) != [1]:
+            raise ArithmeticError(f"w_{n} violates Parseval: tau(w* w) != 1")
+        if n <= 3 and not _poly_multiply(_poly_star(w, ambient), w, ambient).is_one():
+            raise ArithmeticError(f"w_{n} is not unitary")
+        tau = w.coeffs[w.words.index(())].tolist()
+        rows.append((tuple(_padd(tau)), pairs))
+    w, pairs = words[-1]
+    tau = paired_trace(w, EXPANDED_WORDS, ambient)
+    rows.append((tuple(tau), max(pairs, 2 * w.support_size)))
+    return tuple(rows)
+
+
+def _evaluate(poly: tuple[int, ...], alpha: float) -> tuple[int, int]:
+    """The polynomial at the exact binary value p/q of alpha, as a fraction
+    (numerator, q^degree) of integers."""
+    p, q = alpha.as_integer_ratio()
+    degree = len(poly) - 1
+    return sum(c * p**k * q ** (degree - k) for k, c in enumerate(poly)), q**degree
 
 
 def iter_exact_steps(
@@ -174,31 +360,43 @@ def iter_exact_steps(
     support_cap: int = DEFAULT_SUPPORT_CAP,
     slack: float = EXACT_SLACK,
 ) -> Iterator[DecayStep]:
-    """Unbounded stream of decay rows; callers slice what they need."""
-    it = _ExactIteration(alpha, support_cap)
+    """Unbounded stream of decay rows; callers slice what they need.
+
+    Rows come from the exact trace polynomials while their route stays
+    within ``support_cap`` support pairs, then from the recursion.  An
+    exact row is evaluated in rational arithmetic and rounded once.
+    """
+    if not -1.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly inside (-1, 1)")
+    exact = [tau for tau, _ in itertools.takewhile(
+        lambda row: row[1] <= support_cap, trace_polynomials())]
     ell_u = ell_from_trace(complex(alpha))
     ell_bar_u = ell_bar_from_trace(complex(alpha))
-    while True:
-        n = it.n
+    for n in itertools.count(1):
         tau_rec = trace_recursion(alpha, n)[-1]
-        tau_exact = it.exact_trace()
-        tau = tau_rec if tau_exact is None else tau_exact
-        source = "recursion" if tau_exact is None else "exact"
+        if n <= len(exact):
+            num, den = _evaluate(exact[n - 1], alpha)
+            # integer true division rounds correctly: one rounding per value
+            trace = num / den
+            ell_n = math.sqrt((2 * den - 2 * num) / den)
+            ell_bar_n = math.sqrt((2 * den - 2 * abs(num)) / den)
+            source = "exact" if n <= EXPANDED_WORDS else "exact_trace"
+        else:
+            trace, source = tau_rec, "recursion"
+            ell_n = ell_from_trace(complex(trace))
+            ell_bar_n = ell_bar_from_trace(complex(trace))
         lower, upper = _bounds(n, ell_u, ell_bar_u)
-        ell_n = ell_from_trace(complex(tau))
-        in_bounds = lower - slack <= ell_n <= upper + slack
         yield DecayStep(
             n=n,
             ell=ell_n,
-            ell_bar=ell_bar_from_trace(complex(tau)),
+            ell_bar=ell_bar_n,
             lower=lower,
             upper=upper,
-            in_bounds=in_bounds,
-            trace=tau,
+            in_bounds=lower - slack <= ell_n <= upper + slack,
+            trace=trace,
             recursion_trace=tau_rec,
             source=source,
         )
-        it.advance()
 
 
 def decay_curve_exact(

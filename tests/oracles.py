@@ -6,6 +6,8 @@ paths it checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -49,6 +51,45 @@ def evaluate_word(syllables, assignment, mul, inv, one):
         for _ in range(abs(e)):
             out = mul(out, letter)
     return out
+
+
+def norm2(a):
+    """Trace 2-norm of an ``AlgebraElement``; by Parseval over the word basis
+    this is the l2 norm of its coefficients."""
+    return math.sqrt(sum(abs(c) ** 2 for _, c in a.items_sorted()))
+
+
+def poly_element_at(w, alpha, ambient):
+    """A ``dynamics.PolyElement`` as a float ``AlgebraElement`` at alpha: the
+    coefficient at word g is gamma^parity(g) P_g(alpha), gamma = i sqrt(1 - alpha^2)."""
+    from freecomm.algebra import AlgebraElement
+
+    gamma = 1j * math.sqrt(1.0 - alpha * alpha)
+    values = w.coeffs @ (alpha ** np.arange(w.coeffs.shape[1]))
+    return AlgebraElement(ambient, {g: gamma**parity * value for g, parity, value
+                                    in zip(w.words, w.parity.tolist(), values.tolist())})
+
+
+def integer_recursion_polynomials(n_max):
+    """tau_1 .. tau_n_max of tau_{n+1} = 1 - (1 - tau_n^2)(1 - alpha^2) as
+    integer coefficient lists in alpha, lowest degree first."""
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def one_minus(p):
+        out = [-c for c in p]
+        out[0] += 1
+        return out
+
+    taus = [[0, 1]]
+    while len(taus) < n_max:
+        taus.append(one_minus(mul(one_minus(mul(taus[-1], taus[-1])), [1, 0, -1])))
+    return taus
 
 
 #: singular values below this count as zero in the SVD rank oracles

@@ -84,14 +84,13 @@ def test_criterion_04_decay_chain():
     with _Budget("criterion 4: exact decay chain", 120.0):
         for alpha in ALPHAS:
             report = decay_curve_exact(alpha, 6)
-            exact_rows = [s for s in report.steps if s.source == "exact"]
-            # expansion stays exact through n = 4; supports square past that
-            assert [s.n for s in exact_rows] == [1, 2, 3, 4], alpha
+            # expansion stays exact through n = 4; supports square past that,
+            # and n = 5 is the exact trace paired off w_4
+            assert [s.source for s in report.steps] == (
+                ["exact"] * 4 + ["exact_trace", "recursion"]), alpha
             for s in report.steps:
                 assert s.lower - 1e-10 <= s.ell <= s.upper + 1e-10, (alpha, s.n)
                 assert abs(s.trace - s.recursion_trace) <= 1e-10, (alpha, s.n)
-            for s in report.steps[4:]:
-                assert s.source == "recursion"
 
 
 def test_criterion_05_epsilon_small_element():

@@ -15,7 +15,6 @@ from freecomm.algebra import (
     involution_haar_ambient,
     is_unitary,
     multiply,
-    norm2,
     order_two_unitary,
     star,
     trace,
@@ -23,10 +22,10 @@ from freecomm.algebra import (
     verify_free_commutator_identity,
 )
 from freecomm.groups import cyclic_group
-from freecomm.dynamics import _ExactIteration
+from freecomm.dynamics import commutator_polynomials
 from freecomm.words import w_sequence
 
-from oracles import evaluate_word
+from oracles import evaluate_word, norm2, poly_element_at
 
 GRID = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.9)
 
@@ -230,18 +229,17 @@ def test_word_normal_form_associativity(a, b, c):
 
 
 def test_substitute_into_algebra_matches_closed_form():
-    # evaluating w_n letter by letter at (u, v) gives the element that
-    # _ExactIteration builds on words, and w_2 has the closed-form trace
+    # evaluating w_n letter by letter at (u, v) gives the alpha-free
+    # polynomial element of the decay route at alpha, and w_2 has the
+    # closed-form trace
     alpha = 0.6
-    it = _ExactIteration(alpha, support_cap=10_000)
-    amb = it.ambient
+    amb = involution_haar_ambient()
     u = order_two_unitary(amb, alpha, 0)
     v = haar_generator(amb, 1)
+    polys = commutator_polynomials(3)
     for n in (1, 2, 3):
-        assert it.n == n
         val = evaluate_word(w_sequence(n).syllables, {"x": u, "y": v}, multiply, star,
                             AlgebraElement.one(amb))
-        assert norm2(val - it.element) <= 1e-12
+        assert norm2(val - poly_element_at(polys[n - 1][0], alpha, amb)) <= 1e-12
         if n == 2:
             assert abs(trace(val) - (1.0 - (1.0 - alpha**2) ** 2)) <= 1e-12
-        it.advance()

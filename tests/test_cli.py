@@ -60,7 +60,7 @@ def test_dynamics_exact_csv(capsys, tmp_path):
     rows = [l.split(",") for l in lines[2:]]
     assert len(rows) == 5
     assert all(r[5] == "1" for r in rows)
-    assert [r[6] for r in rows] == ["exact"] * 4 + ["recursion"]
+    assert [r[6] for r in rows] == ["exact"] * 4 + ["exact_trace"]
 
 
 def test_dynamics_single_row(capsys):
@@ -208,6 +208,16 @@ def test_usage_error_exit_code_on_unknown_flag():
     pytest.param(["zassenhaus", "--cap", "0"], id="zassenhaus-cap-0"),
     pytest.param(["zassenhaus", "--cap", "2"], id="zassenhaus-cap-below-generators"),
     pytest.param(["zassenhaus", "--t", "-1"], id="zassenhaus-t-negative"),
+    pytest.param(["zassenhaus", "--t", "nan"], id="zassenhaus-t-nan"),
+    pytest.param(["verify-identity", "--alpha-grid", "0", "--beta-grid", "0", "--tol", "-1"],
+                 id="verify-identity-tol-negative"),
+    pytest.param(["verify-identity", "--tol", "nan"], id="verify-identity-tol-nan"),
+    pytest.param(["verify-identity", "--tol", "x"], id="verify-identity-tol-x"),
+    pytest.param(["dynamics", "--alpha", "0.9", "--tol", "-1e-3"], id="dynamics-tol-negative"),
+    pytest.param(["dynamics", "--alpha", "0.9", "--tol", "nan"], id="dynamics-tol-nan"),
+    pytest.param(["freeness", "--n", "8", "--trials", "1", "--tol", "-0.5"],
+                 id="freeness-tol-negative"),
+    pytest.param(["freeness", "--n", "8", "--trials", "1", "--tol", "NaN"], id="freeness-tol-nan"),
 ])
 def test_bad_numeric_argument_is_usage_error(argv, capsys):
     assert exit_code(argv) == 2

@@ -1,21 +1,42 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freecomm.algebra import SupportCapExceeded
+from freecomm.algebra import (
+    DEFAULT_SUPPORT_CAP,
+    AlgebraElement,
+    SupportCapExceeded,
+    commutator_element,
+    involution_haar_ambient,
+    multiply,
+    order_two_unitary,
+    star,
+)
 from freecomm.dynamics import (
-    _ExactIteration,
+    PolyElement,
+    _conjugate_word,
+    _linear,
+    _poly_multiply,
+    _poly_star,
+    commutator_polynomials,
     decay_curve_exact,
     decay_curve_matrix,
     find_small_element,
     iter_exact_steps,
+    paired_trace,
+    trace_polynomials,
     trace_recursion,
 )
 from freecomm.matrices import sample_haar, subseed, unitary_with_trace
 from freecomm.words import w_sequence
 
+from oracles import integer_recursion_polynomials, norm2, poly_element_at
+
 ALPHAS = (0.76, 0.8, 0.9, 0.95)
+#: the float engine and the polynomial route are compared here
+CROSS_ALPHAS = (0.9, -0.42, 0.3, -0.3, 0.76)
 
 
 def _recursion_oracle(alpha, n):
@@ -34,13 +55,84 @@ def test_trace_recursion_matches_oracle():
 
 
 def test_exact_supports_square_each_step():
-    it = _ExactIteration(0.9, 2_000_000)
-    sizes = []
-    for _ in range(4):
-        sizes.append(it.element.support_size)
-        it.advance()
-    assert sizes == [2, 8, 128, 32768]
-    assert it.element is None  # 2 * 32768^2 pairs exceed the cap
+    words = commutator_polynomials()
+    assert [w.support_size for w, _ in words] == [2, 8, 128, 32768]
+    # expanding w_5 would need 2 * 32768^2 support pairs, past the cap; the
+    # pairing that gives tau_5 touches only w_4 against c_4
+    assert 2 * 32768**2 > DEFAULT_SUPPORT_CAP
+    assert trace_polynomials()[4][1] == 2 * 32768 <= DEFAULT_SUPPORT_CAP
+
+
+def test_trace_polynomials_equal_recursion_polynomials():
+    # the whole identity, for every alpha at once: integer coefficient lists
+    taus = [list(tau) for tau, _ in trace_polynomials()]
+    assert taus == integer_recursion_polynomials(5)
+    assert [len(t) - 1 for t in taus] == [1, 4, 10, 22, 46]
+
+
+def test_pairing_matches_expansion():
+    # <w c, c w> read off w_n alone equals the trace of the expanded
+    # commutator [w_n, c_k].  k = n is the decay step, where only g = ()
+    # pairs with y g y; k < n makes all three maps hit the support.
+    amb = involution_haar_ambient()
+    for n, (w, _) in enumerate(commutator_polynomials(3), 1):
+        for k in range(n + 1):
+            c = _linear(_conjugate_word(amb, k))
+            wcw = _poly_multiply(_poly_multiply(w, c, amb), _poly_star(w, amb), amb)
+            full = _poly_multiply(wcw, _poly_star(c, amb), amb)
+            tau = full.coeffs[full.words.index(())].tolist()
+            paired = paired_trace(w, k, amb)
+            assert paired == tau[: len(paired)] and not any(tau[len(paired):]), (n, k)
+
+
+def _float_route(alpha):
+    """w_1 .. w_3 on the float engine, w_{k+1} = [w_k, v^k u v^-k], and the
+    trace of w_4 = (w_3 c w_3*) c*, summed without forming the last product."""
+    amb = involution_haar_ambient()
+    beta = 1j * math.sqrt(1.0 - alpha * alpha)
+
+    def conjugate(k):
+        return AlgebraElement(amb, {(): alpha, amb.word([(1, k), (0, 1), (1, -k)]): beta})
+
+    words = [order_two_unitary(amb, alpha, 0)]
+    for k in (1, 2):
+        words.append(commutator_element(words[-1], conjugate(k)))
+    c = conjugate(3)
+    wcw = multiply(multiply(words[-1], c), star(words[-1]))
+    # tau(a b) = sum_h a(h^-1) b(h)
+    tau4 = sum(wcw.coefficient(amb.inverse_word(h)) * b for h, b in star(c).items_sorted())
+    return words, tau4
+
+
+def test_float_engine_agrees_with_polynomial_route():
+    amb = involution_haar_ambient()
+    polys = [w for w, _ in commutator_polynomials()]
+    for alpha in CROSS_ALPHAS:
+        words, tau4 = _float_route(alpha)
+        for poly, w in zip(polys, words):
+            at = poly_element_at(poly, alpha, amb)
+            assert at.support_size == w.support_size, (alpha, w.support_size)
+            assert norm2(at - w) <= 1e-12, alpha
+        exact = polys[3].coeffs[polys[3].words.index(())].tolist()
+        assert abs(sum(c * alpha**k for k, c in enumerate(exact)) - tau4) <= 1e-12, alpha
+
+
+def test_exact_rows_are_rounded_once():
+    # each exact row is the recursion evaluated in rationals, rounded once
+    for alpha in CROSS_ALPHAS:
+        a = Fraction(alpha)
+        tau = a
+        for step in decay_curve_exact(alpha, 5).steps:
+            assert step.trace == float(tau), (alpha, step.n)
+            assert step.ell == math.sqrt(float(2 - 2 * tau)), (alpha, step.n)
+            assert step.ell_bar == math.sqrt(float(2 - 2 * abs(tau))), (alpha, step.n)
+            tau = 1 - (1 - tau * tau) * (1 - a * a)
+
+
+def test_poly_overflow_is_loud():
+    big = PolyElement([()], np.array([[2**40]], dtype=np.int64))
+    with pytest.raises(OverflowError):
+        _poly_multiply(big, big, involution_haar_ambient())
 
 
 def test_exact_trace_agrees_with_recursion():
@@ -67,7 +159,7 @@ def test_decay_curve_values_alpha_09():
 def test_decay_curve_sources_and_flags():
     report = decay_curve_exact(0.9, 6)
     sources = [s.source for s in report.steps]
-    assert sources == ["exact"] * 4 + ["recursion"] * 2
+    assert sources == ["exact"] * 4 + ["exact_trace", "recursion"]
     assert report.all_in_bounds
 
 
@@ -117,7 +209,7 @@ def test_find_small_element_easy_cases():
 def test_find_small_element_eps_tenth():
     res = find_small_element(0.9, 0.1)
     assert res.n == 5
-    assert res.source == "recursion"
+    assert res.source == "exact_trace"
     assert res.word == w_sequence(5)
     taus = _recursion_oracle(0.9, 5)
     assert abs(res.ell - math.sqrt(2 - 2 * taus[-1])) <= 1e-12
@@ -184,10 +276,9 @@ def test_reports_serialize_deterministically():
 
 
 def test_multiply_cap_error_is_loud():
-    it = _ExactIteration(0.9, 2_000_000)
-    for _ in range(3):
-        it.advance()
-    from freecomm.algebra import multiply, star
-
+    # w_4 at alpha = 0.9 on the float engine: w_4 w_4* needs 32768^2 pairs
+    amb = involution_haar_ambient()
+    w4 = poly_element_at(commutator_polynomials()[3][0], 0.9, amb)
+    assert w4.support_size == 32768
     with pytest.raises(SupportCapExceeded):
-        multiply(it.element, star(it.element))
+        multiply(w4, star(w4))
