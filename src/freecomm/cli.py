@@ -101,9 +101,7 @@ def cmd_verify_identity(args) -> int:
         "max_deviation": worst,
         "pass": worst <= args.tol,
     }
-    data = emit_json(payload, args.out)
-    if args.out is None:
-        sys.stdout.write(data.decode())
+    emit_json(payload, args.out)
     return 0 if worst <= args.tol else 1
 
 
@@ -131,11 +129,9 @@ def cmd_dynamics(args) -> int:
     }
     if args.format == "csv":
         header = f"# config: {payload['config']}\n"
-        data = emit_text(header + report.to_csv_text(), args.out)
+        emit_text(header + report.to_csv_text(), args.out)
     else:
-        data = emit_json(payload, args.out)
-    if args.out is None:
-        sys.stdout.write(data.decode())
+        emit_json(payload, args.out)
     if args.model == "exact" and not report.all_in_bounds:
         return 1
     return 0
@@ -201,8 +197,7 @@ def cmd_mif(args) -> int:
 
     exp = group.exponent()
     exp_word = MixedWord.t_power(group, exp)
-    exp_verdict = is_mixed_identity(exp_word)
-    if not exp_verdict.is_identity:
+    if not is_mixed_identity(exp_word).is_identity:
         raise CheckFailed(f"t^{exp} must be an identity for {group.name}")
 
     scan = mixed_identity_scan(group, args.depth, args.exp_bound)
@@ -230,9 +225,7 @@ def cmd_mif(args) -> int:
         "word_checks": word_checks,
         "note": f"no conclusion beyond depth {args.depth}, exponents up to {args.exp_bound}",
     }
-    data = emit_json(payload, args.out)
-    if args.out is None:
-        sys.stdout.write(data.decode())
+    emit_json(payload, args.out)
     return 0
 
 
@@ -251,9 +244,7 @@ def cmd_freeness(args) -> int:
         "max_deviation": worst,
         "pass": worst <= args.tol,
     }
-    data = emit_json(payload, args.out)
-    if args.out is None:
-        sys.stdout.write(data.decode())
+    emit_json(payload, args.out)
     return 0 if worst <= args.tol else 1
 
 

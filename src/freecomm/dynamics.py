@@ -113,19 +113,27 @@ class DecayReport:
         return buf.getvalue()
 
 
+def _recursion_traces(alpha: float) -> Iterator[float]:
+    """tau_1, tau_2, ... of the trace recursion, without end."""
+    t = float(alpha)
+    while True:
+        yield t
+        t = 1.0 - (1.0 - t * t) * (1.0 - alpha * alpha)
+
+
 def trace_recursion(alpha: float, n_max: int) -> list[float]:
     """Predicted traces tau_1..tau_n of the commutator words."""
-    taus = [float(alpha)]
-    for _ in range(n_max - 1):
-        t = taus[-1]
-        taus.append(1.0 - (1.0 - t * t) * (1.0 - alpha * alpha))
-    return taus
+    return list(itertools.islice(_recursion_traces(alpha), max(n_max, 1)))
 
 
 def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
-    lower = (1.0 / math.sqrt(2.0)) ** (n - 1) * ell_bar_u**n
-    upper = math.sqrt(2.0) ** (n - 1) * ell_u**n
-    return lower, upper
+    r = math.sqrt(2.0)
+    try:
+        return (1.0 / r) ** (n - 1) * ell_bar_u**n, r ** (n - 1) * ell_u**n
+    except OverflowError:  # a factor alone leaves the float range; a bound may not
+        with np.errstate(over="ignore"):
+            lower, upper = np.array([ell_bar_u / r, r * ell_u]) ** (n - 1) * (ell_bar_u, ell_u)
+        return float(lower), float(upper)
 
 
 class PolyElement:
@@ -372,8 +380,7 @@ def iter_exact_steps(
         lambda row: row[1] <= support_cap, trace_polynomials())]
     ell_u = ell_from_trace(complex(alpha))
     ell_bar_u = ell_bar_from_trace(complex(alpha))
-    for n in itertools.count(1):
-        tau_rec = trace_recursion(alpha, n)[-1]
+    for n, tau_rec in enumerate(_recursion_traces(alpha), start=1):
         if n <= len(exact):
             num, den = _evaluate(exact[n - 1], alpha)
             # integer true division rounds correctly: one rounding per value
@@ -413,7 +420,7 @@ def decay_curve_exact(
         steps.append(step)
         if step.n >= n_max:
             break
-    report = DecayReport(
+    return DecayReport(
         model="exact",
         descriptor={"carrier": "C2 * Z", "alpha": float(alpha), "support_cap": support_cap},
         slack=slack,
@@ -421,7 +428,6 @@ def decay_curve_exact(
         ell_bar_u=ell_bar_from_trace(complex(alpha)),
         steps=steps,
     )
-    return report
 
 
 def _matrix_lengths(w: np.ndarray, tau: complex) -> tuple[float, float]:
@@ -451,7 +457,7 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     steps = []
     current = a
     p = np.eye(dim, dtype=complex)
-    for n in range(1, n_max + 1):
+    for n, tau_rec in zip(range(1, n_max + 1), _recursion_traces(tau_u.real)):
         tau = normalized_trace(current)
         lower, upper = _bounds(n, ell_u, ell_bar_u)
         ell_n, ell_bar_n = _matrix_lengths(current, tau)
@@ -464,7 +470,7 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
                 upper=upper,
                 in_bounds=lower - slack <= ell_n <= upper + slack,
                 trace=tau.real,
-                recursion_trace=trace_recursion(tau_u.real, n)[-1],
+                recursion_trace=tau_rec,
                 source="matrix",
             )
         )

@@ -11,15 +11,15 @@ constants may be trivial).  Normal forms come from
 ``"g"`` (G); raw token streams use the same labels.  Substituting a group
 element for t turns the word into an element of G; a word whose every
 substitution is trivial is a mixed identity for G.  ``is_mixed_identity``
-decides this by evaluating at every element, and ``mixed_identity_scan``
-runs it over a finite window of words.
+decides this by evaluating at every element; ``mixed_identity_scan``
+decides a window of words with one pass over G per exponents and interior.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import FreeProductGroup, Word, Z
 from .groups import FiniteGroup
@@ -152,66 +152,63 @@ class MixedIdentityVerdict:
         return self.is_identity
 
 
-def is_mixed_identity(word: MixedWord, group: FiniteGroup | None = None) -> MixedIdentityVerdict:
+def is_mixed_identity(word: MixedWord) -> MixedIdentityVerdict:
     """Check whether every substitution for t gives the identity.
 
     Witness search is an ascending scan over element indices, so reports
     are reproducible.
     """
-    grp = word.group if group is None else group
-    if group is not None and group is not word.group:
-        raise ValueError("word coefficients do not live in the given group")
-    for g in range(grp.order):
+    for g in range(word.group.order):
         val = word.evaluate(g)
-        if val != grp.identity:
+        if val != word.group.identity:
             return MixedIdentityVerdict(False, witness=g, value=val)
     return MixedIdentityVerdict(True)
 
 
-def enumerate_mixed_words(
-    group: FiniteGroup, max_syllables: int, exp_bound: int
-) -> Iterator[MixedWord]:
-    """All normal-form words with at most ``max_syllables`` t-powers and
-    exponents bounded by ``exp_bound``, in a fixed deterministic order."""
-    if max_syllables < 1:
-        raise ValueError("depth must be >= 1")
-    if exp_bound < 1:
-        raise ValueError("exponent bound must be >= 1")
-    exp_values: list[int] = []
-    for m in range(1, exp_bound + 1):
-        exp_values.extend([m, -m])
-    nontrivial = [g for g in range(group.order) if g != group.identity]
+def mixed_identity_scan(group: FiniteGroup, max_syllables: int, exp_bound: int) -> dict:
+    """Report every identity among the normal-form words with at most
+    ``max_syllables`` t-powers and exponents bounded by ``exp_bound``.
+
+    g0 u(t) gk with u = t^e1 g1 ... t^ek is an identity exactly when u is a
+    constant c on G, and then gk = (g0 c)^-1.  So one pass over G, stopped at
+    the first u(g) != u(0), decides each (exponents, interior) choice, and a
+    constant u yields one identity per g0 (order: k, exponents, g0, interior).
+    ``checked`` counts the window's words.  Never concludes that a group has
+    no mixed identities, only that none was found within the window.
+    """
+    if max_syllables < 1 or exp_bound < 1:
+        raise ValueError("depth and exponent bound must be >= 1")
+    n, table, one = group.order, group.table, group.identity
+    exp_values = [e for m in range(1, exp_bound + 1) for e in (m, -m)]
+    powers = {e: [group.power(g, e) for g in range(n)] for e in exp_values}
+    nontrivial = [g for g in range(n) if g != one]
+    identities: list[str] = []
+
+    def u_at(g: int, steps: list) -> int:
+        value = one
+        for h, power in steps:
+            value = table[table[value][h]][power[g]]
+        return value
+
     for k in range(1, max_syllables + 1):
         for exps in itertools.product(exp_values, repeat=k):
-            interior_choices = [nontrivial] * (k - 1)
-            outer = list(range(group.order))
-            for g0 in outer:
-                for interior in itertools.product(*interior_choices):
-                    for gk in outer:
-                        coeffs = (g0, *interior, gk)
-                        yield MixedWord(group, coeffs, exps)
-
-
-def mixed_identity_scan(
-    group: FiniteGroup, max_syllables: int, exp_bound: int
-) -> dict:
-    """Enumerate candidate words and report every identity found.
-
-    Never concludes that a group has no mixed identities; the result only
-    says none was found within the enumerated window.
-    """
-    identities: list[str] = []
-    checked = 0
-    for word in enumerate_mixed_words(group, max_syllables, exp_bound):
-        checked += 1
-        if is_mixed_identity(word):
-            identities.append(str(word))
+            constant = []
+            for interior in itertools.product(nontrivial, repeat=k - 1):
+                steps = list(zip((one, *interior), [powers[e] for e in exps]))
+                c = u_at(0, steps)
+                if all(u_at(g, steps) == c for g in range(1, n)):
+                    constant.append((interior, c))
+            for g0 in range(n):
+                for interior, c in constant:
+                    coeffs = (g0, *interior, group.inv(table[g0][c]))
+                    identities.append(str(MixedWord(group, coeffs, exps)))
     return {
         "group": group.name,
         "order": group.order,
         "max_syllables": max_syllables,
         "exp_bound": exp_bound,
-        "checked": checked,
+        "checked": sum(len(exp_values) ** k * n * n * (n - 1) ** (k - 1)
+                       for k in range(1, max_syllables + 1)),
         "identities": identities,
         "identity_found": bool(identities),
     }

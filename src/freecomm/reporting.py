@@ -4,13 +4,14 @@ Floats are rounded to 12 significant digits before serialization so that
 report bytes do not depend on BLAS reduction order (thread count); all
 mathematical tolerances in the library are checked on full-precision
 values before anything is serialized.  Files are written atomically
-(temporary file, then rename).
+(temporary file, then rename); without a file a report goes to stdout.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Any
@@ -52,13 +53,17 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def emit_json(payload: dict, out: str | Path | None) -> bytes:
     data = canonical_json_bytes(payload)
-    if out is not None:
+    if out is None:
+        sys.stdout.write(data.decode())
+    else:
         atomic_write_bytes(out, data)
     return data
 
 
 def emit_text(text: str, out: str | Path | None) -> bytes:
     data = text.encode()
-    if out is not None:
+    if out is None:
+        sys.stdout.write(text)
+    else:
         atomic_write_bytes(out, data)
     return data

@@ -6,6 +6,7 @@ paths it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -251,3 +252,40 @@ def is_associative(table):
         for b in range(n)
         for c in range(n)
     )
+
+
+def enumerate_mixed_words(group, max_syllables, exp_bound):
+    """Every normal-form mixed word g0 t^e1 g1 ... t^ek gk with 1 <= k <=
+    ``max_syllables`` and 1 <= |e_i| <= ``exp_bound``, in the order
+    k, exponents, g0, interior, gk."""
+    from freecomm.mixed import MixedWord
+
+    exp_values = [e for m in range(1, exp_bound + 1) for e in (m, -m)]
+    nontrivial = [g for g in range(group.order) if g != group.identity]
+    for k in range(1, max_syllables + 1):
+        for exps in itertools.product(exp_values, repeat=k):
+            for g0 in range(group.order):
+                for interior in itertools.product(nontrivial, repeat=k - 1):
+                    for gk in range(group.order):
+                        yield MixedWord(group, (g0, *interior, gk), exps)
+
+
+def brute_force_mixed_scan(group, max_syllables, exp_bound):
+    """``mixed_identity_scan``'s report from deciding every window word by
+    evaluation at every element."""
+    from freecomm.mixed import is_mixed_identity
+
+    identities, checked = [], 0
+    for word in enumerate_mixed_words(group, max_syllables, exp_bound):
+        checked += 1
+        if is_mixed_identity(word):
+            identities.append(str(word))
+    return {
+        "group": group.name,
+        "order": group.order,
+        "max_syllables": max_syllables,
+        "exp_bound": exp_bound,
+        "checked": checked,
+        "identities": identities,
+        "identity_found": bool(identities),
+    }

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -80,6 +81,28 @@ def test_dynamics_matrix_model(capsys):
     steps = doc["report"]["steps"]
     assert [s["source"] for s in steps] == ["matrix"] * 3
     assert doc["report"]["slack"] == 0.05
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.75, -0.42])
+def test_dynamics_long_curve_reports_past_float_range(tmp_path, alpha):
+    # sqrt(2)^(n-1) alone leaves the float range at n = 2049, and ell(u)^n
+    # from n = 1360 for alpha = -0.42; the upper bound still has its value,
+    # which stays ell(u) = sqrt(1/2) at every n for alpha = 3/4
+    out = tmp_path / "curve.csv"
+    assert main(["dynamics", "--alpha", str(alpha), "--n-max", "2100", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 2101))
+    assert all(r[5] == "1" for r in rows)
+    log_ell = math.log(math.sqrt(2.0 - 2.0 * alpha))
+    for n in (1, 1000, 2048, 2049, 2100):
+        row = rows[n - 1]
+        log_upper = (n - 1) * math.log(math.sqrt(2.0)) + n * log_ell
+        if log_upper > math.log(1.7e308):
+            assert row[4] == "inf"
+        elif log_upper < math.log(1e-300):
+            assert float(row[4]) < 1e-290
+        else:
+            assert float(row[4]) == pytest.approx(math.exp(log_upper), rel=1e-9)
 
 
 def test_dynamics_require_contraction(capsys):

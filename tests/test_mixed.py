@@ -13,7 +13,7 @@ from freecomm.mixed import (
     parse_mixed_word,
 )
 
-from oracles import reduce_mixed_letters
+from oracles import brute_force_mixed_scan, reduce_mixed_letters
 
 
 def test_normal_form_merges_interior_identity():
@@ -155,3 +155,21 @@ def test_scan_finds_square_identity_for_c2():
 def test_scan_depth_validation():
     with pytest.raises(ValueError):
         mixed_identity_scan(cyclic_group(2), 0, 2)
+    with pytest.raises(ValueError):
+        mixed_identity_scan(cyclic_group(2), 1, 0)
+
+
+_CATALOG = finite_group_catalog()
+
+
+@pytest.mark.parametrize(
+    "name, depth, exp_bound",
+    [(name, depth, bound) for name in _CATALOG for depth in (1, 2) for bound in (1, 2)]
+    + [("quaternion8", 3, 2), ("sym3", 3, 2)],
+)
+def test_scan_matches_brute_force(name, depth, exp_bound):
+    group = _CATALOG[name]
+    # the whole report, identities in the same order
+    assert mixed_identity_scan(group, depth, exp_bound) == brute_force_mixed_scan(
+        group, depth, exp_bound
+    )
