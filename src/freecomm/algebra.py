@@ -36,11 +36,10 @@ Word = tuple
 
 
 class SupportCapExceeded(RuntimeError):
-    """A product would exceed the configured support cap.
+    """A product would touch more than ``DEFAULT_SUPPORT_CAP`` word pairs.
 
-    The cap bounds both the number of word pairs a convolution may touch
-    and the size of the stored result; hitting it raises instead of
-    truncating silently.
+    The cap bounds the convolution working set, and so the size of the
+    stored result; hitting it raises instead of truncating silently.
     """
 
     def __init__(self, needed: int, cap: int):
@@ -215,17 +214,16 @@ class AlgebraElement:
         return f"AlgebraElement(support={n}, trace={self.coefficient(()):.6g})"
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement, support_cap: int | None = None) -> AlgebraElement:
+def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product.
 
     Summation runs in sorted word order on both sides so results are
     bit-identical no matter how the operands were assembled.
     """
     a._check_ambient(b)
-    cap = DEFAULT_SUPPORT_CAP if support_cap is None else support_cap
     pairs = a.support_size * b.support_size
-    if pairs > cap:
-        raise SupportCapExceeded(pairs, cap)
+    if pairs > DEFAULT_SUPPORT_CAP:
+        raise SupportCapExceeded(pairs, DEFAULT_SUPPORT_CAP)
     concat = a.ambient.concat
     acc: dict[Word, complex] = {}
     b_items = b.items_sorted()
@@ -246,11 +244,11 @@ def trace(a: AlgebraElement) -> complex:
     return a.coefficient(())
 
 
-def is_unitary(a: AlgebraElement, tol: float = UNITARY_TOL, support_cap: int | None = None) -> bool:
+def is_unitary(a: AlgebraElement, tol: float = UNITARY_TOL) -> bool:
     """True iff every coefficient of a* a - 1 has modulus at most tol."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    p = multiply(star(a), a, support_cap=support_cap)
+    p = multiply(star(a), a)
     dev = abs(p.coefficient(()) - 1.0)
     for w, c in p._coeffs.items():
         if w:
@@ -266,21 +264,21 @@ def ell_bar_from_trace(tau: complex) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - abs(tau))))
 
 
-def _require_unitary(a: AlgebraElement, tol: float) -> None:
-    if not is_unitary(a, tol):
+def _require_unitary(a: AlgebraElement) -> None:
+    if not is_unitary(a):
         raise ValueError("length functions are only defined for unitaries")
 
 
-def ell(a: AlgebraElement, tol: float = UNITARY_TOL) -> float:
+def ell(a: AlgebraElement) -> float:
     """2-norm distance from the identity, sqrt(2 - 2 Re trace)."""
-    _require_unitary(a, tol)
+    _require_unitary(a)
     return ell_from_trace(trace(a))
 
 
-def ell_bar(a: AlgebraElement, tol: float = UNITARY_TOL) -> float:
+def ell_bar(a: AlgebraElement) -> float:
     """Projective length: 2-norm distance to the nearest unit scalar,
     sqrt(2 (1 - |trace|))."""
-    _require_unitary(a, tol)
+    _require_unitary(a)
     return ell_bar_from_trace(trace(a))
 
 
@@ -309,12 +307,8 @@ def haar_generator(ambient: FreeProductGroup, factor: int) -> AlgebraElement:
     return AlgebraElement.from_word(ambient, ambient.word([(factor, 1)]))
 
 
-def commutator_element(
-    a: AlgebraElement, b: AlgebraElement, support_cap: int | None = None
-) -> AlgebraElement:
-    return multiply(
-        multiply(multiply(a, b, support_cap), star(a), support_cap), star(b), support_cap
-    )
+def commutator_element(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    return multiply(multiply(multiply(a, b), star(a)), star(b))
 
 
 class CommutatorTraceCheck:

@@ -111,27 +111,3 @@ def rep_catalog():
     }
     return entries
 
-
-def write_rep_catalog(path: str | Path, entries=None) -> None:
-    entries = rep_catalog() if entries is None else entries
-    doc = {"entries": {}}
-    for name, (rep, dims) in entries.items():
-        doc["entries"][name] = {
-            "group": rep.group.to_json_dict(),
-            "elements": [matrix_to_pairs(m) for m in rep.images],
-            "dims": None if dims is None else list(dims),
-        }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def load_rep_catalog(path: str | Path):
-    from .reps import FiniteRep
-
-    doc = json.loads(Path(path).read_text())
-    out = {}
-    for name, entry in doc["entries"].items():
-        group = FiniteGroup.from_json_dict(entry["group"])
-        images = tuple(matrix_from_pairs(m) for m in entry["elements"])
-        dims = entry.get("dims")
-        out[name] = (FiniteRep(group=group, images=images), None if dims is None else tuple(dims))
-    return out

@@ -98,9 +98,8 @@ class _ElementIndex:
     """Nearest-element lookup with a cheap Frobenius sandwich before the
     exact op-norm comparison (op <= fro <= sqrt(N) * op)."""
 
-    def __init__(self, dim: int, merge_eps: float):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.merge_eps = merge_eps
         self._flat: list[np.ndarray] = []
         self._stack: np.ndarray | None = None
         self.matrices: list[np.ndarray] = []
@@ -115,12 +114,12 @@ class _ElementIndex:
             self._stack = np.stack(self._flat)
         fro = np.linalg.norm(self._stack - m.ravel(), axis=1)
         # fro <= eps  =>  op <= eps; fro > eps*sqrt(N)  =>  op > eps
-        certain = np.nonzero(fro <= self.merge_eps)[0]
+        certain = np.nonzero(fro <= DEFAULT_MERGE_EPS)[0]
         if certain.size:
             return int(certain[0])
-        maybe = np.nonzero(fro <= self.merge_eps * np.sqrt(self.dim))[0]
+        maybe = np.nonzero(fro <= DEFAULT_MERGE_EPS * np.sqrt(self.dim))[0]
         for idx in maybe:
-            if op_norm(self.matrices[idx] - m) <= self.merge_eps:
+            if op_norm(self.matrices[idx] - m) <= DEFAULT_MERGE_EPS:
                 return int(idx)
         return None
 
@@ -131,18 +130,14 @@ class _ElementIndex:
         return len(self.matrices) - 1
 
 
-def group_closure(
-    generators: Sequence,
-    cap: int = 10_000,
-    merge_eps: float = DEFAULT_MERGE_EPS,
-    near_identity_band: float = NEAR_IDENTITY_BAND,
-) -> MatrixGroup | NonClosure:
+def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonClosure:
     """Breadth-first closure of unitary generators under products.
 
     Deterministic: elements are indexed in discovery order (identity
     first), and rerunning with the same input yields the same indexing.
     Returns a NonClosure witness when the element count passes ``cap`` or
-    a product lands in [merge_eps, near_identity_band] of the identity.
+    a product lands within ``NEAR_IDENTITY_BAND`` of the identity without
+    merging with it (within ``DEFAULT_MERGE_EPS``).
 
     The Cayley table is read off the search by index arithmetic alone
     (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 4.1):
@@ -164,7 +159,7 @@ def group_closure(
         raise ValueError("cap smaller than the generating set")
 
     steps = gens + [g.conj().T for g in gens]
-    index = _ElementIndex(dim, merge_eps)
+    index = _ElementIndex(dim)
     index.add(np.eye(dim, dtype=complex))
     right: list[list[int]] = []  # right[i][k]: index of elements[i] @ steps[k]
     found_by: list[tuple[int, int]] = []  # (parent, step) of elements 1, 2, ...
@@ -176,7 +171,7 @@ def group_closure(
             found = index.find(p)
             if found is None:
                 d_id = op_norm(p - np.eye(dim))
-                if d_id <= near_identity_band:
+                if d_id <= NEAR_IDENTITY_BAND:
                     # not merged with the identity, yet inside the band
                     return NonClosure("near_identity", p, d_id, len(index))
                 if len(index) >= cap:

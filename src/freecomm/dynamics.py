@@ -15,9 +15,9 @@ Two evaluation routes are kept deliberately separate:
 
 Agreement of the two routes is the point.  Exact supports square at every
 step (2, 8, 128, 32768, ~2.1e9), so rows n <= 4 are ``source="exact"``,
-row 5 is ``source="exact_trace"``, and later rows, or rows whose route
-would pass the support cap, come from the recursion and are flagged
-``source="recursion"``.
+row 5 is ``source="exact_trace"``, and later rows come from the recursion
+and are flagged ``source="recursion"``.  A recursion row carries the gap
+1 - tau_n alongside tau_n, so its lengths do not cancel as tau_n nears 1.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_SUPPORT_CAP,
-    ell_bar_from_trace,
-    ell_from_trace,
-    involution_haar_ambient,
-)
+from .algebra import ell_bar_from_trace, ell_from_trace, involution_haar_ambient
 from .matrices import as_array, normalized_trace, two_norm_dist
 from .words import FreeWord, w_sequence
 
@@ -113,17 +108,24 @@ class DecayReport:
         return buf.getvalue()
 
 
-def _recursion_traces(alpha: float) -> Iterator[float]:
-    """tau_1, tau_2, ... of the trace recursion, without end."""
-    t = float(alpha)
+def _recursion_traces(alpha: float) -> Iterator[tuple[float, float]]:
+    """(tau_n, 1 - tau_n) for n = 1, 2, ... of the trace recursion, without end.
+
+    The gap d = 1 - tau follows d_{n+1} = d_n (2 - d_n)(1 - alpha)(1 + alpha)
+    in its own float, so it keeps its relative accuracy where tau has
+    rounded to 1.
+    """
+    t, d = float(alpha), 1.0 - alpha
+    shrink = (1.0 - alpha) * (1.0 + alpha)
     while True:
-        yield t
+        yield t, d
         t = 1.0 - (1.0 - t * t) * (1.0 - alpha * alpha)
+        d = d * (2.0 - d) * shrink
 
 
 def trace_recursion(alpha: float, n_max: int) -> list[float]:
     """Predicted traces tau_1..tau_n of the commutator words."""
-    return list(itertools.islice(_recursion_traces(alpha), max(n_max, 1)))
+    return [t for t, _ in itertools.islice(_recursion_traces(alpha), max(n_max, 1))]
 
 
 def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
@@ -307,52 +309,43 @@ def paired_trace(w: PolyElement, k: int, ambient) -> list[int]:
     )
 
 
-def commutator_polynomials(n_max: int = EXPANDED_WORDS) -> list[tuple[PolyElement, int]]:
+def commutator_polynomials(n_max: int = EXPANDED_WORDS) -> list[PolyElement]:
     """w_1 .. w_{n_max}(u, v) over C2 * Z with alpha-free coefficients.
 
-    Each comes with the largest convolution (in support pairs) its
-    expansion needed, the measure the support cap bounds.  Built fresh on
-    every call; ``trace_polynomials`` keeps only the traces.
+    Built fresh on every call; ``trace_polynomials`` keeps only the traces.
     """
     ambient = involution_haar_ambient()
     w = _linear(_conjugate_word(ambient, 0))
-    pairs = 0
-    out = [(w, pairs)]
+    out = [w]
     for k in range(1, n_max):
         c = _linear(_conjugate_word(ambient, k))
-        wc = _poly_multiply(w, c, ambient)
-        wcw = _poly_multiply(wc, _poly_star(w, ambient), ambient)
-        pairs = max(pairs, 2 * w.support_size, wc.support_size * w.support_size,
-                    2 * wcw.support_size)
+        wcw = _poly_multiply(_poly_multiply(w, c, ambient), _poly_star(w, ambient), ambient)
         w = _poly_multiply(wcw, _poly_star(c, ambient), ambient)
-        out.append((w, pairs))
+        out.append(w)
     return out
 
 
 @functools.cache
-def trace_polynomials() -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(tau_n, pairs_n) for n = 1 .. 5, computed once per process.
+def trace_polynomials() -> tuple[tuple[int, ...], ...]:
+    """tau_1 .. tau_5, computed once per process.
 
     tau_n is the trace of w_n(u, v) as integer coefficients of alpha, lowest
-    degree first; pairs_n is the largest convolution its route needed.
-    tau_1 .. tau_4 are read off the expansion, which is checked exactly on
-    the way: Parseval (tau(w* w) = 1 as a polynomial) for every w_n and
-    w_n* w_n = 1 word by word for n <= 3.  tau_5 pairs w_4 with itself.
+    degree first.  tau_1 .. tau_4 are read off the expansion, which is
+    checked exactly on the way: Parseval (tau(w* w) = 1 as a polynomial) for
+    every w_n and w_n* w_n = 1 word by word for n <= 3.  tau_5 pairs w_4
+    with itself.
     """
     ambient = involution_haar_ambient()
     words = commutator_polynomials()
-    rows = []
-    for n, (w, pairs) in enumerate(words, 1):
+    taus = []
+    for n, w in enumerate(words, 1):
         if _parseval(w) != [1]:
             raise ArithmeticError(f"w_{n} violates Parseval: tau(w* w) != 1")
         if n <= 3 and not _poly_multiply(_poly_star(w, ambient), w, ambient).is_one():
             raise ArithmeticError(f"w_{n} is not unitary")
-        tau = w.coeffs[w.words.index(())].tolist()
-        rows.append((tuple(_padd(tau)), pairs))
-    w, pairs = words[-1]
-    tau = paired_trace(w, EXPANDED_WORDS, ambient)
-    rows.append((tuple(tau), max(pairs, 2 * w.support_size)))
-    return tuple(rows)
+        taus.append(tuple(_padd(w.coeffs[w.words.index(())].tolist())))
+    taus.append(tuple(paired_trace(words[-1], EXPANDED_WORDS, ambient)))
+    return tuple(taus)
 
 
 def _evaluate(poly: tuple[int, ...], alpha: float) -> tuple[int, int]:
@@ -363,24 +356,19 @@ def _evaluate(poly: tuple[int, ...], alpha: float) -> tuple[int, int]:
     return sum(c * p**k * q ** (degree - k) for k, c in enumerate(poly)), q**degree
 
 
-def iter_exact_steps(
-    alpha: float,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    slack: float = EXACT_SLACK,
-) -> Iterator[DecayStep]:
+def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[DecayStep]:
     """Unbounded stream of decay rows; callers slice what they need.
 
-    Rows come from the exact trace polynomials while their route stays
-    within ``support_cap`` support pairs, then from the recursion.  An
-    exact row is evaluated in rational arithmetic and rounded once.
+    Rows 1 .. 5 come from the exact trace polynomials, each evaluated in
+    rational arithmetic and rounded once; later rows come from the
+    recursion, their lengths from its gap 1 - tau.
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (-1, 1)")
-    exact = [tau for tau, _ in itertools.takewhile(
-        lambda row: row[1] <= support_cap, trace_polynomials())]
+    exact = trace_polynomials()
     ell_u = ell_from_trace(complex(alpha))
     ell_bar_u = ell_bar_from_trace(complex(alpha))
-    for n, tau_rec in enumerate(_recursion_traces(alpha), start=1):
+    for n, (tau_rec, gap) in enumerate(_recursion_traces(alpha), start=1):
         if n <= len(exact):
             num, den = _evaluate(exact[n - 1], alpha)
             # integer true division rounds correctly: one rounding per value
@@ -389,9 +377,9 @@ def iter_exact_steps(
             ell_bar_n = math.sqrt((2 * den - 2 * abs(num)) / den)
             source = "exact" if n <= EXPANDED_WORDS else "exact_trace"
         else:
+            # tau_n >= alpha^2 >= 0 from n = 2 on, so |tau| = tau
             trace, source = tau_rec, "recursion"
-            ell_n = ell_from_trace(complex(trace))
-            ell_bar_n = ell_bar_from_trace(complex(trace))
+            ell_n = ell_bar_n = math.sqrt(2.0 * gap)
         lower, upper = _bounds(n, ell_u, ell_bar_u)
         yield DecayStep(
             n=n,
@@ -406,23 +394,18 @@ def iter_exact_steps(
         )
 
 
-def decay_curve_exact(
-    alpha: float,
-    n_max: int,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    slack: float = EXACT_SLACK,
-) -> DecayReport:
-    """Exact decay curve; rows past the support cap are recursion rows."""
+def decay_curve_exact(alpha: float, n_max: int, slack: float = EXACT_SLACK) -> DecayReport:
+    """Exact decay curve; rows past n = 5 are recursion rows."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     steps = []
-    for step in iter_exact_steps(alpha, support_cap, slack):
+    for step in iter_exact_steps(alpha, slack):
         steps.append(step)
         if step.n >= n_max:
             break
     return DecayReport(
         model="exact",
-        descriptor={"carrier": "C2 * Z", "alpha": float(alpha), "support_cap": support_cap},
+        descriptor={"carrier": "C2 * Z", "alpha": float(alpha)},
         slack=slack,
         ell_u=ell_from_trace(complex(alpha)),
         ell_bar_u=ell_bar_from_trace(complex(alpha)),
@@ -457,7 +440,7 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     steps = []
     current = a
     p = np.eye(dim, dtype=complex)
-    for n, tau_rec in zip(range(1, n_max + 1), _recursion_traces(tau_u.real)):
+    for n, (tau_rec, _) in zip(range(1, n_max + 1), _recursion_traces(tau_u.real)):
         tau = normalized_trace(current)
         lower, upper = _bounds(n, ell_u, ell_bar_u)
         ell_n, ell_bar_n = _matrix_lengths(current, tau)
@@ -499,12 +482,7 @@ class SmallElement:
         return {"n": self.n, "word": str(self.word), "ell": self.ell, "source": self.source}
 
 
-def find_small_element(
-    alpha: float,
-    epsilon: float,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    max_n: int = 1000,
-) -> SmallElement:
+def find_small_element(alpha: float, epsilon: float, max_n: int = 1000) -> SmallElement:
     """Least n with ell(w_n(u, v)) < epsilon in the exact model.
 
     Requires alpha > 3/4, i.e. ell(u) < 1/sqrt(2); the geometric upper
@@ -514,7 +492,7 @@ def find_small_element(
         raise ValueError("epsilon must be positive")
     if not alpha > 0.75:
         raise ValueError("need alpha > 3/4 so that ell(u) < 1/sqrt(2)")
-    for step in iter_exact_steps(alpha, support_cap):
+    for step in iter_exact_steps(alpha):
         if step.ell < epsilon:
             return SmallElement(step.n, w_sequence(step.n), step.ell, step.source)
         if step.n >= max_n:

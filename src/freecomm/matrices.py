@@ -8,8 +8,7 @@ thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +76,9 @@ def unitarity_defect(u) -> float:
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """An N x N unitary with provenance (construction kind, seed, params)."""
+    """An N x N unitary, checked on construction and stored read-only."""
 
     array: np.ndarray
-    provenance: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         a = np.asarray(self.array, dtype=complex)
@@ -92,7 +90,6 @@ class UnitaryMatrix:
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
-        object.__setattr__(self, "provenance", dict(self.provenance))
 
     @property
     def dim(self) -> int:
@@ -177,9 +174,7 @@ def sample_haar(n: int, seed: int | np.random.SeedSequence) -> UnitaryMatrix:
         raise ValueError("dimension must be positive")
     rng = make_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    u = _orthonormalize_haar(z)
-    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed)
-    return UnitaryMatrix(u, {"kind": "haar", "dim": n, "seed": entropy})
+    return UnitaryMatrix(_orthonormalize_haar(z))
 
 
 def unitary_with_trace(alpha: float, n: int, seed) -> tuple[UnitaryMatrix, float]:
@@ -197,14 +192,12 @@ def unitary_with_trace(alpha: float, n: int, seed) -> tuple[UnitaryMatrix, float
     m_plus = min(max(m_plus, 0), n)
     realized = (2 * m_plus - n) / n
     diag = np.concatenate([np.ones(m_plus), -np.ones(n - m_plus)])
-    prov = {"kind": "two_point_spectrum", "dim": n, "alpha": alpha, "m_plus": m_plus}
     if m_plus in (0, n):
         u = np.diag(diag).astype(complex)
     else:
         q = sample_haar(n, seed).array
         u = (q * diag[np.newaxis, :]) @ q.conj().T
-        prov["seed"] = seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed)
-    return UnitaryMatrix(u, prov), realized
+    return UnitaryMatrix(u), realized
 
 
 def corner_haar(t: float, n: int, seed: int) -> UnitaryMatrix:
@@ -218,7 +211,7 @@ def corner_haar(t: float, n: int, seed: int) -> UnitaryMatrix:
     block = np.eye(n, dtype=complex)
     block[:k, :k] = h
     u = q @ block @ q.conj().T
-    return UnitaryMatrix(u, {"kind": "corner_haar", "dim": n, "t": t, "seed": int(seed)})
+    return UnitaryMatrix(u)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ from .matrices import as_array
 
 _HOM_TOL = 1e-10
 
+#: Frobenius distance at which ``dihedral_chain_demo`` takes two matrices as equal
+_MEMBER_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FiniteRep:
@@ -222,12 +225,12 @@ class DihedralChainReport:
         }
 
 
-def _set_contains(haystack: np.ndarray, needle: np.ndarray, tol: float) -> bool:
+def _set_contains(haystack: np.ndarray, needle: np.ndarray) -> bool:
     dists = np.linalg.norm(haystack - needle.ravel(), axis=1)
-    return bool(np.min(dists) <= tol)
+    return bool(np.min(dists) <= _MEMBER_TOL)
 
 
-def dihedral_chain_demo(axis_order: int, doublings: int, tol: float = 1e-10) -> DihedralChainReport:
+def dihedral_chain_demo(axis_order: int, doublings: int) -> DihedralChainReport:
     """Each dihedral group embeds in the one with doubled rotation order,
     while the shortest nontrivial element shrinks toward the identity: an
     ascending chain that is not uniformly discrete.
@@ -247,14 +250,14 @@ def dihedral_chain_demo(axis_order: int, doublings: int, tol: float = 1e-10) -> 
         ells = [ell_op(as_array(e).astype(complex), check=False) for e in elements]
         nonzero = [l for l in ells if l > 1e-8]
         closed = all(
-            _set_contains(flat, elements[a] @ elements[b], tol)
+            _set_contains(flat, elements[a] @ elements[b])
             for a in range(len(elements))
             for b in range(len(elements))
         )
         contains_prev = (
             True
             if prev is None
-            else all(_set_contains(flat, e, tol) for e in prev)
+            else all(_set_contains(flat, e) for e in prev)
         )
         rows.append(
             DihedralChainRow(

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -56,16 +57,12 @@ def test_trace_recursion_matches_oracle():
 
 def test_exact_supports_square_each_step():
     words = commutator_polynomials()
-    assert [w.support_size for w, _ in words] == [2, 8, 128, 32768]
-    # expanding w_5 would need 2 * 32768^2 support pairs, past the cap; the
-    # pairing that gives tau_5 touches only w_4 against c_4
-    assert 2 * 32768**2 > DEFAULT_SUPPORT_CAP
-    assert trace_polynomials()[4][1] == 2 * 32768 <= DEFAULT_SUPPORT_CAP
+    assert [w.support_size for w in words] == [2, 8, 128, 32768]
 
 
 def test_trace_polynomials_equal_recursion_polynomials():
     # the whole identity, for every alpha at once: integer coefficient lists
-    taus = [list(tau) for tau, _ in trace_polynomials()]
+    taus = [list(tau) for tau in trace_polynomials()]
     assert taus == integer_recursion_polynomials(5)
     assert [len(t) - 1 for t in taus] == [1, 4, 10, 22, 46]
 
@@ -75,7 +72,7 @@ def test_pairing_matches_expansion():
     # commutator [w_n, c_k].  k = n is the decay step, where only g = ()
     # pairs with y g y; k < n makes all three maps hit the support.
     amb = involution_haar_ambient()
-    for n, (w, _) in enumerate(commutator_polynomials(3), 1):
+    for n, w in enumerate(commutator_polynomials(3), 1):
         for k in range(n + 1):
             c = _linear(_conjugate_word(amb, k))
             wcw = _poly_multiply(_poly_multiply(w, c, amb), _poly_star(w, amb), amb)
@@ -106,7 +103,7 @@ def _float_route(alpha):
 
 def test_float_engine_agrees_with_polynomial_route():
     amb = involution_haar_ambient()
-    polys = [w for w, _ in commutator_polynomials()]
+    polys = commutator_polynomials()
     for alpha in CROSS_ALPHAS:
         words, tau4 = _float_route(alpha)
         for poly, w in zip(polys, words):
@@ -192,11 +189,21 @@ def test_decay_curve_validation():
         decay_curve_exact(0.9, 0)
 
 
-def test_small_cap_switches_to_recursion_earlier():
-    report = decay_curve_exact(0.9, 4, support_cap=100)
-    assert [s.source for s in report.steps] == ["exact", "exact", "recursion", "recursion"]
-    # values still populated from the recursion
-    assert report.steps[-1].ell > 0
+def test_long_curve_within_bounds_and_accurate():
+    # recursion rows take ell from the gap 1 - tau, which keeps its relative
+    # accuracy after tau has rounded to 1: no slack on the bound chain, and
+    # every length agrees with the gap recursion run in 60-digit decimals
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for alpha in (0.75, 0.9, -0.42):
+            a = Decimal(alpha)
+            gap = 1 - a
+            for s in decay_curve_exact(alpha, 2100).steps:
+                assert s.lower <= s.ell <= s.upper, (alpha, s.n)
+                exact = (2 * gap).sqrt()
+                if exact > Decimal("1e-150"):
+                    assert abs(Decimal(s.ell) - exact) <= Decimal("1e-12") * exact, (alpha, s.n)
+                gap = gap * (2 - gap) * (1 - a * a)
 
 
 def test_find_small_element_easy_cases():
@@ -276,9 +283,12 @@ def test_reports_serialize_deterministically():
 
 
 def test_multiply_cap_error_is_loud():
-    # w_4 at alpha = 0.9 on the float engine: w_4 w_4* needs 32768^2 pairs
+    # w_4 at alpha = 0.9 on the float engine: w_4 w_4* needs 32768^2 pairs,
+    # past the fixed cap; the float engine refuses instead of truncating
     amb = involution_haar_ambient()
-    w4 = poly_element_at(commutator_polynomials()[3][0], 0.9, amb)
+    w4 = poly_element_at(commutator_polynomials()[3], 0.9, amb)
     assert w4.support_size == 32768
-    with pytest.raises(SupportCapExceeded):
+    with pytest.raises(SupportCapExceeded) as err:
         multiply(w4, star(w4))
+    assert err.value.needed == 32768**2
+    assert err.value.cap == DEFAULT_SUPPORT_CAP

@@ -178,20 +178,6 @@ def test_dihedral_validation():
         dihedral_chain_demo(6, 0)
 
 
-def test_rep_catalog_file_roundtrip(tmp_path):
-    from freecomm.catalog import load_rep_catalog, write_rep_catalog
-
-    entries = {"cyclic8_su2": (cyclic_su2_rep(8), (1,) * 7)}
-    path = tmp_path / "reps.json"
-    write_rep_catalog(path, entries)
-    loaded = load_rep_catalog(path)
-    rep, dims = loaded["cyclic8_su2"]
-    assert dims == (1,) * 7
-    assert rep.group.order == 8
-    verdict = least_dimension_criterion(rep, dims)
-    assert verdict.fixed_space_dim == 1 and not verdict.guarantee
-
-
 def test_verdict_json_dict():
     verdict = least_dimension_criterion(alt5_rotation_rep(), [3, 3, 4, 5])
     doc = verdict.to_json_dict()
