@@ -8,11 +8,12 @@ fails (it fixes the diagonal torus direction), and the dihedral chain in
 SO(3) shows how an ascending family loses uniform discreteness.
 """
 
-from freecomm import least_dimension_criterion
-from freecomm.reps import alt5_rotation_rep, cyclic_su2_rep, dihedral_chain_demo, quaternion_su2_rep
+from freecomm import group_closure, least_dimension_criterion
+from freecomm.catalog import quaternion_generators
+from freecomm.reps import cyclic_su2_rep, dihedral_chain_demo, icosahedral_rotation_group
 
 print("Alt(5) as the icosahedral rotation group (3-dim, nontrivial dims 3,3,4,5):")
-alt5 = alt5_rotation_rep()
+alt5 = icosahedral_rotation_group()
 v = least_dimension_criterion(alt5, [3, 3, 4, 5])
 print(f"  commutant dim {v.commutant_dim}, fixed-space dim {v.fixed_space_dim}, "
       f"least-dimension {v.least_dimension} -> guarantee {v.guarantee}")
@@ -24,7 +25,7 @@ print(f"  commutant dim {v8.commutant_dim}, fixed-space dim "
       f"{v8.fixed_space_dim} (the diagonal direction) -> guarantee {v8.guarantee}")
 
 print("\nquaternion group, its 2-dim irrep (1-dim nontrivial irreps exist):")
-q = quaternion_su2_rep()
+q = group_closure(quaternion_generators())
 vq = least_dimension_criterion(q, [1, 1, 1, 2])
 print(f"  irreducible {vq.irreducible}, least-dimension {vq.least_dimension} "
       f"-> guarantee {vq.guarantee}")

@@ -22,7 +22,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from freecomm.catalog import finite_group_catalog  # noqa: E402
 
-EXACT_ALPHAS = ("0.9", "-0.42", "0.75")
+EXACT_ALPHAS = ("0.9", "-0.42", "0.75", "0.85")
 
 
 def _mif_words(group) -> list[str]:

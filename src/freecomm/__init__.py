@@ -61,7 +61,6 @@ from .mixed import (
 )
 from .reps import (
     CriterionVerdict,
-    FiniteRep,
     commutant_dimension,
     dihedral_chain_demo,
     least_dimension_criterion,
@@ -75,7 +74,6 @@ __all__ = [
     "DecayStep",
     "FilterReport",
     "FiniteGroup",
-    "FiniteRep",
     "FreeProductGroup",
     "FreeWord",
     "MatrixGroup",

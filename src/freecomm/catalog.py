@@ -92,22 +92,3 @@ def finite_group_catalog() -> dict[str, FiniteGroup]:
         "quaternion8": quaternion_group(),
     }
 
-
-# -- representation catalog ------------------------------------------------------
-
-
-def rep_catalog():
-    """Named reps with their nontrivial-irreducible dimension fixtures.
-
-    The dimension lists come from standard character data and are inputs,
-    not computed.
-    """
-    from .reps import FiniteRep, alt5_rotation_rep, cyclic_su2_rep, quaternion_su2_rep
-
-    entries: dict[str, tuple[FiniteRep, tuple[int, ...] | None]] = {
-        "alt5_rotation": (alt5_rotation_rep(), (3, 3, 4, 5)),
-        "quaternion_2d": (quaternion_su2_rep(), (1, 1, 1, 2)),
-        "cyclic8_su2": (cyclic_su2_rep(8), (1, 1, 1, 1, 1, 1, 1)),
-    }
-    return entries
-

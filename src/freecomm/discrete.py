@@ -10,7 +10,7 @@ identity) is reported as an explicit non-discreteness witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,9 +40,6 @@ class CommutatorBound:
     lhs: float
     rhs: float
     margin: float
-
-    def to_json_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "margin": self.margin}
 
 
 def commutator_ineq_check(u, v) -> CommutatorBound:
@@ -206,7 +203,6 @@ class FilterReport:
     subgroup_indices: tuple[int, ...]
     is_abelian: bool
     is_normal: bool
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,7 +214,6 @@ class FilterReport:
             "subgroup_order": len(self.subgroup_indices),
             "is_abelian": self.is_abelian,
             "is_normal": self.is_normal,
-            **self.extras,
         }
 
 

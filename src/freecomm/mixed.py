@@ -103,11 +103,15 @@ class MixedWord:
         return out
 
     def __str__(self) -> str:
-        parts = [self.group.label(self.coeffs[0])]
-        for e, g in zip(self.exps, self.coeffs[1:]):
-            parts.append(f"t^{e}")
-            parts.append(self.group.label(g))
-        return " . ".join(parts)
+        return _format_word(self.group.labels, self.coeffs, self.exps)
+
+
+def _format_word(labels: Sequence[str], coeffs: Sequence[int], exps: Sequence[int]) -> str:
+    """The ``g0 . t^e1 . g1 . ...`` literal, with ``labels[g]`` naming g."""
+    parts = [labels[coeffs[0]]]
+    for e, g in zip(exps, coeffs[1:]):
+        parts += (f"t^{e}", labels[g])
+    return " . ".join(parts)
 
 
 def parse_mixed_word(group: FiniteGroup, literal: str) -> MixedWord:
@@ -178,7 +182,7 @@ def mixed_identity_scan(group: FiniteGroup, max_syllables: int, exp_bound: int) 
     """
     if max_syllables < 1 or exp_bound < 1:
         raise ValueError("depth and exponent bound must be >= 1")
-    n, table, one = group.order, group.table, group.identity
+    n, table, one, labels = group.order, group.table, group.identity, group.labels
     exp_values = [e for m in range(1, exp_bound + 1) for e in (m, -m)]
     powers = {e: [group.power(g, e) for g in range(n)] for e in exp_values}
     nontrivial = [g for g in range(n) if g != one]
@@ -201,7 +205,7 @@ def mixed_identity_scan(group: FiniteGroup, max_syllables: int, exp_bound: int) 
             for g0 in range(n):
                 for interior, c in constant:
                     coeffs = (g0, *interior, group.inv(table[g0][c]))
-                    identities.append(str(MixedWord(group, coeffs, exps)))
+                    identities.append(_format_word(labels, coeffs, exps))
     return {
         "group": group.name,
         "order": group.order,

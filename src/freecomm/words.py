@@ -2,9 +2,9 @@
 
 A word is an element of the free product of one infinite cyclic factor per
 generator name, reduced by ``algebra.FreeProductGroup``.  It is stored as
-syllables (generator, nonzero exponent) with adjacent generators distinct,
-so the commutator words used by the contraction dynamics stay linear-sized
-in the nesting depth even though their letter length grows geometrically.
+syllables (generator, nonzero exponent) with adjacent generators distinct.
+The commutator words w_n used by the contraction dynamics have 3 * 2^n - 4
+syllables for n >= 2: each nesting level doubles them.
 """
 
 from __future__ import annotations

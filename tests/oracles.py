@@ -97,12 +97,13 @@ def integer_recursion_polynomials(n_max):
 RANK_TOL = 1e-8
 
 
-def svd_commutant_dimension(rep):
-    """Null-space dimension of the stacked conditions pi(g) X = X pi(g) on
-    vec(X) (column-major), counted by singular values."""
-    n = rep.dim
+def svd_commutant_dimension(group):
+    """Null-space dimension of the stacked conditions g X = X g on vec(X)
+    (column-major) over the elements g of a MatrixGroup, counted by
+    singular values."""
+    n = group.dim
     eye = np.eye(n)
-    blocks = [np.kron(eye, m) - np.kron(m.T, eye) for m in rep.images]
+    blocks = [np.kron(eye, m) - np.kron(m.T, eye) for m in group.elements]
     svals = np.linalg.svd(np.vstack(blocks), compute_uv=False)
     return n * n - int(np.sum(svals > RANK_TOL))
 
@@ -128,15 +129,18 @@ def su_basis(n):
     return basis
 
 
-def adjoint_fixed_space(rep):
-    """Real basis of {X traceless skew-Hermitian : pi(g) X pi(g)* = X}.
+def adjoint_fixed_space(group):
+    """Real basis of {X traceless skew-Hermitian : g X g* = X for every
+    element g of a MatrixGroup}.
 
     A nonzero fixed vector is an invariant abelian Lie-subalgebra direction
     (a torus direction); the space is zero iff the commutant is scalar.
     """
-    basis = su_basis(rep.dim)
+    basis = su_basis(group.dim)
+    if not basis:  # su(1) = 0
+        return []
     rows = []
-    for m in rep.images:
+    for m in group.elements:
         cols = []
         for b in basis:
             diff = m @ b @ m.conj().T - b

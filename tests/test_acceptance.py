@@ -20,7 +20,7 @@ from freecomm.discrete import MatrixGroup
 from freecomm.dynamics import decay_curve_exact, find_small_element
 from freecomm.matrices import freeness_trial, subseed
 from freecomm.reporting import canonical_json_bytes
-from freecomm.reps import alt5_rotation_rep, cyclic_su2_rep, dihedral_chain_demo
+from freecomm.reps import cyclic_su2_rep, dihedral_chain_demo, icosahedral_rotation_group
 
 GRID = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.9)
 ALPHAS = (0.76, 0.8, 0.9, 0.95)
@@ -181,7 +181,7 @@ def test_criterion_10_mixed_identities():
 
 def test_criterion_11_pu_n_analysis():
     with _Budget("criterion 11: projective unitary analysis", 10.0):
-        alt5 = alt5_rotation_rep()
+        alt5 = icosahedral_rotation_group()
         v = fc.least_dimension_criterion(alt5, [3, 3, 4, 5])
         assert v.commutant_dim == 1
         assert v.fixed_space_dim == 0

@@ -189,21 +189,42 @@ def test_decay_curve_validation():
         decay_curve_exact(0.9, 0)
 
 
+def _close(value, exact, rel):
+    return abs(Decimal(value) - exact) <= rel * exact
+
+
 def test_long_curve_within_bounds_and_accurate():
     # recursion rows take ell from the gap 1 - tau, which keeps its relative
     # accuracy after tau has rounded to 1: no slack on the bound chain, and
-    # every length agrees with the gap recursion run in 60-digit decimals
+    # every nonzero length agrees with the gap recursion run in 60-digit
+    # decimals (a gap below the least normal float reads 0).  Both bounds
+    # agree with their 60-digit values wherever those lie in the float range.
     with localcontext() as ctx:
         ctx.prec = 60
-        for alpha in (0.75, 0.9, -0.42):
+        r = Decimal(2).sqrt()
+        for alpha in (0.75, 0.85, 0.9, -0.42):
             a = Decimal(alpha)
             gap = 1 - a
+            ell_u, ell_bar_u = (2 - 2 * a).sqrt(), (2 - 2 * abs(a)).sqrt()
+            lower, upper = ell_bar_u, ell_u
             for s in decay_curve_exact(alpha, 2100).steps:
                 assert s.lower <= s.ell <= s.upper, (alpha, s.n)
                 exact = (2 * gap).sqrt()
-                if exact > Decimal("1e-150"):
-                    assert abs(Decimal(s.ell) - exact) <= Decimal("1e-12") * exact, (alpha, s.n)
+                if exact > Decimal("1e-150") or s.ell:
+                    assert _close(s.ell, exact, Decimal("1e-12")), (alpha, s.n)
+                for value, bound in ((s.lower, lower), (s.upper, upper)):
+                    if Decimal("1e-300") < bound < Decimal("1e300"):
+                        assert _close(value, bound, Decimal("1e-11")), (alpha, s.n)
                 gap = gap * (2 - gap) * (1 - a * a)
+                lower, upper = lower * ell_bar_u / r, upper * ell_u * r
+
+
+def test_find_small_element_always_ends():
+    # n = 57 has a word of 3 * 2^57 - 4 syllables, which is never built here
+    assert find_small_element(0.9, 1e-12).n == 57
+    # the gap leaves the normal floats at n = 1201 and reads 0 from there
+    res = find_small_element(0.85, 1e-200)
+    assert res.n == 1201 and res.ell == 0.0
 
 
 def test_find_small_element_easy_cases():

@@ -3,45 +3,55 @@ import math
 import numpy as np
 import pytest
 
+from freecomm.catalog import quaternion_generators, unitary_group_catalog
 from freecomm.discrete import MatrixGroup, group_closure
-from freecomm.groups import cyclic_group
 from freecomm.reps import (
-    FiniteRep,
-    alt5_rotation_rep,
+    _closed,
+    _dihedral_row,
     commutant_dimension,
     cyclic_su2_rep,
     dihedral_chain_demo,
-    dihedral_so3,
+    dihedral_generators,
+    icosahedral_rotation_group,
     least_dimension_criterion,
-    quaternion_su2_rep,
-    trivial_rep,
 )
 
-from oracles import adjoint_fixed_space, su_basis, svd_commutant_dimension
+from oracles import adjoint_fixed_space, naive_closure, su_basis, svd_commutant_dimension
+
+
+def _trivial(n):
+    return _closed([np.eye(n)])
+
+
+def _quaternion():
+    return _closed(list(quaternion_generators()))
+
+
+def _block_diagonal(a, b):
+    m = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
+    m[: a.shape[0], : a.shape[0]] = a
+    m[a.shape[0] :, a.shape[0] :] = b
+    return m
 
 
 def _c3_direct_sum():
-    g = cyclic_group(3)
     w = np.exp(2j * np.pi / 3)
-    return FiniteRep(group=g, images=tuple(np.diag([w**k, w ** (2 * k)]) for k in range(3)))
+    return _closed([np.diag([w, w**2])])
 
 
-def _direct_sum(a, b):
-    images = []
-    for ma, mb in zip(a.images, b.images):
-        m = np.zeros((a.dim + b.dim,) * 2, dtype=complex)
-        m[: a.dim, : a.dim] = ma
-        m[a.dim :, a.dim :] = mb
-        images.append(m)
-    return FiniteRep(group=a.group, images=tuple(images))
+def _block_sums(group):
+    """Closures of diag(g, g) and of diag(g, 1) over the generators g: the
+    representation doubled, and plus the trivial one."""
+    gens = [group.elements[i] for i in group.generator_indices]
+    return (_closed([_block_diagonal(g, g) for g in gens]),
+            _closed([_block_diagonal(g, np.eye(1)) for g in gens]))
 
 
-def test_rep_validation_catches_non_homomorphism():
-    g = cyclic_group(2)
-    with pytest.raises(ValueError, match="homomorphism"):
-        FiniteRep(group=g, images=(np.eye(2), np.diag([1.0, 1j])))
+def test_closure_rejects_non_unitary_generator():
     with pytest.raises(ValueError, match="unitary"):
-        FiniteRep(group=g, images=(np.eye(2), 2 * np.eye(2)))
+        group_closure([np.eye(2), 2 * np.eye(2)])
+    with pytest.raises(ValueError, match="unitary"):
+        group_closure([np.array([[1.0, 1.0], [0.0, 1.0]])])
 
 
 def test_su_basis_spans():
@@ -56,13 +66,13 @@ def test_su_basis_spans():
 
 
 def test_commutant_trivial_rep():
-    rep = trivial_rep(cyclic_group(3), 2)
+    rep = _trivial(2)
     assert commutant_dimension(rep) == 4
     assert len(adjoint_fixed_space(rep)) == 3
 
 
 def test_commutant_quaternion_irrep():
-    rep = quaternion_su2_rep()
+    rep = _quaternion()
     assert commutant_dimension(rep) == 1
     assert len(adjoint_fixed_space(rep)) == 0
 
@@ -80,28 +90,26 @@ def test_cyclic_su2_fixed_direction():
     b = fixed[0]
     # the fixed direction is the traceless diagonal
     assert abs(b[0, 1]) <= 1e-9 and abs(b[1, 0]) <= 1e-9
-    for m in rep.images:
+    for m in rep.elements:
         assert np.linalg.norm(m @ b @ m.conj().T - b) <= 1e-9
 
 
 def test_fixed_space_zero_iff_commutant_scalar():
     reps = [
-        quaternion_su2_rep(),
+        _quaternion(),
         cyclic_su2_rep(6),
-        trivial_rep(cyclic_group(2), 3),
-        alt5_rotation_rep(),
+        _trivial(3),
+        icosahedral_rotation_group(),
     ]
     for rep in reps:
         assert (len(adjoint_fixed_space(rep)) == 0) == (commutant_dimension(rep) == 1)
 
 
 def test_character_formula_matches_svd_oracle():
-    from freecomm.catalog import rep_catalog
-
-    bundled = [rep for rep, _ in rep_catalog().values()]
-    bundled += [trivial_rep(cyclic_group(3), 2), trivial_rep(cyclic_group(2), 3), _c3_direct_sum()]
-    sums = [_direct_sum(rep, rep) for rep in bundled]
-    sums += [_direct_sum(rep, trivial_rep(rep.group, 1)) for rep in bundled]
+    bundled = [_closed(list(gens)) for gens in unitary_group_catalog().values()]
+    bundled += [icosahedral_rotation_group(), cyclic_su2_rep(8)]
+    bundled += [_trivial(2), _trivial(3), _c3_direct_sum()]
+    sums = [s for rep in bundled for s in _block_sums(rep)]
     for rep in bundled + sums:
         verdict = least_dimension_criterion(rep, [1])
         assert verdict.commutant_dim == commutant_dimension(rep) == svd_commutant_dimension(rep)
@@ -109,9 +117,9 @@ def test_character_formula_matches_svd_oracle():
 
 
 def test_least_dimension_alt5():
-    rep = alt5_rotation_rep()
-    assert rep.group.order == 60
-    assert rep.unit_determinant
+    rep = icosahedral_rotation_group()
+    assert rep.order == 60
+    assert all(abs(np.linalg.det(m) - 1.0) <= 1e-8 for m in rep.elements)
     verdict = least_dimension_criterion(rep, [3, 3, 4, 5])
     assert verdict.irreducible
     assert verdict.commutant_dim == 1
@@ -121,7 +129,7 @@ def test_least_dimension_alt5():
 
 
 def test_least_dimension_quaternion_fails_dim_test():
-    verdict = least_dimension_criterion(quaternion_su2_rep(), [1, 1, 1, 2])
+    verdict = least_dimension_criterion(_quaternion(), [1, 1, 1, 2])
     assert verdict.irreducible
     assert not verdict.least_dimension  # a 1-dim nontrivial irrep exists
     assert not verdict.guarantee
@@ -133,13 +141,21 @@ def test_least_dimension_reducible_fails():
     assert not verdict.guarantee
 
 
+def test_cyclic_su2_rep_closes_up_to_the_near_identity_band():
+    assert cyclic_su2_rep(628).order == 628
+    with pytest.raises(ValueError, match="near_identity"):
+        cyclic_su2_rep(629)
+    with pytest.raises(ValueError):
+        cyclic_su2_rep(1)
+
+
 def test_least_dimension_empty_dims_rejected():
     with pytest.raises(ValueError):
         least_dimension_criterion(cyclic_su2_rep(4), [])
 
 
 def test_least_dimension_monotone_in_dims():
-    rep = alt5_rotation_rep()
+    rep = icosahedral_rotation_group()
     base = least_dimension_criterion(rep, [3, 3, 4, 5])
     raised = least_dimension_criterion(rep, [5, 7, 9])
     assert base.guarantee
@@ -164,11 +180,21 @@ def test_dihedral_chain_strictly_decreasing():
 
 
 def test_dihedral_matches_closure_oracle():
-    elements = dihedral_so3(6)
-    gens = [elements[1].astype(complex), elements[6].astype(complex)]
+    gens = [g.astype(complex) for g in dihedral_generators(6)]
     mg = group_closure(gens, cap=100)
     assert isinstance(mg, MatrixGroup)
-    assert mg.order == 12
+    assert mg.order == len(naive_closure(gens)) == 12
+
+
+def test_dihedral_row_detects_a_missing_subgroup():
+    assert _dihedral_row(12, dihedral_generators(6)).contains_previous
+    row = _dihedral_row(9, dihedral_generators(6))  # D6 is not inside D9
+    assert row.product_closed and row.order == 18
+    assert not row.contains_previous
+    # from m = 629 on the rotation is the near-identity witness of the closure
+    row = _dihedral_row(629, None)
+    assert not row.product_closed and not row.contains_previous
+    assert row.min_nonzero_ell == pytest.approx(2 * math.sin(math.pi / 629), abs=1e-12)
 
 
 def test_dihedral_validation():
@@ -179,7 +205,7 @@ def test_dihedral_validation():
 
 
 def test_verdict_json_dict():
-    verdict = least_dimension_criterion(alt5_rotation_rep(), [3, 3, 4, 5])
+    verdict = least_dimension_criterion(icosahedral_rotation_group(), [3, 3, 4, 5])
     doc = verdict.to_json_dict()
     assert doc == {
         "irreducible": True,
