@@ -494,11 +494,12 @@ def find_small_element(alpha: float, epsilon: float) -> SmallElement:
 
     Requires alpha > 3/4, i.e. ell(u) < 1/sqrt(2).  The gap 1 - tau_n then
     shrinks by a factor of at most 2 (1 - alpha^2) < 7/8 per row and reads
-    0 within a few thousand rows, so the search always ends.  Lengths below
-    ~2.1e-154 read 0, so an epsilon below that finds the first such row.
+    0 within a few thousand rows, so the search always ends.  Lengths are
+    accurate down to sqrt(2 * sys.float_info.min) ~ 2.1e-154 and read 0
+    below it, so epsilon must lie above it.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > math.sqrt(2.0 * sys.float_info.min):
+        raise ValueError("epsilon must exceed sqrt(2 * sys.float_info.min) ~ 2.1e-154")
     if not alpha > 0.75:
         raise ValueError("need alpha > 3/4 so that ell(u) < 1/sqrt(2)")
     for step in iter_exact_steps(alpha):

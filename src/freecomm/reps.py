@@ -83,8 +83,8 @@ def least_dimension_criterion(
 # -- concrete representations ---------------------------------------------------
 
 
-def _closed(generators, cap: int = 10_000) -> MatrixGroup:
-    closed = group_closure(generators, cap=cap)
+def _closed(generators) -> MatrixGroup:
+    closed = group_closure(generators)
     if not isinstance(closed, MatrixGroup):
         raise ValueError(f"generators do not close to a finite group ({closed.reason})")
     return closed
@@ -93,8 +93,8 @@ def _closed(generators, cap: int = 10_000) -> MatrixGroup:
 def cyclic_su2_rep(m: int) -> MatrixGroup:
     """Z/m inside SU(2), closed from diag(e^{2 pi i/m}, e^{-2 pi i/m}).
 
-    From m = 629 on the generator lies within ``group_closure``'s
-    near-identity band, and ValueError is raised.
+    Requires 2 <= m <= 628: from m = 629 on the generator lies within
+    ``group_closure``'s near-identity band, and ValueError is raised.
     """
     if m < 2:
         raise ValueError("order must be >= 2")
@@ -117,7 +117,7 @@ def icosahedral_rotation_group() -> MatrixGroup:
     vertex_axis = np.array([0.0, 1.0, phi])
     five_fold = rotation_matrix(vertex_axis, 2.0 * math.pi / 5.0)
     two_fold = np.diag([-1.0, -1.0, 1.0])  # edge-midpoint axis (0, 0, 1)
-    return _closed([five_fold, two_fold], cap=200)
+    return _closed([five_fold, two_fold])
 
 
 # -- dihedral chain ---------------------------------------------------------------
@@ -154,21 +154,17 @@ class DihedralChainReport:
 def _dihedral_row(m: int, previous: list[np.ndarray] | None) -> DihedralChainRow:
     """Close the order-2m dihedral generators, and (unless ``previous`` is
     None) those together with ``previous``: the earlier group lies inside
-    exactly when the joint closure stays at this row's order.
-
-    Above m ~ 628 the rotation itself falls inside the near-identity band;
-    the row then reports the ``NonClosure`` witness, which is that rotation.
+    exactly when the joint closure adds no element.  ValueError from
+    m = 629 on, where the rotation falls in the near-identity band.
     """
     gens = dihedral_generators(m)
-    closed = group_closure(gens, cap=2 * m)
-    if not isinstance(closed, MatrixGroup):
-        return DihedralChainRow(closed.elements_found, closed.ell, False, False)
-    joint = closed if previous is None else group_closure(gens + previous, cap=2 * m)
+    closed = _closed(gens)
+    joint = closed if previous is None else group_closure(gens + previous, cap=closed.order)
     return DihedralChainRow(
         order=closed.order,
         min_nonzero_ell=min(l for l in closed.element_ells() if l > 0),
         product_closed=closed.order == 2 * m,
-        contains_previous=isinstance(joint, MatrixGroup) and joint.order == closed.order,
+        contains_previous=isinstance(joint, MatrixGroup),
     )
 
 
@@ -178,7 +174,9 @@ def dihedral_chain_demo(axis_order: int, doublings: int) -> DihedralChainReport:
     ascending chain that is not uniformly discrete.
 
     Every row is a ``group_closure`` of two generators; orders, inclusions
-    and lengths are measured on the closed groups, not assumed.
+    and lengths are measured on the closed groups, not assumed.  The last
+    row's m = axis_order * 2^doublings must be at most 628 (see
+    ``cyclic_su2_rep``); a longer chain raises ValueError.
     """
     if axis_order < 3:
         raise ValueError("axis order must be >= 3")

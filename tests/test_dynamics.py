@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -197,18 +198,22 @@ def test_long_curve_within_bounds_and_accurate():
     # recursion rows take ell from the gap 1 - tau, which keeps its relative
     # accuracy after tau has rounded to 1: no slack on the bound chain, and
     # every nonzero length agrees with the gap recursion run in 60-digit
-    # decimals (a gap below the least normal float reads 0).  Both bounds
+    # decimals.  A gap below the least normal float reads 0; above alpha
+    # ~0.93 (here 0.95, from n = 433) such a row can sit under a positive
+    # lower bound, which is then below the accurate range too.  Both bounds
     # agree with their 60-digit values wherever those lie in the float range.
+    accurate = math.sqrt(2 * sys.float_info.min)
     with localcontext() as ctx:
         ctx.prec = 60
         r = Decimal(2).sqrt()
-        for alpha in (0.75, 0.85, 0.9, -0.42):
+        for alpha in (0.75, 0.85, 0.9, 0.95, -0.42):
             a = Decimal(alpha)
             gap = 1 - a
             ell_u, ell_bar_u = (2 - 2 * a).sqrt(), (2 - 2 * abs(a)).sqrt()
             lower, upper = ell_bar_u, ell_u
             for s in decay_curve_exact(alpha, 2100).steps:
-                assert s.lower <= s.ell <= s.upper, (alpha, s.n)
+                assert s.ell <= s.upper and s.in_bounds, (alpha, s.n)
+                assert s.lower <= s.ell or (s.ell == 0 and s.lower < accurate), (alpha, s.n)
                 exact = (2 * gap).sqrt()
                 if exact > Decimal("1e-150") or s.ell:
                     assert _close(s.ell, exact, Decimal("1e-12")), (alpha, s.n)
@@ -222,9 +227,13 @@ def test_long_curve_within_bounds_and_accurate():
 def test_find_small_element_always_ends():
     # n = 57 has a word of 3 * 2^57 - 4 syllables, which is never built here
     assert find_small_element(0.9, 1e-12).n == 57
-    # the gap leaves the normal floats at n = 1201 and reads 0 from there
-    res = find_small_element(0.85, 1e-200)
-    assert res.n == 1201 and res.ell == 0.0
+    # the least accepted epsilon: the first row whose gap leaves the normal
+    # floats (true length 1.9e-154 at n = 1201, 2.6e-154 at n = 1200)
+    least = math.nextafter(math.sqrt(2 * sys.float_info.min), 1.0)
+    assert find_small_element(0.85, least).n == 1201
+    # below the accurate range every later row would read 0 alike
+    with pytest.raises(ValueError):
+        find_small_element(0.85, 1e-200)
 
 
 def test_find_small_element_easy_cases():

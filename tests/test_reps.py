@@ -191,10 +191,10 @@ def test_dihedral_row_detects_a_missing_subgroup():
     row = _dihedral_row(9, dihedral_generators(6))  # D6 is not inside D9
     assert row.product_closed and row.order == 18
     assert not row.contains_previous
-    # from m = 629 on the rotation is the near-identity witness of the closure
-    row = _dihedral_row(629, None)
-    assert not row.product_closed and not row.contains_previous
-    assert row.min_nonzero_ell == pytest.approx(2 * math.sin(math.pi / 629), abs=1e-12)
+    # from m = 629 on the rotation falls in the near-identity band
+    assert _dihedral_row(628, None).order == 1256
+    with pytest.raises(ValueError):
+        _dihedral_row(629, None)
 
 
 def test_dihedral_validation():
