@@ -42,6 +42,7 @@ from .dynamics import (
 )
 from .groups import FiniteGroup, cyclic_group, load_finite_group, quaternion_group, symmetric_group
 from .matrices import (
+    Reflection,
     UnitaryMatrix,
     corner_haar,
     freeness_report,
@@ -79,6 +80,7 @@ __all__ = [
     "MatrixGroup",
     "MixedWord",
     "NonClosure",
+    "Reflection",
     "SupportCapExceeded",
     "UnitaryMatrix",
     "Z",

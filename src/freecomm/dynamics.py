@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import ell_bar_from_trace, ell_from_trace, involution_haar_ambient
-from .matrices import as_array, normalized_trace, two_norm_dist
+from .matrices import Reflection, as_array, thin_r
 from .words import FreeWord, w_sequence
 
 #: slack for the exact-model bound chain
@@ -419,37 +419,73 @@ def decay_curve_exact(alpha: float, n_max: int, slack: float = EXACT_SLACK) -> D
     )
 
 
-def _matrix_lengths(w: np.ndarray, tau: complex) -> tuple[float, float]:
-    """ell and ell_bar measured on the matrix: the 2-norm distances to 1
-    and to the nearest unit scalar tau/|tau|.  Unlike sqrt(2 - 2 Re tau)
-    they do not cancel when tau is close to 1."""
-    eye = np.eye(w.shape[0])
+def _factor(u) -> tuple[int, np.ndarray, np.ndarray]:
+    """(sign, B, M) with u = sign (I + B M B*): a ``Reflection`` as
+    B = Q, M = -2 I; any other unitary as B = I, M = u - I."""
+    if isinstance(u, Reflection):
+        return u.sign, u.basis, -2.0 * np.eye(u.basis.shape[1])
+    a = as_array(u)
+    eye = np.eye(a.shape[0])
+    return 1, eye, a - eye
+
+
+def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, float, float]:
+    """Trace, ell and ell_bar of w = sign (I + B M B*), read off a thin QR.
+
+    With B = Q R and S = R M R*, w = sign (I + Q S Q*), so tau = sign (1 +
+    tr S / N), and the 2-norm distance of w to a unit scalar c is that of
+    (1 - sign c) I_r + S plus (N - r) |1 - sign c|^2 from the complement
+    of Q.  S is small wherever w is near a scalar, so neither length
+    cancels as tau nears 1.
+    """
+    dim = b.shape[0]
+    r = thin_r(b)
+    # S from the Hermitian and skew-Hermitian parts of M: each part has a
+    # real trace, so a Hermitian w (a reflection) gets an exactly real tau
+    herm = r @ ((m + m.conj().T) / 2) @ r.conj().T
+    skew = r @ ((m - m.conj().T) / 2j) @ r.conj().T
+    s = herm + 1j * skew
+    rank = s.shape[0]
+    tau = sign * (1.0 + complex(np.trace(herm).real, np.trace(skew).real) / dim)
     phase = tau / abs(tau) if tau else 1.0
-    return two_norm_dist(w, eye), two_norm_dist(w, phase * eye)
+
+    def dist(c: complex) -> float:
+        d = 1.0 - sign * c
+        x = s + d * np.eye(rank)
+        sq = float((x.real**2 + x.imag**2).sum()) + (dim - rank) * abs(d) ** 2
+        return math.sqrt(sq / dim)
+
+    return tau, dist(1.0), dist(phase)
 
 
 def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayReport:
     """Numerical decay curve at finite dimension.
 
-    The conjugates V^n U V^-n are tracked incrementally; bounds only hold
-    up to the freeness error of the model, hence the wide slack envelope.
+    Every word is carried as w_n = I + B M B*, B of size N x r.  With
+    P_n = v^n B_u and A = w_n P_n, the next word is
+    w_{n+1} = (w_n c_n w_n*) c_n* = I + [A P_n] M' [A P_n]*, where
+    M' = [[M_u, M_u (A* P_n) M_u*], [0, M_u*]].  A ``Reflection`` enters
+    as B = Q, M = -2 I, so r stays 2k and a row costs O(N^2 k); any
+    other unitary enters as B = I.  The reflection's sign matters for
+    row 1 only: each commutator holds c_n once and c_n* once.  Bounds
+    only hold up to the freeness error of the model, hence the wide
+    slack envelope.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    a, b = as_array(u), as_array(v)
-    if a.shape != b.shape:
+    sign, b_u, m_u = _factor(u)
+    vb = as_array(v)
+    if b_u.shape[0] != vb.shape[0]:
         raise ValueError("dimension mismatch")
-    dim = a.shape[0]
-    tau_u = normalized_trace(a)
-    ell_u, ell_bar_u = _matrix_lengths(a, tau_u)
+    tau_u, ell_u, ell_bar_u = _factor_lengths(sign, b_u, m_u)
+    m_u_star = m_u.conj().T
+    zero = np.zeros_like(m_u)
 
     steps = []
-    current = a
-    p = np.eye(dim, dtype=complex)
+    b, m, p = b_u, m_u, b_u
+    tau, ell_n, ell_bar_n = tau_u, ell_u, ell_bar_u
     for n, (tau_rec, _) in zip(range(1, n_max + 1), _recursion_traces(tau_u.real)):
-        tau = normalized_trace(current)
         lower, upper = _bounds(n, ell_u, ell_bar_u)
-        ell_n, ell_bar_n = _matrix_lengths(current, tau)
         steps.append(
             DecayStep(
                 n=n,
@@ -464,12 +500,14 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
             )
         )
         if n < n_max:
-            p = p @ b
-            c = p @ a @ p.conj().T
-            current = current @ c @ current.conj().T @ c.conj().T
+            p = vb @ p
+            a = p + b @ (m @ (b.conj().T @ p))
+            b = np.hstack([a, p])
+            m = np.block([[m_u, m_u @ (a.conj().T @ p) @ m_u_star], [zero, m_u_star]])
+            tau, ell_n, ell_bar_n = _factor_lengths(1, b, m)
     return DecayReport(
         model="matrix",
-        descriptor={"dim": dim, "tau_u": [tau_u.real, tau_u.imag]},
+        descriptor={"dim": b_u.shape[0], "tau_u": [tau_u.real, tau_u.imag]},
         slack=slack,
         ell_u=ell_u,
         ell_bar_u=ell_bar_u,

@@ -34,7 +34,9 @@ def make_rng(seed: int | np.random.SeedSequence, *path: int) -> np.random.Genera
 
 
 def as_array(u) -> np.ndarray:
-    return u.array if isinstance(u, UnitaryMatrix) else np.asarray(u, dtype=complex)
+    if isinstance(u, (UnitaryMatrix, Reflection)):
+        return u.array
+    return np.asarray(u, dtype=complex)
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -65,9 +67,10 @@ def two_norm_dist(a, b) -> float:
 
 def unitarity_defect(u) -> float:
     """Upper bound on ||U*U - I||_op (Frobenius shortcut, exact op norm only
-    when the cheap bound is not already conclusive)."""
+    when the cheap bound is not already conclusive).  For a tall U this is
+    the defect of its columns from an orthonormal frame."""
     a = as_array(u)
-    e = a.conj().T @ a - np.eye(a.shape[0])
+    e = a.conj().T @ a - np.eye(a.shape[1])
     fro = float(np.linalg.norm(e))
     if fro <= UNITARY_OP_TOL:
         return fro
@@ -99,34 +102,66 @@ class UnitaryMatrix:
         return normalized_trace(self.array)
 
 
-def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
-    """Householder QR of z with the triangular factor's diagonal phases
-    divided out, so the result follows the exact Haar law.
+@dataclass(frozen=True)
+class Reflection:
+    """The N x N unitary sign (I - 2 Q Q*), kept as its N x k factor Q.
 
-    Blocked compact-WY form (Schreiber & Van Loan 1989).  The columns are
-    factored in panels of ``_PANEL_WIDTH``.  Inside a panel, each reflector
-    H = I - tau v v* (v[0] carries the phase of the pivot, tau = 2/|v|^2)
-    is applied to the panel's own columns with fixed-order einsum kernels.
-    The panel's reflectors are then gathered as H_1 ... H_b = I - V T V*,
-    with T upper triangular (LAPACK ``larft``, forward and columnwise), and
-    the trailing columns get C -= V (T* (V* C)).  Q is formed by applying
-    the blocks to the identity in reverse, C -= V (T (V* C)).
-
-    The two block updates are complex GEMM, which carries almost all of the
-    O(N^3) work; everything else is einsum.  The result must be
-    bit-identical at every BLAS thread count.  LAPACK's own QR is not: its
-    bytes change between one thread and several.  Threaded GEMM splits the
-    output matrix, not the inner sums, across threads, so each entry is
-    summed in the same order at every thread count.
-    ``test_haar_bit_identical_across_thread_counts`` checks the bytes at 1,
-    2 and 4 BLAS threads for N = 2, 64, 200 and 1024, which covers a single
-    panel, many panels and a ragged last panel.
+    Q must have orthonormal columns: ||Q*Q - I||_op <= ``UNITARY_OP_TOL``
+    is checked on construction, a k x k check in place of the N x N one of
+    ``UnitaryMatrix``.  The spectrum is -sign on the span of Q and sign on
+    its complement; ``array`` forms the dense matrix on access.
     """
-    n = z.shape[0]
-    a = z.astype(complex).copy()
+
+    basis: np.ndarray
+    sign: int = 1
+
+    def __post_init__(self):
+        q = np.asarray(self.basis, dtype=complex)
+        if q.ndim != 2 or q.shape[0] < q.shape[1]:
+            raise ValueError("basis must be an N x k array with k <= N")
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be 1 or -1")
+        defect = unitarity_defect(q)
+        if defect > UNITARY_OP_TOL:
+            raise ValueError(f"basis is not orthonormal: defect {defect:.3e}")
+        q = q.copy()
+        q.flags.writeable = False
+        object.__setattr__(self, "basis", q)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def array(self) -> np.ndarray:
+        q = self.basis
+        return self.sign * (np.eye(self.dim) - 2.0 * (q @ q.conj().T))
+
+
+def _householder(a: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Blocked Householder QR of ``a`` in place; returns the panel blocks.
+
+    Compact-WY form (Schreiber & Van Loan 1989).  The first min(rows,
+    columns) columns are factored in panels of ``_PANEL_WIDTH``.  Inside a
+    panel, each reflector H = I - tau v v* (v[0] carries the phase of the
+    pivot, tau = 2/|v|^2) is applied to the panel's own columns with
+    fixed-order einsum kernels.  The panel's reflectors are then gathered as
+    H_1 ... H_b = I - V T V*, with T upper triangular (LAPACK ``larft``,
+    forward and columnwise), and the trailing columns get
+    C -= V (T* (V* C)).  On return the upper triangle of ``a`` holds R;
+    each block is (first column, V, T).
+
+    The block updates are complex GEMM; everything else is einsum.  The
+    bytes must not depend on the BLAS thread count.  LAPACK's own QR does
+    not have this property: its bytes change between one thread and
+    several.  Threaded GEMM splits the output matrix, not the inner sums,
+    across threads, so each entry is summed in the same order at every
+    thread count.
+    """
+    n, m = a.shape
     blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for k0 in range(0, n, _PANEL_WIDTH):
-        k1 = min(k0 + _PANEL_WIDTH, n)
+    for k0 in range(0, min(n, m), _PANEL_WIDTH):
+        k1 = min(k0 + _PANEL_WIDTH, n, m)
         b = k1 - k0
         v_blk = np.zeros((n - k0, b), dtype=complex)
         taus = np.zeros(b)
@@ -149,12 +184,39 @@ def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
         for j in range(b):
             t[j, j] = taus[j]
             t[:j, j] = -taus[j] * np.einsum("ij,j->i", t[:j, :j], gram[:j, j])
-        if k1 < n:
+        if k1 < m:
             c = a[k0:, k1:]
             c -= v_blk @ (t.conj().T @ (v_blk.conj().T @ c))
         blocks.append((k0, v_blk, t))
+    return blocks
+
+
+def thin_r(b: np.ndarray) -> np.ndarray:
+    """R of a thin QR factorization b = Q R: min(rows, columns) x columns,
+    upper triangular, from the thread-invariant kernel of ``_householder``."""
+    a = b.astype(complex)
+    _householder(a)
+    return np.triu(a[: min(a.shape)])
+
+
+def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the columns of z (N x k, k <= N), by
+    Householder QR with the triangular factor's diagonal phases divided
+    out, so the result follows the exact Haar law: a Haar unitary for
+    square z, a Haar-distributed N x k frame for tall z.
+
+    Q is formed by applying the blocks of ``_householder`` to the first k
+    columns of the identity in reverse, C -= V (T (V* C)).
+    ``test_haar_bit_identical_across_thread_counts`` checks the bytes at 1,
+    2 and 4 BLAS threads for N = 2, 64, 200 and 1024 and for the frames
+    1024 x 51 and 200 x 40, which covers a single panel, many panels and a
+    ragged last panel.
+    """
+    n, k = z.shape
+    a = z.astype(complex)
+    blocks = _householder(a)
     r_diag = np.diagonal(a).copy()
-    q = np.eye(n, dtype=complex)
+    q = np.eye(n, k, dtype=complex)
     for k0, v_blk, t in reversed(blocks):
         c = q[k0:, k0:]
         c -= v_blk @ (t @ (v_blk.conj().T @ c))
@@ -177,12 +239,14 @@ def sample_haar(n: int, seed: int | np.random.SeedSequence) -> UnitaryMatrix:
     return UnitaryMatrix(_orthonormalize_haar(z))
 
 
-def unitary_with_trace(alpha: float, n: int, seed) -> tuple[UnitaryMatrix, float]:
+def unitary_with_trace(alpha: float, n: int, seed) -> tuple[Reflection, float]:
     """Plus/minus-one spectrum realizing a target trace.
 
-    round(n (1 + alpha) / 2) eigenvalues are +1 and the rest -1, conjugated
-    by a Haar basis; the realized trace (multiplicity difference over n) is
-    returned exactly.
+    round(n (1 + alpha) / 2) eigenvalues are +1 and the rest -1, in a Haar
+    basis; the realized trace (multiplicity difference over n) is returned
+    exactly.  The unitary comes as ``Reflection(Q, sign)`` with Q spanning
+    the smaller eigenspace: the -1 eigenspace with sign 1, or the +1
+    eigenspace with sign -1 when that one is smaller.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -191,13 +255,13 @@ def unitary_with_trace(alpha: float, n: int, seed) -> tuple[UnitaryMatrix, float
     m_plus = int(round(n * (1.0 + alpha) / 2.0))
     m_plus = min(max(m_plus, 0), n)
     realized = (2 * m_plus - n) / n
-    diag = np.concatenate([np.ones(m_plus), -np.ones(n - m_plus)])
     if m_plus in (0, n):
-        u = np.diag(diag).astype(complex)
+        q = np.zeros((n, 0))
     else:
         q = sample_haar(n, seed).array
-        u = (q * diag[np.newaxis, :]) @ q.conj().T
-    return UnitaryMatrix(u), realized
+    if 2 * m_plus >= n:
+        return Reflection(q[:, m_plus:], 1), realized
+    return Reflection(q[:, :m_plus], -1), realized
 
 
 def corner_haar(t: float, n: int, seed: int) -> UnitaryMatrix:

@@ -293,3 +293,26 @@ def brute_force_mixed_scan(group, max_syllables, exp_bound):
         "identities": identities,
         "identity_found": bool(identities),
     }
+
+
+def dense_decay_curve(u, v, n_max):
+    """(trace, ell, ell_bar) of w_1 .. w_{n_max}(u, v) on dense N x N
+    matrices: the conjugates c_n = v^n u v^-n are tracked incrementally,
+    w_{n+1} = w_n c_n w_n* c_n* is formed in full, and the lengths are the
+    trace 2-norm distances to 1 and to the unit scalar tau / |tau|."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    dim = u.shape[0]
+    eye = np.eye(dim)
+    rows = []
+    w, p = u, eye
+    for n in range(1, n_max + 1):
+        tau = complex(np.trace(w)) / dim
+        phase = tau / abs(tau) if tau else 1.0
+        rows.append((tau.real,
+                     float(np.linalg.norm(w - eye) / math.sqrt(dim)),
+                     float(np.linalg.norm(w - phase * eye) / math.sqrt(dim))))
+        if n < n_max:
+            p = p @ v
+            c = p @ u @ p.conj().T
+            w = w @ c @ w.conj().T @ c.conj().T
+    return rows

@@ -206,6 +206,8 @@ _CLI_CASES = [
     ["dynamics", "--alpha", "0.75", "--n-max", "2100", "--format", "json"],
     ["dynamics", "--alpha", "0.9", "--model", "matrix", "--n", "256", "--seed", "7",
      "--n-max", "3", "--format", "json"],
+    ["dynamics", "--alpha=-0.9", "--model", "matrix", "--n", "256", "--seed", "7",
+     "--n-max", "3", "--format", "json"],
     ["freeness", "--n", "256", "--trials", "3", "--seed", str(MASTER_SEED)],
     ["mif", "--group-name", "sym3", "--depth", "2",
      "--word", "e . t^1 . (12) . t^1 . (12) . t^-1 . (12) . t^-1 . (12)"],

@@ -6,6 +6,9 @@ import pytest
 from freecomm.catalog import write_unitary_catalog
 from freecomm.cli import main
 from freecomm.groups import symmetric_group
+from freecomm.matrices import sample_haar, subseed, unitary_with_trace
+
+from oracles import dense_decay_curve
 
 
 def run_json(capsys, argv):
@@ -81,6 +84,26 @@ def test_dynamics_matrix_model(capsys):
     steps = doc["report"]["steps"]
     assert [s["source"] for s in steps] == ["matrix"] * 3
     assert doc["report"]["slack"] == 0.05
+
+
+@pytest.mark.parametrize("alpha, dim, width", [(0.9, 2, 0), (0.0, 64, 32)])
+def test_dynamics_matrix_edge_factors(capsys, alpha, dim, width):
+    # the empty factor (m_plus rounds to N, so u = I) and the widest one
+    # (k = N/2) run through the CLI and match the dense products
+    code, doc = run_json(capsys, [
+        "dynamics", "--model", "matrix", f"--alpha={alpha}", "--n", str(dim),
+        "--seed", "4", "--n-max", "4", "--format", "json",
+    ])
+    assert code == 0
+    u, _ = unitary_with_trace(alpha, dim, subseed(4, 0))
+    assert u.basis.shape == (dim, width)
+    rows = dense_decay_curve(u.array, sample_haar(dim, subseed(4, 1)).array, 4)
+    steps = doc["report"]["steps"]
+    assert len(steps) == 4
+    for step, (trace, ell, ell_bar) in zip(steps, rows):
+        assert step["trace"] == pytest.approx(trace, rel=1e-11, abs=1e-13)
+        assert step["ell"] == pytest.approx(ell, rel=1e-11, abs=1e-13)
+        assert step["ell_bar"] == pytest.approx(ell_bar, rel=1e-11, abs=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [0.9, 0.75, -0.42])

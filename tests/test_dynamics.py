@@ -31,10 +31,10 @@ from freecomm.dynamics import (
     trace_polynomials,
     trace_recursion,
 )
-from freecomm.matrices import sample_haar, subseed, unitary_with_trace
+from freecomm.matrices import Reflection, sample_haar, subseed, unitary_with_trace
 from freecomm.words import w_sequence
 
-from oracles import integer_recursion_polynomials, norm2, poly_element_at
+from oracles import dense_decay_curve, integer_recursion_polynomials, norm2, poly_element_at
 
 ALPHAS = (0.76, 0.8, 0.9, 0.95)
 #: the float engine and the polynomial route are compared here
@@ -296,9 +296,61 @@ def test_matrix_curve_tracks_exact_recursion():
         assert abs(step.ell - math.sqrt(2 - 2 * tau)) <= 0.05
 
 
+def _matrix_pair(alpha, n, seed):
+    u, _ = unitary_with_trace(alpha, n, subseed(seed, 0))
+    return u, sample_haar(n, subseed(seed, 1))
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.0, -0.9])
+@pytest.mark.parametrize("dim", [64, 256])
+def test_matrix_curve_matches_dense_oracle(alpha, dim):
+    # the factor route against full N x N products, for the -1 eigenspace
+    # (alpha > 0), the widest factor (k = N/2) and the +1 eigenspace with
+    # sign -1 (alpha < 0)
+    u, v = _matrix_pair(alpha, dim, 11)
+    report = decay_curve_matrix(u, v, 4)
+    rows = dense_decay_curve(u.array, v.array, 4)
+    assert len(report.steps) == len(rows) == 4
+    for step, (trace, ell, ell_bar) in zip(report.steps, rows):
+        assert abs(step.trace - trace) <= 1e-13
+        assert abs(step.ell - ell) <= 1e-13
+        assert abs(step.ell_bar - ell_bar) <= 1e-13
+
+
+def test_matrix_curve_long_run_keeps_relative_accuracy():
+    # ell falls to ~1e-3 by n = 12; the lengths of the factor route keep
+    # their relative accuracy against the dense products there
+    u, v = _matrix_pair(0.9, 256, 11)
+    report = decay_curve_matrix(u, v, 12)
+    rows = dense_decay_curve(u.array, v.array, 12)
+    assert rows[-1][1] < 1e-2
+    for step, (_, ell, _) in zip(report.steps, rows):
+        assert abs(step.ell - ell) <= 1e-12 * ell
+
+
+def test_matrix_curve_empty_factor_is_identity():
+    # m_plus rounds to N: u = I, every word is I
+    u, realized = unitary_with_trace(0.9, 2, subseed(3, 0))
+    assert realized == 1.0 and u.basis.shape == (2, 0)
+    report = decay_curve_matrix(u, sample_haar(2, subseed(3, 1)), 3)
+    assert [(s.trace, s.ell, s.ell_bar) for s in report.steps] == [(1.0, 0.0, 0.0)] * 3
+
+
+def test_matrix_curve_sign_drops_out_from_row_two():
+    # w_n(u, v) = w_n(-u, v) for n >= 2; row 1 sees the sign
+    u, v = _matrix_pair(0.5, 64, 12)
+    minus = Reflection(u.basis, -u.sign)
+    a, b = decay_curve_matrix(u, v, 4), decay_curve_matrix(minus, v, 4)
+    assert abs(a.steps[0].trace + b.steps[0].trace) <= 1e-15
+    for sa, sb in zip(a.steps[1:], b.steps[1:]):
+        assert (sa.trace, sa.ell, sa.ell_bar) == (sb.trace, sb.ell, sb.ell_bar)
+
+
 def test_matrix_curve_dimension_mismatch():
     with pytest.raises(ValueError):
         decay_curve_matrix(sample_haar(4, 0), sample_haar(8, 0), 2)
+    with pytest.raises(ValueError):
+        decay_curve_matrix(unitary_with_trace(0.5, 4, 0)[0], sample_haar(8, 0), 2)
 
 
 def test_reports_serialize_deterministically():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freecomm.matrices import (
+    Reflection,
     UnitaryMatrix,
     corner_haar,
     freeness_report,
@@ -107,11 +108,14 @@ def test_haar_entry_modulus_is_uniform():
 
 
 def test_unitary_with_trace_counting():
-    u, realized = unitary_with_trace(0.5, 4, 0)
-    assert realized == 0.5
-    eig = np.sort_complex(np.linalg.eigvals(u.array))
-    assert np.allclose(np.sort(eig.real), [-1, 1, 1, 1], atol=1e-9)
-    assert np.allclose(eig.imag, 0, atol=1e-9)
+    # the basis spans the smaller eigenspace: -1 with sign 1, +1 with sign -1
+    for alpha, spectrum, sign in ((0.5, [-1, 1, 1, 1], 1), (-0.5, [-1, -1, -1, 1], -1)):
+        u, realized = unitary_with_trace(alpha, 4, 0)
+        assert realized == alpha
+        assert (u.basis.shape, u.sign) == ((4, 1), sign)
+        eig = np.sort_complex(np.linalg.eigvals(u.array))
+        assert np.allclose(np.sort(eig.real), spectrum, atol=1e-9)
+        assert np.allclose(eig.imag, 0, atol=1e-9)
 
 
 def test_unitary_with_trace_alpha_one_is_identity():
@@ -184,6 +188,21 @@ def test_op_norm_rejects_nonsquare():
 def test_unitary_matrix_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryMatrix(np.ones((2, 2)))
+
+
+def test_reflection_rejects_non_orthonormal_basis():
+    # the k x k check on Q*Q that stands in for the N x N check of u
+    with pytest.raises(ValueError):
+        Reflection(np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        Reflection(np.eye(4)[:, :2] * (1.0 + 1e-8))
+    with pytest.raises(ValueError):
+        Reflection(np.eye(2, 3))
+    with pytest.raises(ValueError):
+        Reflection(np.eye(4)[:, :2], 2)
+    u = Reflection(np.eye(4)[:, :2], -1)
+    assert np.array_equal(u.array, np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert not u.basis.flags.writeable
 
 
 def test_freeness_report_identity_partner():
