@@ -113,7 +113,7 @@ class Reflection:
     """
 
     basis: np.ndarray
-    sign: int = 1
+    sign: int
 
     def __post_init__(self):
         q = np.asarray(self.basis, dtype=complex)
@@ -129,20 +129,17 @@ class Reflection:
         object.__setattr__(self, "basis", q)
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
     def array(self) -> np.ndarray:
         q = self.basis
-        return self.sign * (np.eye(self.dim) - 2.0 * (q @ q.conj().T))
+        return self.sign * (np.eye(q.shape[0]) - 2.0 * (q @ q.conj().T))
 
 
 def _householder(a: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Blocked Householder QR of ``a`` in place; returns the panel blocks.
+    """Blocked Householder QR of an N x m array ``a`` (m <= N) in place;
+    returns the panel blocks.
 
-    Compact-WY form (Schreiber & Van Loan 1989).  The first min(rows,
-    columns) columns are factored in panels of ``_PANEL_WIDTH``.  Inside a
+    Compact-WY form (Schreiber & Van Loan 1989).  The columns are factored
+    in panels of ``_PANEL_WIDTH``.  Inside a
     panel, each reflector H = I - tau v v* (v[0] carries the phase of the
     pivot, tau = 2/|v|^2) is applied to the panel's own columns with
     fixed-order einsum kernels.  The panel's reflectors are then gathered as
@@ -160,8 +157,8 @@ def _householder(a: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """
     n, m = a.shape
     blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for k0 in range(0, min(n, m), _PANEL_WIDTH):
-        k1 = min(k0 + _PANEL_WIDTH, n, m)
+    for k0 in range(0, m, _PANEL_WIDTH):
+        k1 = min(k0 + _PANEL_WIDTH, m)
         b = k1 - k0
         v_blk = np.zeros((n - k0, b), dtype=complex)
         taus = np.zeros(b)
@@ -192,11 +189,11 @@ def _householder(a: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
 
 
 def thin_r(b: np.ndarray) -> np.ndarray:
-    """R of a thin QR factorization b = Q R: min(rows, columns) x columns,
-    upper triangular, from the thread-invariant kernel of ``_householder``."""
+    """The k x k upper triangular R of a thin QR b = Q R of an N x k array
+    (k <= N), from the thread-invariant kernel of ``_householder``."""
     a = b.astype(complex)
     _householder(a)
-    return np.triu(a[: min(a.shape)])
+    return np.triu(a[: a.shape[1]])
 
 
 def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
@@ -225,6 +222,14 @@ def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
     return q * phases[np.newaxis, :]
 
 
+def _haar_frame(n: int, k: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """N x k orthonormal frame with the law of the first k columns of a
+    Haar unitary: an i.i.d. complex-Gaussian N x k matrix, orthonormalized."""
+    rng = make_rng(seed)
+    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
+    return _orthonormalize_haar(z)
+
+
 def sample_haar(n: int, seed: int | np.random.SeedSequence) -> UnitaryMatrix:
     """Haar-distributed unitary, deterministic for a fixed (n, seed).
 
@@ -234,9 +239,7 @@ def sample_haar(n: int, seed: int | np.random.SeedSequence) -> UnitaryMatrix:
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    rng = make_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    return UnitaryMatrix(_orthonormalize_haar(z))
+    return UnitaryMatrix(_haar_frame(n, n, seed))
 
 
 def unitary_with_trace(alpha: float, n: int, seed) -> tuple[Reflection, float]:
@@ -244,9 +247,10 @@ def unitary_with_trace(alpha: float, n: int, seed) -> tuple[Reflection, float]:
 
     round(n (1 + alpha) / 2) eigenvalues are +1 and the rest -1, in a Haar
     basis; the realized trace (multiplicity difference over n) is returned
-    exactly.  The unitary comes as ``Reflection(Q, sign)`` with Q spanning
-    the smaller eigenspace: the -1 eigenspace with sign 1, or the +1
-    eigenspace with sign -1 when that one is smaller.
+    exactly.  The unitary comes as ``Reflection(Q, sign)`` with Q a Haar
+    frame of the smaller eigenspace: the -1 eigenspace with sign 1, or the
+    +1 eigenspace with sign -1 when that one is smaller.  Only Q is drawn,
+    at O(N k^2) cost.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -255,13 +259,9 @@ def unitary_with_trace(alpha: float, n: int, seed) -> tuple[Reflection, float]:
     m_plus = int(round(n * (1.0 + alpha) / 2.0))
     m_plus = min(max(m_plus, 0), n)
     realized = (2 * m_plus - n) / n
-    if m_plus in (0, n):
-        q = np.zeros((n, 0))
-    else:
-        q = sample_haar(n, seed).array
-    if 2 * m_plus >= n:
-        return Reflection(q[:, m_plus:], 1), realized
-    return Reflection(q[:, :m_plus], -1), realized
+    sign = 1 if 2 * m_plus >= n else -1
+    k = n - m_plus if sign == 1 else m_plus
+    return Reflection(_haar_frame(n, k, seed), sign), realized
 
 
 def corner_haar(t: float, n: int, seed: int) -> UnitaryMatrix:

@@ -329,11 +329,15 @@ def test_matrix_curve_long_run_keeps_relative_accuracy():
 
 
 def test_matrix_curve_empty_factor_is_identity():
-    # m_plus rounds to N: u = I, every word is I
-    u, realized = unitary_with_trace(0.9, 2, subseed(3, 0))
-    assert realized == 1.0 and u.basis.shape == (2, 0)
-    report = decay_curve_matrix(u, sample_haar(2, subseed(3, 1)), 3)
-    assert [(s.trace, s.ell, s.ell_bar) for s in report.steps] == [(1.0, 0.0, 0.0)] * 3
+    # m_plus rounds to N (u = I) or to 0 (u = -I): every word from n = 2
+    # on is I
+    v = sample_haar(2, subseed(3, 1))
+    for alpha, row_one in ((0.9, (1.0, 0.0, 0.0)), (-0.9, (-1.0, 2.0, 0.0))):
+        u, realized = unitary_with_trace(alpha, 2, subseed(3, 0))
+        assert realized == row_one[0] and u.basis.shape == (2, 0)
+        report = decay_curve_matrix(u, v, 3)
+        rows = [(s.trace, s.ell, s.ell_bar) for s in report.steps]
+        assert rows == [row_one] + [(1.0, 0.0, 0.0)] * 2
 
 
 def test_matrix_curve_sign_drops_out_from_row_two():

@@ -37,7 +37,7 @@ def test_haar_determinism():
 def test_haar_bit_identical_across_thread_counts():
     # the blocked sampler uses BLAS only for GEMM, whose bytes do not
     # depend on the thread count; sizes cover one panel, several panels
-    # and a ragged last panel
+    # and a ragged last panel, for square unitaries and tall frames
     import hashlib
     import os
     import subprocess
@@ -45,10 +45,12 @@ def test_haar_bit_identical_across_thread_counts():
 
     script = (
         "import hashlib\n"
-        "from freecomm.matrices import sample_haar\n"
+        "from freecomm.matrices import _haar_frame, sample_haar\n"
         "h = hashlib.sha256()\n"
         "for n in (2, 64, 200, 1024):\n"
         "    h.update(sample_haar(n, 12345).array.tobytes())\n"
+        "for n, k in ((1024, 51), (200, 40)):\n"
+        "    h.update(_haar_frame(n, k, 12345).tobytes())\n"
         "print(h.hexdigest())\n"
     )
     digests = set()
@@ -67,18 +69,21 @@ def test_haar_bit_identical_across_thread_counts():
 
 def test_orthonormalization_matches_lapack_span():
     # same Q R = Z factorization as LAPACK up to column phases, within one
-    # panel (40) and across panels with a ragged last one (130)
+    # panel (40) and across panels with a ragged last one (130), and for a
+    # tall 130 x 45 input (thin Q)
     from freecomm.matrices import _orthonormalize_haar, make_rng
 
-    for n in (40, 130):
+    for n, k in ((40, 40), (130, 130), (130, 45)):
         rng = make_rng(77, n)
-        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
         u = _orthonormalize_haar(z)
         q, r = np.linalg.qr(z)
         u_ref = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[np.newaxis, :]
+        assert u.shape == (n, k)
         assert np.allclose(u, u_ref, atol=1e-10)
-        # and the result is a unitary with R' = U* Z upper triangular,
-        # positive diagonal
+        # and the result has orthonormal columns with R' = U* Z upper
+        # triangular, positive diagonal
+        assert np.allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
         r_prime = u.conj().T @ z
         assert np.allclose(np.tril(r_prime, -1), 0, atol=1e-10)
         assert np.all(np.diagonal(r_prime).real > 0)
@@ -100,10 +105,15 @@ def test_haar_trace_fluctuation():
 
 
 def test_haar_entry_modulus_is_uniform():
-    # at N=2, |U_00|^2 follows the uniform law on [0, 1]
+    # at N=2, |U_00|^2 follows the uniform law on [0, 1], for a full draw
+    # and for a 2 x 1 frame
+    from freecomm.matrices import _haar_frame
+
     samples = [
         abs(sample_haar(2, subseed(5150, k)).array[0, 0]) ** 2 for k in range(10_000)
     ]
+    assert ks_uniform(samples) <= 0.05
+    samples = [abs(_haar_frame(2, 1, subseed(5151, k))[0, 0]) ** 2 for k in range(10_000)]
     assert ks_uniform(samples) <= 0.05
 
 
@@ -193,11 +203,11 @@ def test_unitary_matrix_rejects_non_unitary():
 def test_reflection_rejects_non_orthonormal_basis():
     # the k x k check on Q*Q that stands in for the N x N check of u
     with pytest.raises(ValueError):
-        Reflection(np.ones((4, 2)))
+        Reflection(np.ones((4, 2)), 1)
     with pytest.raises(ValueError):
-        Reflection(np.eye(4)[:, :2] * (1.0 + 1e-8))
+        Reflection(np.eye(4)[:, :2] * (1.0 + 1e-8), 1)
     with pytest.raises(ValueError):
-        Reflection(np.eye(2, 3))
+        Reflection(np.eye(2, 3), 1)
     with pytest.raises(ValueError):
         Reflection(np.eye(4)[:, :2], 2)
     u = Reflection(np.eye(4)[:, :2], -1)
