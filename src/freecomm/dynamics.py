@@ -23,9 +23,9 @@ The matrix route (``decay_curve_matrix``, ``source="matrix"``) checks the
 same curve at finite N.  u = sign (I - 2 Q Q*) comes as a ``Reflection``
 with Q the N x k basis of its smaller eigenspace, so every w_n - I has
 rank at most 2k and is carried as a factor B M B*, B of size N x 2k: a
-row costs O(N^2 k), not N^3.  Trace, ell and ell_bar are read off a thin
-QR of B.  The dense N x N loop it replaces is kept in the tests as the
-reference.
+row costs O(N^2 k), not N^3.  Trace, ell and ell_bar are read off
+w_n - I = B M B*, multiplied out.  The dense N x N loop it replaces is
+kept in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import ell_bar_from_trace, ell_from_trace, involution_haar_ambient
-from .matrices import Reflection, as_array, thin_r
+from .matrices import Reflection, as_array
 from .words import FreeWord, w_sequence
 
 #: slack for the exact-model bound chain
@@ -438,20 +438,15 @@ def _factor(u) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, float, float]:
-    """Trace, ell and ell_bar of w = sign (I + B M B*), read off a thin QR.
+    """Trace, ell and ell_bar of w = sign (I + S), S = B M B*.
 
-    With B = Q R and S = R M R*, w = sign (I + Q S Q*), so tau = sign (1 +
-    tr S / N), and the 2-norm distance of w to a unit scalar c is that of
-    (1 - sign c) I_r + S plus (N - r) |1 - sign c|^2 from the complement
-    of Q.  (1 - sign c) I_r + S is small wherever w is near c, so neither
-    length cancels as tau nears 1.  A factor wider than N/4 is taken as its own
-    R, with Q = I: then the N x N product S = B M B* costs less than the
-    QR (measured at N = 512 and 1024) and is as accurate.
+    tau = sign (1 + tr S / N), and the 2-norm distance of w to a unit
+    scalar c is ||(1 - sign c) I + S||_F / sqrt(N).  S is formed from the
+    factor in O(N^2 r), and (1 - sign c) I + S is small wherever w is near
+    c, so neither length cancels as tau nears 1.
     """
     dim = b.shape[0]
-    r = b if 4 * b.shape[1] > dim else thin_r(b)
-    s = r @ m @ r.conj().T
-    rank = s.shape[0]
+    s = b @ m @ b.conj().T
     trace = complex(np.trace(s))
     if np.array_equal(m, m.conj().T):  # w is Hermitian: its trace is real
         trace = trace.real
@@ -459,10 +454,8 @@ def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, f
     phase = tau / abs(tau) if tau else 1.0
 
     def dist(c: complex) -> float:
-        d = 1.0 - sign * c
-        x = s + d * np.eye(rank)
-        sq = float((x.real**2 + x.imag**2).sum()) + (dim - rank) * abs(d) ** 2
-        return math.sqrt(sq / dim)
+        x = s + (1.0 - sign * c) * np.eye(dim)
+        return math.sqrt(float((x.real**2 + x.imag**2).sum()) / dim)
 
     return tau, dist(1.0), dist(phase)
 

@@ -106,9 +106,10 @@ class UnitaryMatrix:
 class Reflection:
     """The N x N unitary sign (I - 2 Q Q*), kept as its N x k factor Q.
 
-    Q must have orthonormal columns: ||Q*Q - I||_op <= ``UNITARY_OP_TOL``
-    is checked on construction, a k x k check in place of the N x N one of
-    ``UnitaryMatrix``.  The spectrum is -sign on the span of Q and sign on
+    Q must have orthonormal columns.  u*u - I = 4 Q (Q*Q - I) Q* has
+    operator norm at most 4 d (1 + d), d = ||Q*Q - I||_op, and that bound
+    is held to ``UNITARY_OP_TOL`` on construction: a k x k check that
+    gives the bound of the N x N one of ``UnitaryMatrix``.  The spectrum is -sign on the span of Q and sign on
     its complement; ``array`` forms the dense matrix on access.
     """
 
@@ -122,7 +123,7 @@ class Reflection:
         if self.sign not in (1, -1):
             raise ValueError("sign must be 1 or -1")
         defect = unitarity_defect(q)
-        if defect > UNITARY_OP_TOL:
+        if 4.0 * defect * (1.0 + defect) > UNITARY_OP_TOL:
             raise ValueError(f"basis is not orthonormal: defect {defect:.3e}")
         q = q.copy()
         q.flags.writeable = False
@@ -134,28 +135,35 @@ class Reflection:
         return self.sign * (np.eye(q.shape[0]) - 2.0 * (q @ q.conj().T))
 
 
-def _householder(a: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Blocked Householder QR of an N x m array ``a`` (m <= N) in place;
-    returns the panel blocks.
+def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the columns of z (N x m, m <= N), by
+    Householder QR with the triangular factor's diagonal phases divided
+    out, so the result follows the exact Haar law: a Haar unitary for
+    square z, a Haar-distributed N x m frame for tall z.
 
-    Compact-WY form (Schreiber & Van Loan 1989).  The columns are factored
-    in panels of ``_PANEL_WIDTH``.  Inside a
-    panel, each reflector H = I - tau v v* (v[0] carries the phase of the
-    pivot, tau = 2/|v|^2) is applied to the panel's own columns with
-    fixed-order einsum kernels.  The panel's reflectors are then gathered as
-    H_1 ... H_b = I - V T V*, with T upper triangular (LAPACK ``larft``,
-    forward and columnwise), and the trailing columns get
-    C -= V (T* (V* C)).  On return the upper triangle of ``a`` holds R;
-    each block is (first column, V, T).
+    Blocked compact-WY form (Schreiber & Van Loan 1989).  The columns are
+    factored in panels of ``_PANEL_WIDTH``.  Inside a panel, each reflector
+    H = I - tau v v* (v[0] carries the phase of the pivot, tau = 2/|v|^2)
+    is applied to the panel's own columns with fixed-order einsum kernels.
+    The panel's reflectors are then gathered as H_1 ... H_b = I - V T V*,
+    with T upper triangular (LAPACK ``larft``, forward and columnwise), and
+    the trailing columns get C -= V (T* (V* C)).  Q is formed by applying
+    the blocks to the first m columns of the identity in reverse,
+    C -= V (T (V* C)).
 
-    The block updates are complex GEMM; everything else is einsum.  The
-    bytes must not depend on the BLAS thread count.  LAPACK's own QR does
-    not have this property: its bytes change between one thread and
-    several.  Threaded GEMM splits the output matrix, not the inner sums,
-    across threads, so each entry is summed in the same order at every
-    thread count.
+    The two block updates are complex GEMM, which carries almost all of the
+    work; everything else is einsum.  The result must be bit-identical at
+    every BLAS thread count.  LAPACK's own QR is not: its bytes change
+    between one thread and several.  Threaded GEMM splits the output
+    matrix, not the inner sums, across threads, so each entry is summed in
+    the same order at every thread count.
+    ``test_haar_bit_identical_across_thread_counts`` checks the bytes at 1,
+    2 and 4 BLAS threads for N = 2, 64, 200 and 1024 and for the frames
+    1024 x 51 and 200 x 40, which covers a single panel, many panels and a
+    ragged last panel.
     """
-    n, m = a.shape
+    n, m = z.shape
+    a = z.astype(complex)
     blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
     for k0 in range(0, m, _PANEL_WIDTH):
         k1 = min(k0 + _PANEL_WIDTH, m)
@@ -185,35 +193,8 @@ def _householder(a: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
             c = a[k0:, k1:]
             c -= v_blk @ (t.conj().T @ (v_blk.conj().T @ c))
         blocks.append((k0, v_blk, t))
-    return blocks
-
-
-def thin_r(b: np.ndarray) -> np.ndarray:
-    """The k x k upper triangular R of a thin QR b = Q R of an N x k array
-    (k <= N), from the thread-invariant kernel of ``_householder``."""
-    a = b.astype(complex)
-    _householder(a)
-    return np.triu(a[: a.shape[1]])
-
-
-def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the columns of z (N x k, k <= N), by
-    Householder QR with the triangular factor's diagonal phases divided
-    out, so the result follows the exact Haar law: a Haar unitary for
-    square z, a Haar-distributed N x k frame for tall z.
-
-    Q is formed by applying the blocks of ``_householder`` to the first k
-    columns of the identity in reverse, C -= V (T (V* C)).
-    ``test_haar_bit_identical_across_thread_counts`` checks the bytes at 1,
-    2 and 4 BLAS threads for N = 2, 64, 200 and 1024 and for the frames
-    1024 x 51 and 200 x 40, which covers a single panel, many panels and a
-    ragged last panel.
-    """
-    n, k = z.shape
-    a = z.astype(complex)
-    blocks = _householder(a)
     r_diag = np.diagonal(a).copy()
-    q = np.eye(n, k, dtype=complex)
+    q = np.eye(n, m, dtype=complex)
     for k0, v_blk, t in reversed(blocks):
         c = q[k0:, k0:]
         c -= v_blk @ (t @ (v_blk.conj().T @ c))

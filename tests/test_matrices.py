@@ -206,6 +206,11 @@ def test_reflection_rejects_non_orthonormal_basis():
         Reflection(np.ones((4, 2)), 1)
     with pytest.raises(ValueError):
         Reflection(np.eye(4)[:, :2] * (1.0 + 1e-8), 1)
+    # u*u - I = 4 Q (Q*Q - I) Q*: a basis defect of 3e-11 passes the
+    # 1e-10 bound on Q but not the one on u
+    with pytest.raises(ValueError):
+        Reflection(np.eye(4)[:, :1] * (1.0 + 1.5e-11), 1)
+    Reflection(np.eye(4)[:, :1] * (1.0 + 1e-11), 1)
     with pytest.raises(ValueError):
         Reflection(np.eye(2, 3), 1)
     with pytest.raises(ValueError):
