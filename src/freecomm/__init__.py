@@ -51,7 +51,6 @@ from .matrices import (
     op_norm,
     sample_haar,
     subseed,
-    two_norm_dist,
     unitary_with_trace,
 )
 from .mixed import (
@@ -119,7 +118,6 @@ __all__ = [
     "symmetric_group",
     "trace",
     "trace_recursion",
-    "two_norm_dist",
     "unitary_with_trace",
     "verify_free_commutator_identity",
     "w_sequence",

@@ -6,10 +6,13 @@ Two evaluation routes are kept deliberately separate:
   u = alpha + gamma x with gamma = i sqrt(1 - alpha^2) and v is the cyclic
   generator (a Haar unitary of the algebra).  Every coefficient of w_n is
   gamma^(x-count mod 2) times an integer polynomial in alpha, so w_1 .. w_4
-  are expanded word by word once per process, for every alpha at once, and
-  their traces are read off the identity coefficient.  tau_5 is the pairing
-  <w_4 c_4, c_4 w_4> of w_4 with itself; w_5 is never formed.  Each row is
-  evaluated in rational arithmetic at alpha and rounded once;
+  are expanded word by word at most once per process, for every alpha at
+  once, and only as far as the rows asked for need; their traces are read
+  off the identity coefficient.  tau_5 is the pairing <w_4 c_4, c_4 w_4>
+  of w_4 with itself; w_5 is never formed.  Each row is evaluated in
+  rational arithmetic at alpha and rounded once.  Words are rows of an
+  int8 array, multiplied a whole support at a time, and the pairings are
+  float64 GEMMs, exact below 2^53 and checked to stay there;
 * the scalar recursion tau_{n+1} = 1 - (1 - tau_n^2)(1 - alpha^2)
   predicts the same traces from freeness.
 
@@ -30,7 +33,6 @@ kept in the tests as the reference.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import math
@@ -40,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import ell_bar_from_trace, ell_from_trace, involution_haar_ambient
+from .algebra import ell_bar_from_trace, ell_from_trace
 from .matrices import Reflection, as_array
 from .words import FreeWord, w_sequence
 
@@ -53,7 +55,17 @@ MATRIX_SLACK = 0.05
 #: w_1 .. w_4 are expanded word by word; tau_5 is paired off w_4
 EXPANDED_WORDS = 4
 
+#: rows 1 .. 5 have exact trace polynomials
+EXACT_ROWS = EXPANDED_WORDS + 1
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: float64 holds every integer below this exactly
+_FLOAT_EXACT = 2**53
+
+#: ends a row of int8 syllable codes; v^k needs |k| <= 127 so never meets it
+_PAD = -128
+_MAX_EXPONENT = 127
 
 
 @dataclass(frozen=True)
@@ -152,31 +164,121 @@ def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
+def _encode(words) -> np.ndarray:
+    """Flat words of C2 * Z, (0, 1) for x and (1, k) for v^k, as int8 rows
+    of syllable codes: 0 is x, k != 0 is v^k, and ``_PAD`` ends each row."""
+    codes = [[0 if f == 0 else v for f, v in zip(w[0::2], w[1::2])] for w in words]
+    rows = np.full((len(codes), max(map(len, codes), default=0) + 1), _PAD, dtype=np.int8)
+    for r, c in enumerate(codes):
+        _check_exponents(max(map(abs, c), default=0))
+        rows[r, : len(c)] = c
+    return rows
+
+
+def _decode(rows: np.ndarray) -> list[tuple]:
+    """int8 rows back to flat words of ``involution_haar_ambient()``."""
+    return [tuple(itertools.chain.from_iterable((0, 1) if s == 0 else (1, s) for s in row if s != _PAD))
+            for row in rows.tolist()]
+
+
+def _check_exponents(largest: int) -> None:
+    """Raise unless |k| <= 127 for v^k: int8 would wrap, and -128 is ``_PAD``."""
+    if largest > _MAX_EXPONENT:
+        raise OverflowError(f"a syllable v^k with |k| = {largest} does not fit in int8")
+
+
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    return (rows != _PAD).sum(axis=1)
+
+
+def _reversed(rows: np.ndarray) -> np.ndarray:
+    """Each row's syllables in reverse order, still ended by ``_PAD``."""
+    back = _lengths(rows)[:, None] - 1 - np.arange(rows.shape[1])
+    return np.where(back >= 0, np.take_along_axis(rows, np.maximum(back, 0), axis=1), _PAD)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, its bytes: equal keys are equal words."""
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _row_products(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rows of the words a[i] b[j], each reduced at the boundary.
+
+    Walking a's row back from its end and b's forward from its start, x
+    meets x or v^k meets v^-k and both cancel; v^k meeting v^l with
+    k + l != 0 merges into one syllable, and anything else stops the walk.
+    Each step of the column loop gathers one column of the pairs still
+    cancelling.  Output row r is a's surviving prefix, the merged syllable
+    if any, then b's surviving suffix, which sits at a fixed offset from
+    b's own columns; grouped by that offset, the suffixes are one row
+    gather and one slice copy per group.
+    """
+    la, lb = _lengths(a)[i], _lengths(b)[j]
+    a_flat, b_flat = a.ravel(), b.ravel()
+    a_end, b_start = i * a.shape[1] + la, j * b.shape[1]  # flat ends of a's and b's words
+    depth = np.zeros(len(i), dtype=np.intp)
+    merged = np.zeros(len(i), dtype=np.int16)  # the merged exponent; 0: no merge
+    live = np.arange(len(i))
+    for t in range(min(a.shape[1], b.shape[1])):
+        sa = np.where(la[live] > t, a_flat[a_end[live] - 1 - t], _PAD).astype(np.int16)
+        sb = b_flat[b_start[live] + t].astype(np.int16)
+        both_v = (sa != 0) & (sb != 0) & (sa != _PAD) & (sb != _PAD)
+        cancel = ((sa == 0) & (sb == 0)) | (both_v & (sa == -sb))
+        merge = both_v & (sa != -sb)
+        merged[live[merge]] = (sa + sb)[merge]
+        live = live[cancel]
+        depth[live] += 1
+        if not live.size:
+            break
+    _check_exponents(int(np.abs(merged).max(initial=0)))
+    m = (merged != 0).astype(np.intp)
+    keep = la - depth - m  # a's surviving prefix; the merged syllable sits at keep
+    shift = keep - depth  # b's column c lands at c + shift
+    width = int((keep + lb - depth).max(initial=0)) + 1
+    out = np.full((len(i), width), _PAD, dtype=np.int8)
+    order = np.argsort(shift, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(shift[order])) + 1):
+        if group.size:
+            s = int(shift[group[0]])
+            lo, hi = max(s, 0), min(width, b.shape[1] + s)
+            out[group, lo:hi] = b[:, lo - s : hi - s][j[group]]
+    cols = min(a.shape[1], width)
+    out[:, :cols] = np.where(np.arange(cols) < keep[:, None], a[:, :cols][i], out[:, :cols])
+    hit = np.flatnonzero(m)
+    out[hit, keep[hit]] = merged[hit]
+    return out
+
+
 class PolyElement:
     """Element of the group algebra of C2 * Z with alpha-free coefficients.
 
     With u = alpha + gamma x, where x generates C2 and gamma = i sqrt(1 - alpha^2)
     (so gamma^2 = alpha^2 - 1), every coefficient of w_n(u, v) at a word g is
     gamma^parity(g) P_g(alpha), where parity(g) is the number of x syllables
-    mod 2 and P_g has integer coefficients.  ``coeffs[i]`` holds P of
-    ``words[i]``, lowest degree first, one int64 row per word.
+    mod 2 and P_g has integer coefficients.  ``rows[i]`` spells word i in
+    int8 syllable codes (0 is x, k != 0 is v^k, then ``_PAD``) and
+    ``coeffs[i]`` holds its P, lowest degree first, one int64 row per word.
     """
 
-    __slots__ = ("words", "parity", "coeffs")
+    __slots__ = ("rows", "coeffs", "parity")
 
-    def __init__(self, words: list, coeffs: np.ndarray, parity: np.ndarray | None = None):
-        self.words = words
+    def __init__(self, rows: np.ndarray, coeffs: np.ndarray):
+        self.rows = rows
         self.coeffs = coeffs
-        if parity is None:
-            parity = np.array([w[0::2].count(0) & 1 for w in words], dtype=np.int64)
-        self.parity = parity
+        self.parity = ((rows == 0).sum(axis=1) & 1).astype(np.int64)
+
+    @property
+    def words(self) -> list[tuple]:
+        """The support as words of ``involution_haar_ambient()``, decoded on access."""
+        return _decode(self.rows)
 
     @property
     def support_size(self) -> int:
-        return len(self.words)
+        return len(self.rows)
 
     def is_one(self) -> bool:
-        return self.words == [()] and self.coeffs.tolist() == [[1]]
+        return not _lengths(self.rows).any() and self.coeffs.tolist() == [[1]]
 
 
 def _check_int64(*factors: int) -> None:
@@ -195,18 +297,28 @@ def _trim_columns(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, : nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def _poly_multiply(a: PolyElement, b: PolyElement, ambient) -> PolyElement:
+def _collect(rows: np.ndarray, coeffs: np.ndarray) -> PolyElement:
+    """Sum the coefficients of equal words and drop the words that sum to 0;
+    the words come out sorted by their bytes."""
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs[order], first, axis=0) if len(first) else coeffs[:0]
+    keep = sums.any(axis=1)
+    rows = rows[order[first[keep]]]
+    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim_columns(sums[keep]))
+
+
+def _poly_multiply(a: PolyElement, b: PolyElement) -> PolyElement:
     """Convolution product; gamma^2 = alpha^2 - 1 where two odd words meet."""
-    concat = ambient.concat
-    index: dict = {}
-    target = [index.setdefault(concat(wa, wb), len(index)) for wa in a.words for wb in b.words]
     i = np.repeat(np.arange(a.support_size), b.support_size)
     j = np.tile(np.arange(b.support_size), a.support_size)
     da, db = a.coeffs.shape[1], b.coeffs.shape[1]
     # each entry sums at most every pair's min(da, db) products, twice for gamma^2
-    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db), 2 * len(target))
+    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db), 2 * len(i))
     pa, pb = a.coeffs[i], b.coeffs[j]
-    prod = np.zeros((len(target), da + db + 1), dtype=np.int64)  # two spare columns
+    prod = np.zeros((len(i), da + db + 1), dtype=np.int64)  # two spare columns
     for d in range(db):
         prod[:, d : d + da] += pa * pb[:, d : d + 1]
     odd = (a.parity[i] & b.parity[j]).astype(bool)
@@ -214,36 +326,58 @@ def _poly_multiply(a: PolyElement, b: PolyElement, ambient) -> PolyElement:
     alpha_sq_p = np.zeros_like(p)
     alpha_sq_p[:, 2:] = p[:, :-2]
     prod[odd] = alpha_sq_p - p
-    out = np.zeros((len(index), prod.shape[1]), dtype=np.int64)
-    np.add.at(out, np.array(target), prod)
-    keep = out.any(axis=1)
-    words = [w for w, k in zip(index, keep) if k]
-    return PolyElement(words, _trim_columns(out[keep]))
+    return _collect(_row_products(a.rows, b.rows, i, j), prod)
 
 
-def _poly_star(a: PolyElement, ambient) -> PolyElement:
-    """Adjoint: conj(gamma) = -gamma flips the sign of every odd word."""
-    inv = ambient.inverse_word
-    sign = 1 - 2 * a.parity
-    return PolyElement([inv(w) for w in a.words], a.coeffs * sign[:, None], a.parity)
+def _poly_star(a: PolyElement) -> PolyElement:
+    """Adjoint: words reversed with v^k -> v^-k; conj(gamma) = -gamma flips
+    the sign of every odd word."""
+    rows = _reversed(a.rows)
+    return PolyElement(np.where(rows == _PAD, _PAD, -rows), a.coeffs * (1 - 2 * a.parity)[:, None])
 
 
-def _linear(word) -> PolyElement:
-    """alpha + gamma * word, for an involution word (u itself or a conjugate)."""
-    return PolyElement([(), word], np.array([[0, 1], [1, 0]], dtype=np.int64))
+def _conjugate_rows(k: int) -> np.ndarray:
+    """Rows of the empty word and of y = v^k x v^-k; k = 0 is x itself."""
+    return _encode([(), (1, k, 0, 1, 1, -k) if k else (0, 1)])
 
 
-def _conjugate_word(ambient, k: int):
-    """v^k x v^-k; k = 0 is x itself."""
-    return ambient.word([(1, k), (0, 1), (1, -k)] if k else [(0, 1)])
+def _linear(k: int) -> PolyElement:
+    """alpha + gamma v^k x v^-k: u itself for k = 0, else its conjugate c_k."""
+    return PolyElement(_conjugate_rows(k), np.array([[0, 1], [1, 0]], dtype=np.int64))
+
+
+def _lookup(w: PolyElement, *queries: np.ndarray) -> list[np.ndarray]:
+    """For each array of query rows, the index of each row's word in w's
+    support, -1 where it is not there."""
+    width = w.rows.shape[1]
+    own = _keys(w.rows)
+    order = np.argsort(own)
+    own = own[order]
+    out = []
+    for rows in queries:
+        if rows.shape[1] < width:
+            rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=_PAD)
+        # a word longer than all of w's keeps no _PAD in its first width
+        # columns, so it matches none of w's rows, which all end in _PAD
+        keys = _keys(rows[:, :width])
+        pos = np.minimum(np.searchsorted(own, keys), len(own) - 1)
+        out.append(np.where(own[pos] == keys, order[pos], -1))
+    return out
 
 
 def _sum_of_products(p: np.ndarray, q: np.ndarray) -> list[int]:
-    """sum_i p_i * q_i over the rows, as one polynomial."""
+    """sum_i p_i * q_i over the rows, as one polynomial.
+
+    One float64 GEMM: every partial sum of the integer products is at most
+    rows * max|p| * max|q| in size, so below 2^53 each is exact, whatever
+    order BLAS sums in.
+    """
     if not len(p):
         return [0]
-    _check_int64(_max_abs(p), _max_abs(q), min(p.shape[1], q.shape[1]), len(p))
-    m = np.einsum("id,ie->de", p, q)  # m[d, e] multiplies alpha^(d + e)
+    bound = _max_abs(p) * _max_abs(q) * len(p)
+    if bound >= _FLOAT_EXACT:
+        raise OverflowError(f"a float64 pairing may round (bound {bound} >= 2^53)")
+    m = (p.T.astype(np.float64) @ q.astype(np.float64)).astype(np.int64)  # alpha^(d + e)
     out = [0] * (p.shape[1] + q.shape[1] - 1)
     for d, row in enumerate(m.tolist()):
         for e, c in enumerate(row):
@@ -289,7 +423,7 @@ def _parseval(w: PolyElement) -> list[int]:
     return _padd(even, _pmul(_ONE_MINUS_ALPHA_SQ, odd))
 
 
-def paired_trace(w: PolyElement, k: int, ambient) -> list[int]:
+def paired_trace(w: PolyElement, k: int) -> list[int]:
     """tau(w c w* c*) with c = alpha + gamma y, y = v^k x v^-k, as <w c, c w>.
 
     Neither w c nor c w is formed: (w c)(g) = alpha w(g) + gamma w(g y) and
@@ -303,18 +437,12 @@ def paired_trace(w: PolyElement, k: int, ambient) -> list[int]:
     gamma and the sign (-1)^(1 - p): S = odd - even.  y g y keeps the
     parity: T = even + (1 - alpha^2) odd.
     """
-    y = _conjugate_word(ambient, k)
-    concat = ambient.concat
-    row = {g: r for r, g in enumerate(w.words)}
-    yg, gy, ygy = [], [], []
-    for g in w.words:
-        h = concat(y, g)
-        yg.append(row.get(h, -1))
-        gy.append(row.get(concat(g, y), -1))
-        ygy.append(row.get(concat(h, y), -1))
-    e1, o1 = _graded_pairing(w, np.array(yg))
-    e2, o2 = _graded_pairing(w, np.array(gy))
-    e3, o3 = _graded_pairing(w, np.array(ygy))
+    y = _conjugate_rows(k)[1:]
+    every, once = np.arange(w.support_size), np.zeros(w.support_size, dtype=np.intp)
+    yg = _row_products(y, w.rows, once, every)
+    gy = _row_products(w.rows, y, every, once)
+    ygy = _row_products(yg, y, every, once)
+    (e1, o1), (e2, o2), (e3, o3) = (_graded_pairing(w, image) for image in _lookup(w, yg, gy, ygy))
     s_diff = _padd(o1, e2, [-c for c in _padd(e1, o2)])
     return _padd(
         _pmul(_ALPHA_SQ, _parseval(w)),
@@ -323,43 +451,62 @@ def paired_trace(w: PolyElement, k: int, ambient) -> list[int]:
     )
 
 
+def _next_word(w: PolyElement, k: int) -> PolyElement:
+    """w_{k+1} = (w_k c_k w_k*) c_k* from w = w_k."""
+    c = _linear(k)
+    return _poly_multiply(_poly_multiply(_poly_multiply(w, c), _poly_star(w)), _poly_star(c))
+
+
 def commutator_polynomials(n_max: int = EXPANDED_WORDS) -> list[PolyElement]:
     """w_1 .. w_{n_max}(u, v) over C2 * Z with alpha-free coefficients.
 
-    Built fresh on every call; ``trace_polynomials`` keeps only the traces.
+    Built fresh on every call; the exact rows keep only their traces.
     """
-    ambient = involution_haar_ambient()
-    w = _linear(_conjugate_word(ambient, 0))
-    out = [w]
+    out = [_linear(0)]
     for k in range(1, n_max):
-        c = _linear(_conjugate_word(ambient, k))
-        wcw = _poly_multiply(_poly_multiply(w, c, ambient), _poly_star(w, ambient), ambient)
-        w = _poly_multiply(wcw, _poly_star(c, ambient), ambient)
-        out.append(w)
+        out.append(_next_word(out[-1], k))
     return out
 
 
-@functools.cache
-def trace_polynomials() -> tuple[tuple[int, ...], ...]:
-    """tau_1 .. tau_5, computed once per process.
+class _ExactTraces:
+    """tau_1 .. tau_5 as integer coefficients of alpha, lowest degree first,
+    each built the first time a row asks for it.
 
-    tau_n is the trace of w_n(u, v) as integer coefficients of alpha, lowest
-    degree first.  tau_1 .. tau_4 are read off the expansion, which is
-    checked exactly on the way: Parseval (tau(w* w) = 1 as a polynomial) for
-    every w_n and w_n* w_n = 1 word by word for n <= 3.  tau_5 pairs w_4
-    with itself.
+    Only the traces and the last word still needed are kept.  tau_n for
+    n <= 4 is read off w_n, which is checked exactly first: Parseval
+    (tau(w* w) = 1 as a polynomial) for every w_n and w_n* w_n = 1 word by
+    word for n <= 3.  tau_5 pairs w_4 with itself, and w_4 is dropped.
     """
-    ambient = involution_haar_ambient()
-    words = commutator_polynomials()
-    taus = []
-    for n, w in enumerate(words, 1):
+
+    def __init__(self):
+        self.taus: list[tuple[int, ...]] = []
+        self.word: PolyElement | None = None
+
+    def __getitem__(self, n: int) -> tuple[int, ...]:
+        while len(self.taus) < n:
+            self.taus.append(tuple(self._next_trace(len(self.taus) + 1)))
+        return self.taus[n - 1]
+
+    def _next_trace(self, n: int) -> list[int]:
+        if n > EXPANDED_WORDS:
+            tau, self.word = paired_trace(self.word, EXPANDED_WORDS), None
+            return tau
+        w = _linear(0) if n == 1 else _next_word(self.word, n - 1)
         if _parseval(w) != [1]:
             raise ArithmeticError(f"w_{n} violates Parseval: tau(w* w) != 1")
-        if n <= 3 and not _poly_multiply(_poly_star(w, ambient), w, ambient).is_one():
+        if n <= 3 and not _poly_multiply(_poly_star(w), w).is_one():
             raise ArithmeticError(f"w_{n} is not unitary")
-        taus.append(tuple(_padd(w.coeffs[w.words.index(())].tolist())))
-    taus.append(tuple(paired_trace(words[-1], EXPANDED_WORDS, ambient)))
-    return tuple(taus)
+        self.word = w
+        [row], = _lookup(w, _encode([()]))  # tau(w) is the coefficient at the empty word
+        return _padd(w.coeffs[row].tolist()) if row >= 0 else [0]
+
+
+_EXACT_TRACES = _ExactTraces()
+
+
+def trace_polynomials() -> tuple[tuple[int, ...], ...]:
+    """tau_1 .. tau_5, each computed once per process (see ``_ExactTraces``)."""
+    return tuple(_EXACT_TRACES[n] for n in range(1, EXACT_ROWS + 1))
 
 
 def _evaluate(poly: tuple[int, ...], alpha: float) -> tuple[int, int]:
@@ -373,18 +520,17 @@ def _evaluate(poly: tuple[int, ...], alpha: float) -> tuple[int, int]:
 def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[DecayStep]:
     """Unbounded stream of decay rows; callers slice what they need.
 
-    Rows 1 .. 5 come from the exact trace polynomials, each evaluated in
-    rational arithmetic and rounded once; later rows come from the
+    Rows 1 .. 5 come from the exact trace polynomials, each built when a
+    row first asks for it, evaluated in rational arithmetic and rounded once; later rows come from the
     recursion, their lengths from its gap 1 - tau.
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (-1, 1)")
-    exact = trace_polynomials()
     ell_u = ell_from_trace(complex(alpha))
     ell_bar_u = ell_bar_from_trace(complex(alpha))
     for n, (tau_rec, gap) in enumerate(_recursion_traces(alpha), start=1):
-        if n <= len(exact):
-            num, den = _evaluate(exact[n - 1], alpha)
+        if n <= EXACT_ROWS:
+            num, den = _evaluate(_EXACT_TRACES[n], alpha)
             # integer true division rounds correctly: one rounding per value
             trace = num / den
             ell_n = math.sqrt((2 * den - 2 * num) / den)

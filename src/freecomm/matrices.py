@@ -57,14 +57,6 @@ def normalized_trace(u) -> complex:
     return complex(np.trace(a)) / a.shape[0]
 
 
-def two_norm_dist(a, b) -> float:
-    """Trace 2-norm distance, Frobenius norm scaled by 1/sqrt(N)."""
-    a, b = as_array(a), as_array(b)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a - b) / np.sqrt(a.shape[0]))
-
-
 def unitarity_defect(u) -> float:
     """Upper bound on ||U*U - I||_op (Frobenius shortcut, exact op norm only
     when the cheap bound is not already conclusive).  For a tall U this is
@@ -93,13 +85,6 @@ class UnitaryMatrix:
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-    def trace(self) -> complex:
-        return normalized_trace(self.array)
 
 
 @dataclass(frozen=True)

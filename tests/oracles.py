@@ -60,6 +60,15 @@ def norm2(a):
     return math.sqrt(sum(abs(c) ** 2 for _, c in a.items_sorted()))
 
 
+def two_norm_dist(a, b):
+    """Trace 2-norm distance of two N x N matrices: the Frobenius norm of
+    a - b scaled by 1/sqrt(N)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+    return float(np.linalg.norm(a - b) / np.sqrt(a.shape[0]))
+
+
 def poly_element_at(w, alpha, ambient):
     """A ``dynamics.PolyElement`` as a float ``AlgebraElement`` at alpha: the
     coefficient at word g is gamma^parity(g) P_g(alpha), gamma = i sqrt(1 - alpha^2)."""

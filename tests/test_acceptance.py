@@ -203,6 +203,7 @@ def test_criterion_11_pu_n_analysis():
 _CLI_CASES = [
     ["verify-identity", "--alpha-grid", "0,0.5,0.9", "--beta-grid", "0,0.5"],
     ["dynamics", "--alpha", "0.9", "--n-max", "5", "--format", "json"],
+    ["dynamics", "--alpha", "0.9", "--n-max", "2", "--format", "json"],
     ["dynamics", "--alpha", "0.75", "--n-max", "2100", "--format", "json"],
     ["dynamics", "--alpha", "0.9", "--model", "matrix", "--n", "256", "--seed", "7",
      "--n-max", "3", "--format", "json"],

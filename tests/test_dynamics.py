@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from freecomm.algebra import (
     DEFAULT_SUPPORT_CAP,
@@ -18,10 +20,14 @@ from freecomm.algebra import (
 )
 from freecomm.dynamics import (
     PolyElement,
-    _conjugate_word,
+    _ExactTraces,
+    _decode,
+    _encode,
     _linear,
     _poly_multiply,
     _poly_star,
+    _row_products,
+    _sum_of_products,
     commutator_polynomials,
     decay_curve_exact,
     decay_curve_matrix,
@@ -68,18 +74,26 @@ def test_trace_polynomials_equal_recursion_polynomials():
     assert [len(t) - 1 for t in taus] == [1, 4, 10, 22, 46]
 
 
+def test_exact_traces_build_only_the_rows_asked_for():
+    # a short curve builds only its own words, and keeps only the last one
+    traces = _ExactTraces()
+    assert traces[2] == tuple(integer_recursion_polynomials(2)[1])
+    assert len(traces.taus) == 2 and traces.word.support_size == 8
+    assert traces[4] and traces.word.support_size == 32768
+    assert traces[5] == tuple(integer_recursion_polynomials(5)[4])
+    assert traces.word is None
+
+
 def test_pairing_matches_expansion():
     # <w c, c w> read off w_n alone equals the trace of the expanded
     # commutator [w_n, c_k].  k = n is the decay step, where only g = ()
     # pairs with y g y; k < n makes all three maps hit the support.
-    amb = involution_haar_ambient()
     for n, w in enumerate(commutator_polynomials(3), 1):
         for k in range(n + 1):
-            c = _linear(_conjugate_word(amb, k))
-            wcw = _poly_multiply(_poly_multiply(w, c, amb), _poly_star(w, amb), amb)
-            full = _poly_multiply(wcw, _poly_star(c, amb), amb)
+            c = _linear(k)
+            full = _poly_multiply(_poly_multiply(_poly_multiply(w, c), _poly_star(w)), _poly_star(c))
             tau = full.coeffs[full.words.index(())].tolist()
-            paired = paired_trace(w, k, amb)
+            paired = paired_trace(w, k)
             assert paired == tau[: len(paired)] and not any(tau[len(paired):]), (n, k)
 
 
@@ -128,9 +142,67 @@ def test_exact_rows_are_rounded_once():
 
 
 def test_poly_overflow_is_loud():
-    big = PolyElement([()], np.array([[2**40]], dtype=np.int64))
+    big = PolyElement(_encode([()]), np.array([[2**40]], dtype=np.int64))
     with pytest.raises(OverflowError):
-        _poly_multiply(big, big, involution_haar_ambient())
+        _poly_multiply(big, big)
+
+
+def test_float_pairing_overflow_is_loud():
+    # sum_i p_i q_i runs in float64, exact while max|p| max|q| rows < 2^53
+    p = np.array([[2**26], [1]], dtype=np.int64)
+    assert _sum_of_products(p, np.array([[2**26 - 1], [1]])) == [2**52 - 2**26 + 1]
+    with pytest.raises(OverflowError):
+        _sum_of_products(p, np.array([[2**26], [1]]))
+
+
+def test_exponent_outside_int8_is_loud():
+    # v^k is one int8 code, and -128 ends a row: no exponent may wrap into it
+    for k in (128, -128, 300):
+        with pytest.raises(OverflowError):
+            _encode([(1, k)])
+    assert _decode(_encode([(1, 127), (1, -127)])) == [(1, 127), (1, -127)]
+    one = np.array([[1]], dtype=np.int64)
+    big = PolyElement(_encode([(1, 100)]), one)
+    with pytest.raises(OverflowError):
+        _poly_multiply(big, big)  # v^100 v^100 = v^200
+    assert _poly_multiply(big, _poly_star(big)).is_one()
+
+
+@st.composite
+def c2z_words(draw, max_syllables=6):
+    """Normal-form words of C2 * Z: x and v^k alternate, 0 < |k| <= 3."""
+    x_first = draw(st.booleans())
+    word = ()
+    for s in range(draw(st.integers(0, max_syllables))):
+        word += (0, 1) if (s % 2 == 0) == x_first else (1, draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    return word
+
+
+@given(st.lists(c2z_words(), min_size=1, max_size=5), st.lists(c2z_words(), max_size=4),
+       st.integers(0, 6))
+@example([()], [], 0)  # empty times empty
+@example([(0, 1, 1, 2, 0, 1)], [], 0)  # g g^-1 cancels fully through x x and v^2 v^-2
+@example([(1, 2, 0, 1, 1, 1)], [(1, 2, 0, 1)], 0)  # v^1 v^2 merges into v^3
+@example([(0, 1, 1, -1)], [(1, 3)], 0)  # v^-1 v^3 merges into v^2
+def test_row_products_and_star_match_the_tuple_engine(left, extra, cut):
+    # the int8 batch product and adjoint agree word for word with
+    # FreeProductGroup.concat and inverse_word, the reference engine; the
+    # right factors cancel into the left ones fully (inverses) or for a
+    # cascade of `cut` syllables before going on with a word of `extra`
+    amb = involution_haar_ambient()
+    right = [()] + [amb.inverse_word(w) for w in left] + extra
+    right += [amb.concat(amb.inverse_word(w[max(len(w) - 2 * cut, 0):]), e)
+              for w in left for e in extra]
+    i = np.repeat(np.arange(len(left)), len(right))
+    j = np.tile(np.arange(len(right)), len(left))
+    got = _decode(_row_products(_encode(left), _encode(right), i, j))
+    assert got == [amb.concat(left[a], right[b]) for a, b in zip(i, j)]
+
+    coeffs = np.arange(1, len(left) + 1, dtype=np.int64)[:, None]
+    star = _poly_star(PolyElement(_encode(left), coeffs))
+    assert star.words == [amb.inverse_word(w) for w in left]
+    odd = [w[0::2].count(0) % 2 for w in left]
+    assert star.coeffs[:, 0].tolist() == [(-1) ** p * c for p, c in zip(odd, coeffs[:, 0].tolist())]
 
 
 def test_exact_trace_agrees_with_recursion():

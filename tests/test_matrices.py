@@ -13,12 +13,11 @@ from freecomm.matrices import (
     op_norm,
     sample_haar,
     subseed,
-    two_norm_dist,
     unitarity_defect,
     unitary_with_trace,
 )
 
-from oracles import ks_uniform
+from oracles import ks_uniform, two_norm_dist
 
 
 def test_haar_dimension_one_is_phase():
