@@ -177,7 +177,8 @@ def _encode(words) -> np.ndarray:
 
 def _decode(rows: np.ndarray) -> list[tuple]:
     """int8 rows back to flat words of ``involution_haar_ambient()``."""
-    return [tuple(itertools.chain.from_iterable((0, 1) if s == 0 else (1, s) for s in row if s != _PAD))
+    return [tuple(itertools.chain.from_iterable((0, 1) if s == 0 else (1, s)
+                                                for s in row if s != _PAD))
             for row in rows.tolist()]
 
 
@@ -521,8 +522,9 @@ def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[Decay
     """Unbounded stream of decay rows; callers slice what they need.
 
     Rows 1 .. 5 come from the exact trace polynomials, each built when a
-    row first asks for it, evaluated in rational arithmetic and rounded once; later rows come from the
-    recursion, their lengths from its gap 1 - tau.
+    row first asks for it, evaluated in rational arithmetic and rounded
+    once; later rows come from the recursion, their lengths from its gap
+    1 - tau.
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (-1, 1)")

@@ -91,7 +91,8 @@ def test_pairing_matches_expansion():
     for n, w in enumerate(commutator_polynomials(3), 1):
         for k in range(n + 1):
             c = _linear(k)
-            full = _poly_multiply(_poly_multiply(_poly_multiply(w, c), _poly_star(w)), _poly_star(c))
+            wcw = _poly_multiply(_poly_multiply(w, c), _poly_star(w))
+            full = _poly_multiply(wcw, _poly_star(c))
             tau = full.coeffs[full.words.index(())].tolist()
             paired = paired_trace(w, k)
             assert paired == tau[: len(paired)] and not any(tau[len(paired):]), (n, k)
@@ -174,7 +175,10 @@ def c2z_words(draw, max_syllables=6):
     x_first = draw(st.booleans())
     word = ()
     for s in range(draw(st.integers(0, max_syllables))):
-        word += (0, 1) if (s % 2 == 0) == x_first else (1, draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        if (s % 2 == 0) == x_first:
+            word += (0, 1)
+        else:
+            word += (1, draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
     return word
 
 
