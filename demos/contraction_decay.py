@@ -8,7 +8,7 @@ words are then fed finite random matrices.
 """
 
 from freecomm import decay_curve_exact, decay_curve_matrix, find_small_element
-from freecomm import sample_haar, subseed, unitary_with_trace
+from freecomm import sample_cue, subseed, unitary_with_trace
 
 ALPHA = 0.9
 
@@ -24,9 +24,9 @@ res = find_small_element(ALPHA, 0.1)
 print(f"\nfirst word below 0.1: n={res.n}, ell={res.ell:.6f}, "
       f"word has {res.word.letter_length()} letters")
 
-print("\nmatrix model at N = 400 (same alpha, Haar partner):")
+print("\nmatrix model at N = 400 (same alpha, CUE-law CMV partner):")
 u, realized = unitary_with_trace(ALPHA, 400, subseed(1, 0))
-v = sample_haar(400, subseed(1, 1))
+v = sample_cue(400, subseed(1, 1))
 mreport = decay_curve_matrix(u, v, 4)
 for s in mreport.steps:
     print(f"  n={s.n}  ell={s.ell:.5f}  in bounds (slack {mreport.slack}): {s.in_bounds}")

@@ -54,7 +54,11 @@ def cli_calls() -> list[tuple[str, list[str]]]:
         ("dynamics-matrix.json", ["dynamics", "--model", "matrix", "--alpha", "0.9",
                                   "--n", "256", "--seed", "7", "--n-max", "3",
                                   "--format", "json"]),
+        ("dynamics-matrix_n255.json", ["dynamics", "--model", "matrix", "--alpha", "0.9",
+                                       "--n", "255", "--seed", "7", "--n-max", "3",
+                                       "--format", "json"]),
         ("freeness.json", ["freeness", "--n", "256", "--trials", "3", "--seed", "20220"]),
+        ("freeness_n257.json", ["freeness", "--n", "257", "--trials", "2", "--seed", "20220"]),
         ("zassenhaus.txt", ["zassenhaus", "--out", "zassenhaus"]),
     ]
     groups = finite_group_catalog()

@@ -42,6 +42,7 @@ from .dynamics import (
 )
 from .groups import FiniteGroup, cyclic_group, load_finite_group, quaternion_group, symmetric_group
 from .matrices import (
+    CMVMatrix,
     Reflection,
     UnitaryMatrix,
     corner_haar,
@@ -49,6 +50,7 @@ from .matrices import (
     freeness_trial,
     normalized_trace,
     op_norm,
+    sample_cue,
     sample_haar,
     subseed,
     unitary_with_trace,
@@ -69,6 +71,7 @@ from .words import FreeWord, commutator, w_sequence
 
 __all__ = [
     "AlgebraElement",
+    "CMVMatrix",
     "CriterionVerdict",
     "DecayReport",
     "DecayStep",
@@ -112,6 +115,7 @@ __all__ = [
     "order_two_unitary",
     "parse_mixed_word",
     "quaternion_group",
+    "sample_cue",
     "sample_haar",
     "star",
     "subseed",

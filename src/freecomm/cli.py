@@ -19,7 +19,7 @@ from .catalog import finite_group_catalog, load_unitary_catalog, unitary_group_c
 from .discrete import MatrixGroup, gamma_filter, group_closure
 from .dynamics import EXACT_SLACK, MATRIX_SLACK, decay_curve_exact, decay_curve_matrix
 from .groups import load_finite_group
-from .matrices import sample_haar, subseed, unitary_with_trace
+from .matrices import sample_cue, subseed, unitary_with_trace
 from .mixed import MixedWord, is_mixed_identity, mixed_identity_scan, parse_mixed_word
 from .reporting import emit_json, emit_text
 
@@ -118,7 +118,7 @@ def cmd_dynamics(args) -> int:
             raise UsageError("the matrix model needs --n >= 2")
         slack = MATRIX_SLACK if args.tol is None else args.tol
         u, _ = unitary_with_trace(args.alpha, args.n, subseed(args.seed, 0))
-        v = sample_haar(args.n, subseed(args.seed, 1))
+        v = sample_cue(args.n, subseed(args.seed, 1))
         report = decay_curve_matrix(u, v, args.n_max, slack=slack)
         report.descriptor["seed"] = args.seed
     payload = {
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_mif)
 
-    p = sub.add_parser("freeness", help="trace deviations of independent Haar pairs")
+    p = sub.add_parser("freeness", help="trace deviations of CUE-law CMV x Haar pairs")
     p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension")
     p.add_argument("--trials", type=_positive_int, default=10, help="number of seeded pairs")
     p.add_argument("--seed", type=int, default=0, help="master seed")

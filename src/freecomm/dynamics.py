@@ -27,8 +27,9 @@ same curve at finite N.  u = sign (I - 2 Q Q*) comes as a ``Reflection``
 with Q the N x k basis of its smaller eigenspace, so every w_n - I has
 rank at most 2k and is carried as a factor B M B*, B of size N x 2k: a
 row costs O(N^2 k), not N^3.  Trace, ell and ell_bar are read off
-w_n - I = B M B*, multiplied out.  The dense N x N loop it replaces is
-kept in the tests as the reference.
+w_n - I = B M B*, multiplied out.  The CLI draws v as a CUE-law
+``CMVMatrix``, applied to the factor in O(N k); u's ``Reflection`` carries
+the Haar frame.  The dense loop it replaces is the tests' reference.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ import io
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .algebra import ell_bar_from_trace, ell_from_trace
-from .matrices import Reflection, as_array
+from .matrices import CMVMatrix, Reflection, as_array
 from .words import FreeWord, w_sequence
 
 #: slack for the exact-model bound chain
@@ -80,19 +81,6 @@ class DecayStep:
     recursion_trace: float
     source: str  # "exact", "exact_trace", "recursion", or "matrix"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "ell_bar": self.ell_bar,
-            "lower": self.lower,
-            "upper": self.upper,
-            "in_bounds": self.in_bounds,
-            "trace": self.trace,
-            "recursion_trace": self.recursion_trace,
-            "source": self.source,
-        }
-
 
 @dataclass
 class DecayReport:
@@ -108,15 +96,7 @@ class DecayReport:
         return all(s.in_bounds for s in self.steps)
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "descriptor": self.descriptor,
-            "slack": self.slack,
-            "ell_u": self.ell_u,
-            "ell_bar_u": self.ell_bar_u,
-            "all_in_bounds": self.all_in_bounds,
-            "steps": [s.to_json_dict() for s in self.steps],
-        }
+        return {**asdict(self), "all_in_bounds": self.all_in_bounds}
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -129,22 +109,27 @@ class DecayReport:
         return buf.getvalue()
 
 
-def _recursion_traces(alpha: float) -> Iterator[tuple[float, float]]:
-    """(tau_n, 1 - tau_n) for n = 1, 2, ... of the trace recursion, without end.
+def _flush(x: float) -> float:
+    """0 for a value below the least normal float, where it has lost relative accuracy."""
+    return 0.0 if x < sys.float_info.min else x
 
-    The gap d = 1 - tau follows d_{n+1} = d_n (2 - d_n)(1 - alpha)(1 + alpha)
-    in its own float, so it keeps its relative accuracy where tau has
-    rounded to 1.  A gap below the least normal float would lose that
-    accuracy bit by bit, so it is set to 0 there.
+
+def _recursion_traces(alpha: float) -> Iterator[tuple[float, float]]:
+    """(tau_n, sqrt(2 (1 - tau_n))) for n = 1, 2, ... of the trace recursion, without end.
+
+    The gap d = 1 - tau follows d_{n+1} = d_n (2 - d_n)(1 - alpha)(1 + alpha),
+    carried as m 2^e (``math.frexp``), so it keeps its relative accuracy
+    where tau has rounded to 1 and far below the least normal float.  The
+    length is sqrt(2 m') 2^(e'/2) with e' even, flushed by ``_flush``.
     """
-    t, d = float(alpha), 1.0 - alpha
+    t, (m, e) = float(alpha), math.frexp(1.0 - alpha)
     shrink = (1.0 - alpha) * (1.0 + alpha)
     while True:
-        yield t, d
+        odd = e % 2
+        yield t, _flush(math.ldexp(math.sqrt(2.0 * (m * 2**odd)), (e - odd) // 2))
         t = 1.0 - (1.0 - t * t) * (1.0 - alpha * alpha)
-        d = d * (2.0 - d) * shrink
-        if d < sys.float_info.min:
-            d = 0.0
+        m, shift = math.frexp(m * (2.0 - math.ldexp(m, e)) * shrink)
+        e += shift
 
 
 def trace_recursion(alpha: float, n_max: int) -> list[float]:
@@ -161,7 +146,7 @@ def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
     r = math.sqrt(2.0)
     with np.errstate(over="ignore", under="ignore"):
         lower, upper = np.array([ell_bar_u / r, r * ell_u]) ** (n - 1) * (ell_bar_u, ell_u)
-    return float(lower), float(upper)
+    return _flush(float(lower)), _flush(float(upper))
 
 
 def _encode(words) -> np.ndarray:
@@ -524,13 +509,14 @@ def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[Decay
     Rows 1 .. 5 come from the exact trace polynomials, each built when a
     row first asks for it, evaluated in rational arithmetic and rounded
     once; later rows come from the recursion, their lengths from its gap
-    1 - tau.
+    1 - tau.  Lengths and bounds below the least normal float read 0, which
+    keeps lower <= ell <= upper.
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (-1, 1)")
     ell_u = ell_from_trace(complex(alpha))
     ell_bar_u = ell_bar_from_trace(complex(alpha))
-    for n, (tau_rec, gap) in enumerate(_recursion_traces(alpha), start=1):
+    for n, (tau_rec, ell_rec) in enumerate(_recursion_traces(alpha), start=1):
         if n <= EXACT_ROWS:
             num, den = _evaluate(_EXACT_TRACES[n], alpha)
             # integer true division rounds correctly: one rounding per value
@@ -541,7 +527,7 @@ def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[Decay
         else:
             # tau_n >= alpha^2 >= 0 from n = 2 on, so |tau| = tau
             trace, source = tau_rec, "recursion"
-            ell_n = ell_bar_n = math.sqrt(2.0 * gap)
+            ell_n = ell_bar_n = ell_rec
         lower, upper = _bounds(n, ell_u, ell_bar_u)
         yield DecayStep(
             n=n,
@@ -624,7 +610,7 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     sign, b_u, m_u = _factor(u)
-    vb = as_array(v)
+    vb = v if isinstance(v, CMVMatrix) else as_array(v)  # a CMV v stays O(N k)
     if vb.shape != (b_u.shape[0],) * 2:
         raise ValueError("dimension mismatch")
     tau_u, ell_u, ell_bar_u = _factor_lengths(sign, b_u, m_u)
@@ -683,11 +669,11 @@ def find_small_element(alpha: float, epsilon: float) -> SmallElement:
     Requires alpha > 3/4, i.e. ell(u) < 1/sqrt(2).  The gap 1 - tau_n then
     shrinks by a factor of at most 2 (1 - alpha^2) < 7/8 per row and reads
     0 within a few thousand rows, so the search always ends.  Lengths are
-    accurate down to sqrt(2 * sys.float_info.min) ~ 2.1e-154 and read 0
-    below it, so epsilon must lie above it.
+    accurate down to sys.float_info.min ~ 2.2e-308 and read 0 below it, so
+    epsilon must lie above it.
     """
-    if not epsilon > math.sqrt(2.0 * sys.float_info.min):
-        raise ValueError("epsilon must exceed sqrt(2 * sys.float_info.min) ~ 2.1e-154")
+    if not epsilon > sys.float_info.min:
+        raise ValueError("epsilon must exceed sys.float_info.min ~ 2.2e-308")
     if not alpha > 0.75:
         raise ValueError("need alpha > 3/4 so that ell(u) < 1/sqrt(2)")
     for step in iter_exact_steps(alpha):

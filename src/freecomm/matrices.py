@@ -4,11 +4,15 @@ Randomness comes from numpy's Philox counter-based generator.  Sub-streams
 are derived by hashing (master seed, path indices) through SeedSequence,
 so independent trials are reproducible regardless of evaluation order or
 thread count.
+
+Reports print traces and Frobenius norms of words in a pair (u, v), which
+conjugating both by one unitary leaves alone; so one matrix of a pair needs
+a Haar eigenbasis and the other only the CUE eigenvalue law (``sample_cue``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,7 +38,7 @@ def make_rng(seed: int | np.random.SeedSequence, *path: int) -> np.random.Genera
 
 
 def as_array(u) -> np.ndarray:
-    if isinstance(u, (UnitaryMatrix, Reflection)):
+    if isinstance(u, (UnitaryMatrix, Reflection, CMVMatrix)):
         return u.array
     return np.asarray(u, dtype=complex)
 
@@ -53,6 +57,8 @@ def op_norm(a: np.ndarray) -> float:
 
 
 def normalized_trace(u) -> complex:
+    if isinstance(u, CMVMatrix):
+        return complex(u.trace()) / u.shape[0]
     a = as_array(u)
     return complex(np.trace(a)) / a.shape[0]
 
@@ -120,6 +126,72 @@ class Reflection:
         return self.sign * (np.eye(q.shape[0]) - 2.0 * (q @ q.conj().T))
 
 
+@dataclass(frozen=True, eq=False)
+class CMVMatrix:
+    """The five-diagonal CMV unitary C = L M of Verblunsky coefficients
+    alpha_0 .. alpha_{N-1} (Killip & Nenciu 2004).
+
+    Theta_k = [[conj alpha_k, rho_k], [rho_k, -alpha_k]], rho_k =
+    sqrt(1 - |alpha_k|^2), acts on coordinates k, k + 1; L = Theta_0 + Theta_2
+    + ..., M = 1 + Theta_1 + Theta_3 + ... (direct sums), and the last
+    coordinate alone gets conj alpha_{N-1}.  ||C*C - I|| <= e_L + e_M (1 + e_L),
+    e_L and e_M the largest block defects ||alpha_k|^2 + rho_k^2 - 1| of L and
+    M, is held to ``UNITARY_OP_TOL``.  Products go through the 2 x 2 blocks.
+    """
+
+    alpha: np.ndarray
+
+    __array_ufunc__ = None  # so ndarray @ CMVMatrix defers to __rmatmul__
+
+    def __post_init__(self):
+        a = np.array(self.alpha, dtype=complex)
+        if a.ndim != 1 or not a.size:
+            raise ValueError("need a nonempty vector of Verblunsky coefficients")
+        rho = np.sqrt(np.maximum(1.0 - np.abs(a[:-1]) ** 2, 0.0))
+        defect = np.abs(np.abs(a) ** 2 + np.append(rho, 0.0) ** 2 - 1.0)
+        e_l, e_m = defect[0::2].max(), defect[1::2].max(initial=0.0)
+        if not e_l + e_m * (1.0 + e_l) <= UNITARY_OP_TOL:
+            raise ValueError(f"CMV matrix is not unitary: defects {e_l:.3e}, {e_m:.3e}")
+        a.flags.writeable = False
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "_rho", rho)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.alpha),) * 2
+
+    def _factor(self, start: int, x: np.ndarray) -> np.ndarray:
+        """L x (start 0) or M x (start 1): Theta_k on rows k, k + 1 for
+        k = start, start + 2, ..., and conj alpha_{N-1} on a lone last row."""
+        n = len(self.alpha)
+        if x.ndim != 2 or x.shape[0] != n:
+            raise ValueError("dimension mismatch")
+        a, r = self.alpha[start : n - 1 : 2, None], self._rho[start : n - 1 : 2, None]
+        top, bottom = x[start : n - 1 : 2], x[start + 1 : n : 2]
+        y = x.astype(complex)
+        y[start : n - 1 : 2] = a.conj() * top + r * bottom
+        y[start + 1 : n : 2] = r * top - a * bottom
+        if (n - 1 - start) % 2 == 0:
+            y[n - 1] *= self.alpha[n - 1].conj()
+        return y
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self._factor(0, self._factor(1, as_array(x)))
+
+    def __rmatmul__(self, x) -> np.ndarray:
+        # each Theta_k is symmetric, so X L M = (M (L X^T))^T
+        return self._factor(1, self._factor(0, as_array(x).T)).T
+
+    def trace(self) -> complex:
+        """The diagonal of L M is -alpha_{k-1} conj alpha_k, with alpha_{-1} = -1."""
+        a = self.alpha
+        return complex(-(np.append(-1.0, a[:-1]) * a.conj()).sum())
+
+    @property
+    def array(self) -> np.ndarray:
+        return self @ np.eye(len(self.alpha))
+
+
 def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the columns of z (N x m, m <= N), by
     Householder QR with the triangular factor's diagonal phases divided
@@ -141,11 +213,8 @@ def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
     every BLAS thread count.  LAPACK's own QR is not: its bytes change
     between one thread and several.  Threaded GEMM splits the output
     matrix, not the inner sums, across threads, so each entry is summed in
-    the same order at every thread count.
-    ``test_haar_bit_identical_across_thread_counts`` checks the bytes at 1,
-    2 and 4 BLAS threads for N = 2, 64, 200 and 1024 and for the frames
-    1024 x 51 and 200 x 40, which covers a single panel, many panels and a
-    ragged last panel.
+    the same order at every thread count, as
+    ``test_haar_bit_identical_across_thread_counts`` checks.
     """
     n, m = z.shape
     a = z.astype(complex)
@@ -208,6 +277,20 @@ def sample_haar(n: int, seed: int | np.random.SeedSequence) -> UnitaryMatrix:
     return UnitaryMatrix(_haar_frame(n, n, seed))
 
 
+def sample_cue(n: int, seed: int | np.random.SeedSequence) -> CMVMatrix:
+    """A ``CMVMatrix`` with the CUE (Haar) eigenvalue law, in O(N): its
+    Verblunsky coefficients are independent with uniform phases, and
+    rho_k^2 = 1 - |alpha_k|^2 ~ U^(1/(N-k-1)) for k < N - 1, |alpha_{N-1}| = 1
+    (Killip & Nenciu 2004, beta = 2)."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    rng = make_rng(seed)
+    rho_sq = rng.random(n - 1) ** (1.0 / np.arange(n - 1, 0, -1))
+    alpha = np.exp(2j * np.pi * rng.random(n))
+    alpha[:-1] *= np.sqrt(1.0 - rho_sq)
+    return CMVMatrix(alpha)
+
+
 def unitary_with_trace(alpha: float, n: int, seed) -> tuple[Reflection, float]:
     """Plus/minus-one spectrum realizing a target trace.
 
@@ -257,19 +340,12 @@ class FreenessReport:
     d2: float  # |tau(UVU*V*) - (1 - (1-|tau U|^2)(1-|tau V|^2))|
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "tau_u": [self.tau_u.real, self.tau_u.imag],
-            "tau_v": [self.tau_v.real, self.tau_v.imag],
-            "tau_uv": [self.tau_uv.real, self.tau_uv.imag],
-            "tau_commutator": [self.tau_commutator.real, self.tau_commutator.imag],
-            "d1": self.d1,
-            "d2": self.d2,
-        }
+        return {k: [v.real, v.imag] if isinstance(v, complex) else v
+                for k, v in asdict(self).items()}
 
 
 def freeness_report(u, v) -> FreenessReport:
-    a, b = as_array(u), as_array(v)
+    a, b = (x if isinstance(x, CMVMatrix) else as_array(x) for x in (u, v))  # O(N^2) products
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     n = a.shape[0]
@@ -286,7 +362,8 @@ def freeness_report(u, v) -> FreenessReport:
 
 
 def freeness_trial(n: int, master_seed: int, trial: int) -> FreenessReport:
-    """Independent Haar pair for one seeded trial."""
-    u = sample_haar(n, subseed(master_seed, trial, 0))
+    """One seeded trial: u with the CUE law as a ``CMVMatrix`` and an
+    independent Haar v, which gives u a Haar eigenbasis relative to v."""
+    u = sample_cue(n, subseed(master_seed, trial, 0))
     v = sample_haar(n, subseed(master_seed, trial, 1))
     return freeness_report(u, v)

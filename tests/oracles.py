@@ -325,3 +325,23 @@ def dense_decay_curve(u, v, n_max):
             c = p @ u @ p.conj().T
             w = w @ c @ w.conj().T @ c.conj().T
     return rows
+
+
+def dense_cmv(alpha):
+    """The CMV matrix L M of Verblunsky coefficients alpha, built entry by
+    entry: L holds the 2 x 2 blocks [[conj a_k, rho_k], [rho_k, -a_k]] on
+    coordinates k, k + 1 for even k, M a 1 at (0, 0) and those for odd k,
+    and the last coordinate alone gets conj a_{N-1} in whichever factor
+    owns it."""
+    n = len(alpha)
+    factors = [np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)]
+    factors[1][0, 0] = 1.0
+    for k, a in enumerate(alpha):
+        f = factors[k % 2]
+        if k == n - 1:
+            f[k, k] = np.conj(a)
+        else:
+            rho = math.sqrt(1.0 - abs(a) ** 2)
+            f[k, k], f[k, k + 1] = np.conj(a), rho
+            f[k + 1, k], f[k + 1, k + 1] = rho, -a
+    return factors[0] @ factors[1]

@@ -6,7 +6,7 @@ import pytest
 from freecomm.catalog import write_unitary_catalog
 from freecomm.cli import main
 from freecomm.groups import symmetric_group
-from freecomm.matrices import sample_haar, subseed, unitary_with_trace
+from freecomm.matrices import sample_cue, subseed, unitary_with_trace
 
 from oracles import dense_decay_curve
 
@@ -97,7 +97,8 @@ def test_dynamics_matrix_edge_factors(capsys, alpha, dim, width):
     assert code == 0
     u, _ = unitary_with_trace(alpha, dim, subseed(4, 0))
     assert u.basis.shape == (dim, width)
-    rows = dense_decay_curve(u.array, sample_haar(dim, subseed(4, 1)).array, 4)
+    # the CLI draws v as a CMV matrix; the oracle multiplies it out densely
+    rows = dense_decay_curve(u.array, sample_cue(dim, subseed(4, 1)).array, 4)
     steps = doc["report"]["steps"]
     assert len(steps) == 4
     for step, (trace, ell, ell_bar) in zip(steps, rows):

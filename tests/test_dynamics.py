@@ -37,7 +37,14 @@ from freecomm.dynamics import (
     trace_polynomials,
     trace_recursion,
 )
-from freecomm.matrices import Reflection, sample_haar, subseed, unitary_with_trace
+from freecomm.matrices import (
+    Reflection,
+    as_array,
+    sample_cue,
+    sample_haar,
+    subseed,
+    unitary_with_trace,
+)
 from freecomm.words import w_sequence
 
 from oracles import dense_decay_curve, integer_recursion_polynomials, norm2, poly_element_at
@@ -271,31 +278,32 @@ def _close(value, exact, rel):
 
 
 def test_long_curve_within_bounds_and_accurate():
-    # recursion rows take ell from the gap 1 - tau, which keeps its relative
-    # accuracy after tau has rounded to 1: no slack on the bound chain, and
-    # every nonzero length agrees with the gap recursion run in 60-digit
-    # decimals.  A gap below the least normal float reads 0; above alpha
-    # ~0.93 (here 0.95, from n = 433) such a row can sit under a positive
-    # lower bound, which is then below the accurate range too.  Both bounds
-    # agree with their 60-digit values wherever those lie in the float range.
-    accurate = math.sqrt(2 * sys.float_info.min)
+    # recursion rows take ell from the gap 1 - tau, carried as a scaled
+    # float, which keeps its relative accuracy after tau has rounded to 1
+    # and below the least normal float: no slack on the bound chain, and
+    # every length agrees with the gap recursion run in 60-digit decimals
+    # down to the least normal float, below which it and the bounds read 0.
+    # Both bounds agree with their 60-digit values wherever those lie in
+    # the float range.
     with localcontext() as ctx:
         ctx.prec = 60
         r = Decimal(2).sqrt()
+        least = Decimal(sys.float_info.min)
         for alpha in (0.75, 0.85, 0.9, 0.95, -0.42):
             a = Decimal(alpha)
             gap = 1 - a
             ell_u, ell_bar_u = (2 - 2 * a).sqrt(), (2 - 2 * abs(a)).sqrt()
             lower, upper = ell_bar_u, ell_u
             for s in decay_curve_exact(alpha, 2100).steps:
-                assert s.ell <= s.upper and s.in_bounds, (alpha, s.n)
-                assert s.lower <= s.ell or (s.ell == 0 and s.lower < accurate), (alpha, s.n)
+                assert s.lower <= s.ell <= s.upper and s.in_bounds, (alpha, s.n)
                 exact = (2 * gap).sqrt()
-                if exact > Decimal("1e-150") or s.ell:
+                if exact >= least * (1 + Decimal("1e-12")) or s.ell:
                     assert _close(s.ell, exact, Decimal("1e-12")), (alpha, s.n)
                 for value, bound in ((s.lower, lower), (s.upper, upper)):
                     if Decimal("1e-300") < bound < Decimal("1e300"):
                         assert _close(value, bound, Decimal("1e-11")), (alpha, s.n)
+                    elif bound < least:
+                        assert value == 0.0, (alpha, s.n)
                 gap = gap * (2 - gap) * (1 - a * a)
                 lower, upper = lower * ell_bar_u / r, upper * ell_u * r
 
@@ -303,13 +311,13 @@ def test_long_curve_within_bounds_and_accurate():
 def test_find_small_element_always_ends():
     # n = 57 has a word of 3 * 2^57 - 4 syllables, which is never built here
     assert find_small_element(0.9, 1e-12).n == 57
-    # the least accepted epsilon: the first row whose gap leaves the normal
-    # floats (true length 1.9e-154 at n = 1201, 2.6e-154 at n = 1200)
-    least = math.nextafter(math.sqrt(2 * sys.float_info.min), 1.0)
-    assert find_small_element(0.85, least).n == 1201
+    # the least accepted epsilon: the first row whose length leaves the
+    # normal floats (true length 2.2e-308 at n = 2405, 3.0e-308 at n = 2404)
+    least = math.nextafter(sys.float_info.min, 1.0)
+    assert find_small_element(0.85, least).n == 2405
     # below the accurate range every later row would read 0 alike
     with pytest.raises(ValueError):
-        find_small_element(0.85, 1e-200)
+        find_small_element(0.85, 1e-310)
 
 
 def test_find_small_element_easy_cases():
@@ -393,6 +401,22 @@ def test_matrix_curve_matches_dense_oracle(alpha, dim):
         assert abs(step.ell_bar - ell_bar) <= 1e-13
 
 
+@pytest.mark.parametrize("dim", [2, 63, 64])
+def test_matrix_curve_with_cmv_partner_matches_dense_oracle(dim):
+    # v as the CLI draws it, a CMV matrix applied to the N x k factor
+    # through its 2 x 2 blocks, against full products with its dense form;
+    # odd N ends in a lone last block
+    u, _ = unitary_with_trace(0.5, dim, subseed(13, 0))
+    v = sample_cue(dim, subseed(13, 1))
+    report = decay_curve_matrix(u, v, 4)
+    rows = dense_decay_curve(u.array, as_array(v), 4)
+    assert len(report.steps) == len(rows) == 4
+    for step, (trace, ell, ell_bar) in zip(report.steps, rows):
+        assert abs(step.trace - trace) <= 1e-13
+        assert abs(step.ell - ell) <= 1e-13
+        assert abs(step.ell_bar - ell_bar) <= 1e-13
+
+
 def test_matrix_curve_long_run_keeps_relative_accuracy():
     # ell falls to ~1e-3 by n = 12; the lengths of the factor route keep
     # their relative accuracy against the dense products there
@@ -431,6 +455,8 @@ def test_matrix_curve_dimension_mismatch():
         decay_curve_matrix(sample_haar(4, 0), sample_haar(8, 0), 2)
     with pytest.raises(ValueError):
         decay_curve_matrix(unitary_with_trace(0.5, 4, 0)[0], sample_haar(8, 0), 2)
+    with pytest.raises(ValueError):
+        decay_curve_matrix(unitary_with_trace(0.5, 4, 0)[0], sample_cue(8, 0), 2)
 
 
 def test_reports_serialize_deterministically():

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from freecomm.matrices import (
+    CMVMatrix,
     Reflection,
     UnitaryMatrix,
+    as_array,
     corner_haar,
     freeness_report,
     freeness_trial,
     normalized_trace,
     op_norm,
+    sample_cue,
     sample_haar,
     subseed,
     unitarity_defect,
     unitary_with_trace,
 )
 
-from oracles import ks_uniform, two_norm_dist
+from oracles import dense_cmv, ks_uniform, two_norm_dist
 
 
 def test_haar_dimension_one_is_phase():
@@ -44,12 +47,15 @@ def test_haar_bit_identical_across_thread_counts():
 
     script = (
         "import hashlib\n"
-        "from freecomm.matrices import _haar_frame, sample_haar\n"
+        "from freecomm.matrices import _haar_frame, sample_cue, sample_haar\n"
         "h = hashlib.sha256()\n"
         "for n in (2, 64, 200, 1024):\n"
         "    h.update(sample_haar(n, 12345).array.tobytes())\n"
         "for n, k in ((1024, 51), (200, 40)):\n"
         "    h.update(_haar_frame(n, k, 12345).tobytes())\n"
+        "for n in (1024, 255):\n"
+        "    c = sample_cue(n, 12345)\n"
+        "    h.update(c.alpha.tobytes() + c.array.tobytes())\n"
         "print(h.hexdigest())\n"
     )
     digests = set()
@@ -261,3 +267,103 @@ def test_dimension_mismatch_rejected():
         two_norm_dist(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         freeness_report(np.eye(2), np.eye(3))
+
+
+# -- the CMV matrix of a CUE draw ---------------------------------------------
+
+
+def _moment_samples(n, draws, seed, sampler):
+    return [sampler(n, subseed(seed, k)) for k in range(draws)]
+
+
+def test_cue_trace_power_moments():
+    # Diaconis & Shahshahani: E|tr U^j|^2 = min(j, N) for a Haar (CUE) U.
+    # 4000 draws at N = 5 put the standard error near 1.6% of the mean; the
+    # 8% tolerance is five of them.  A Beta exponent of N - k in place of
+    # N - k - 1 moves j = 1 to ~0.66 and j = 5 to ~6.0.
+    n, draws = 5, 4000
+    c = np.stack([u.array for u in _moment_samples(n, draws, 4401, sample_cue)])
+    power = np.broadcast_to(np.eye(n), c.shape)
+    for j in range(1, n + 2):
+        power = power @ c
+        mean = float(np.mean(np.abs(np.trace(power, axis1=1, axis2=2)) ** 2))
+        assert abs(mean - min(j, n)) <= 0.08 * min(j, n), (j, mean)
+
+
+def test_cue_times_independent_haar_has_unit_trace_moment():
+    # C V is Haar for independent Haar V, whatever C is: E|tr(C V)|^2 = 1
+    n, draws = 5, 4000
+    cs = _moment_samples(n, draws, 4402, sample_cue)
+    vs = _moment_samples(n, draws, 4403, sample_haar)
+    mean = float(np.mean([abs(np.trace(c @ v.array)) ** 2 for c, v in zip(cs, vs)]))
+    assert abs(mean - 1.0) <= 0.08
+
+
+def test_cue_commutator_trace_matches_haar_pair():
+    # E tr(U V U* V*) = E|tr U|^2 / N for Haar V, which is 1/N when U has
+    # the CUE law: a CMV draw against a Haar x Haar run at N = 3, 4000
+    # draws each (standard error ~0.015 per mean).  A Beta exponent of
+    # N - k moves the CMV mean to ~0.22.
+    n, draws = 3, 4000
+
+    def mean_commutator(us, vs):
+        taus = [freeness_report(u, v).tau_commutator for u, v in zip(us, vs)]
+        return complex(np.mean(taus)) * n
+
+    vs = _moment_samples(n, draws, 4404, sample_haar)
+    cmv = mean_commutator(_moment_samples(n, draws, 4405, sample_cue), vs)
+    haar = mean_commutator(_moment_samples(n, draws, 4406, sample_haar), vs)
+    assert abs(cmv - 1.0 / n) <= 0.06 and abs(haar - 1.0 / n) <= 0.06
+    assert abs(cmv - haar) <= 0.06
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 255])
+def test_cmv_products_match_dense(n):
+    c = sample_cue(n, subseed(4410, n))
+    dense = dense_cmv(c.alpha)
+    assert np.abs(as_array(c) - dense).max() <= 1e-13
+    assert unitarity_defect(dense) <= 1e-13
+    x = sample_haar(n, subseed(4411, n)).array
+    thin = x[:, : (n + 2) // 3]
+    assert np.abs(c @ x - dense @ x).max() <= 1e-13
+    assert np.abs(c @ thin - dense @ thin).max() <= 1e-13
+    assert np.abs(x @ c - x @ dense).max() <= 1e-13
+    assert np.abs(thin.T @ c - thin.T @ dense).max() <= 1e-13
+    assert abs(c.trace() - np.trace(dense)) <= 1e-13
+    assert abs(normalized_trace(c) - normalized_trace(dense)) <= 1e-13
+    for a, b in ((c, x), (x, c), (c, c)):
+        got = freeness_report(a, b)
+        want = freeness_report(as_array(a), as_array(b))
+        for field in ("tau_u", "tau_v", "tau_uv", "tau_commutator", "d1", "d2"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13, field
+
+
+def test_cmv_draw_is_deterministic_and_read_only():
+    a, b = sample_cue(33, 5), sample_cue(33, 5)
+    assert np.array_equal(a.alpha, b.alpha)
+    assert not np.array_equal(a.alpha, sample_cue(33, 6).alpha)
+    assert abs(abs(a.alpha[-1]) - 1.0) <= 1e-15
+    assert np.all(np.abs(a.alpha) <= 1.0 + 1e-15)
+    assert not a.alpha.flags.writeable
+
+
+def test_cmv_rejects_non_unitary_and_bad_shapes():
+    # a coefficient outside the disk makes its block's defect |a|^2 - 1
+    with pytest.raises(ValueError):
+        CMVMatrix(np.array([0.5, 1.0 + 1e-9, 1.0]))
+    # the last coefficient must lie on the unit circle
+    with pytest.raises(ValueError):
+        CMVMatrix(np.array([0.5, 0.5, 0.999]))
+    with pytest.raises(ValueError):
+        CMVMatrix(np.array([]))
+    with pytest.raises(ValueError):
+        CMVMatrix(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        sample_cue(0, 1)
+    c = CMVMatrix(np.array([0.5, 1j]))
+    with pytest.raises(ValueError):
+        c @ np.ones(2)
+    with pytest.raises(ValueError):
+        np.ones((3, 3)) @ c
+    with pytest.raises(ValueError):
+        freeness_report(c, np.eye(3))
