@@ -38,7 +38,7 @@ import io
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -96,7 +96,8 @@ class DecayReport:
         return all(s.in_bounds for s in self.steps)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "all_in_bounds": self.all_in_bounds}
+        steps = [dict(vars(s)) for s in self.steps]
+        return {**vars(self), "all_in_bounds": self.all_in_bounds, "steps": steps}
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -125,7 +126,7 @@ def _recursion_traces(alpha: float) -> Iterator[tuple[float, float]]:
     t, (m, e) = float(alpha), math.frexp(1.0 - alpha)
     shrink = (1.0 - alpha) * (1.0 + alpha)
     while True:
-        odd = e % 2
+        odd = e % 2  # 2 d = (2 m 2^odd) 2^(e - odd), an even power of 2
         yield t, _flush(math.ldexp(math.sqrt(2.0 * (m * 2**odd)), (e - odd) // 2))
         t = 1.0 - (1.0 - t * t) * (1.0 - alpha * alpha)
         m, shift = math.frexp(m * (2.0 - math.ldexp(m, e)) * shrink)

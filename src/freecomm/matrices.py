@@ -12,7 +12,7 @@ a Haar eigenbasis and the other only the CUE eigenvalue law (``sample_cue``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,7 +341,7 @@ class FreenessReport:
 
     def to_json_dict(self) -> dict:
         return {k: [v.real, v.imag] if isinstance(v, complex) else v
-                for k, v in asdict(self).items()}
+                for k, v in vars(self).items()}
 
 
 def freeness_report(u, v) -> FreenessReport:

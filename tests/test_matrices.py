@@ -39,7 +39,9 @@ def test_haar_determinism():
 def test_haar_bit_identical_across_thread_counts():
     # the blocked sampler uses BLAS only for GEMM, whose bytes do not
     # depend on the thread count; sizes cover one panel, several panels
-    # and a ragged last panel, for square unitaries and tall frames
+    # and a ragged last panel, for square unitaries and tall frames.  The
+    # CMV draw and its dense form use no BLAS; even and odd N end in a
+    # 2 x 2 and a lone last block
     import hashlib
     import os
     import subprocess
