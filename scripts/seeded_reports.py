@@ -43,7 +43,12 @@ def _mif_words(group) -> list[str]:
 
 
 def cli_calls() -> list[tuple[str, list[str]]]:
-    calls = [("verify-identity.json", ["verify-identity"])]
+    calls = [
+        ("verify-identity.json", ["verify-identity"]),
+        # exact rounding near +-1 and near 0
+        ("verify-identity_edges.json", ["verify-identity", "--alpha-grid=0.999999,-0.3,1e-9",
+                                        "--beta-grid=-0.999999,0.7"]),
+    ]
     for alpha in EXACT_ALPHAS:
         for n_max in ("6", "2100"):
             for fmt in ("csv", "json"):

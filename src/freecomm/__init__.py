@@ -8,16 +8,11 @@ mixed-identity machinery for finite groups.
 __version__ = "0.1.0"
 
 from .algebra import (
-    AlgebraElement,
     FreeProductGroup,
-    SupportCapExceeded,
+    PolyElement,
     Z,
-    ell,
-    ell_bar,
-    haar_generator,
     is_unitary,
     multiply,
-    order_two_unitary,
     star,
     trace,
     verify_free_commutator_identity,
@@ -70,7 +65,6 @@ from .reps import (
 from .words import FreeWord, commutator, w_sequence
 
 __all__ = [
-    "AlgebraElement",
     "CMVMatrix",
     "CriterionVerdict",
     "DecayReport",
@@ -82,8 +76,8 @@ __all__ = [
     "MatrixGroup",
     "MixedWord",
     "NonClosure",
+    "PolyElement",
     "Reflection",
-    "SupportCapExceeded",
     "UnitaryMatrix",
     "Z",
     "commutant_dimension",
@@ -94,15 +88,12 @@ __all__ = [
     "decay_curve_exact",
     "decay_curve_matrix",
     "dihedral_chain_demo",
-    "ell",
-    "ell_bar",
     "ell_op",
     "find_small_element",
     "freeness_report",
     "freeness_trial",
     "gamma_filter",
     "group_closure",
-    "haar_generator",
     "heisenberg_irrep",
     "is_mixed_identity",
     "is_unitary",
@@ -112,7 +103,6 @@ __all__ = [
     "multiply",
     "normalized_trace",
     "op_norm",
-    "order_two_unitary",
     "parse_mixed_word",
     "quaternion_group",
     "sample_cue",

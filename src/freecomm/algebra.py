@@ -1,53 +1,48 @@
 """Exact *-algebra arithmetic on free products of groups.
 
-Elements are finitely supported complex functions on the normal-form words
-of a free product (factors: finite groups or infinite cyclic), multiplied
-by convolution.  The trace is the coefficient of the empty word; freeness
-of the factor subalgebras is automatic in this model, which is what makes
-it a trustworthy oracle for commutator trace identities: nothing here
-assumes any trace formula, products are expanded word by word.
+``FreeProductGroup`` reduces words of a free product (factors: finite
+groups or infinite cyclic) to normal form.  Words are flat tuples (factor,
+value, factor, value, ...) with adjacent factors distinct; a factor is
+named by its index or by its mapping label.  For a finite factor the value
+is a non-identity element index, for an infinite cyclic factor it is a
+nonzero exponent.
 
-Words are flat tuples (factor, value, factor, value, ...) with adjacent
-factors distinct; a factor is named by its index or by its mapping label.
-For a finite factor the value is a non-identity element index, for an
-infinite cyclic factor it is a nonzero exponent.
+``PolyElement`` is the package's one group-algebra element type, over
+C2 * Z = <x> * <v>, its words rows of int8 syllable codes.  A trace
+variable t (alpha or beta) enters through a unitary t + gamma_t g, g an
+involution and gamma_t = i sqrt(1 - t^2), so every coefficient is
+gamma_alpha^p gamma_beta^q times an integer polynomial in alpha and beta,
+(p, q) the word's parities, and products substitute gamma_t^2 = t^2 - 1.
+Nothing is rounded: an identity in the algebra is an identity of integer
+polynomials for every alpha and beta.  The trace is the coefficient of the
+empty word, and freeness of the factor subalgebras is structural, so
+products are expanded word by word and no trace formula is assumed.
+C2 * C2 sits inside as <x, v x v^-1>, where
+``verify_free_commutator_identity`` proves the commutator trace identity.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .groups import FiniteGroup
 
 #: marker for an infinite cyclic free factor
 Z = "Z"
 
-#: coefficients with modulus below this are dropped after every operation
-PRUNE_THRESHOLD = 1e-15
-
-#: bound on the convolution working set (support pairs) and result support
-DEFAULT_SUPPORT_CAP = 2_000_000
-
-#: unitarity tolerance used by the length functions
-UNITARY_TOL = 1e-9
-
 Word = tuple
 
+#: ends a row of int8 syllable codes; v^k needs |k| <= 127 so never meets it
+_PAD = -128
+_MAX_EXPONENT = 127
 
-class SupportCapExceeded(RuntimeError):
-    """A product would touch more than ``DEFAULT_SUPPORT_CAP`` word pairs.
-
-    The cap bounds the convolution working set, and so the size of the
-    stored result; hitting it raises instead of truncating silently.
-    """
-
-    def __init__(self, needed: int, cap: int):
-        super().__init__(
-            f"product needs {needed} support pairs, exceeding the cap of {cap}"
-        )
-        self.needed = needed
-        self.cap = cap
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class FreeProductGroup:
@@ -64,9 +59,6 @@ class FreeProductGroup:
         for fac in self.factors.values():
             if fac is not Z and not isinstance(fac, FiniteGroup):
                 raise ValueError(f"factor must be a FiniteGroup or Z, got {fac!r}")
-
-    def is_infinite_cyclic(self, i) -> bool:
-        return self.factors[i] is Z
 
     def syllable_valid(self, f, v) -> bool:
         if f not in self.factors:
@@ -137,124 +129,6 @@ class FreeProductGroup:
             out.extend((f, -v if fac is Z else fac.inv(v)))
         return tuple(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FreeProductGroup):
-            return NotImplemented
-        return self.factors.keys() == other.factors.keys() and all(
-            fac is other.factors[f] for f, fac in self.factors.items()
-        )
-
-    def __repr__(self) -> str:
-        names = ["Z" if fac is Z else fac.name for fac in self.factors.values()]
-        return "FreeProductGroup(" + " * ".join(names) + ")"
-
-
-class AlgebraElement:
-    """Finitely supported element of the group algebra of a free product.
-
-    Immutable after construction; all operations return new elements.
-    """
-
-    __slots__ = ("ambient", "_coeffs")
-
-    def __init__(self, ambient: FreeProductGroup, coeffs: Mapping[Word, complex]):
-        pruned = {}
-        for w, c in coeffs.items():
-            c = complex(c)
-            if abs(c) >= PRUNE_THRESHOLD:
-                pruned[w] = c
-        self.ambient = ambient
-        self._coeffs = pruned
-
-    @classmethod
-    def one(cls, ambient: FreeProductGroup, scale: complex = 1.0) -> "AlgebraElement":
-        return cls(ambient, {(): scale})
-
-    @classmethod
-    def from_word(cls, ambient: FreeProductGroup, word: Word, scale: complex = 1.0) -> "AlgebraElement":
-        return cls(ambient, {word: scale})
-
-    @property
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
-    def coefficient(self, word: Word) -> complex:
-        return self._coeffs.get(word, 0j)
-
-    def items_sorted(self) -> list[tuple[Word, complex]]:
-        return sorted(self._coeffs.items())
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_ambient(other)
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            out[w] = out.get(w, 0j) + c
-        return AlgebraElement(self.ambient, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "AlgebraElement":
-        return (-1.0) * self
-
-    def __rmul__(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement(self.ambient, {w: scalar * c for w, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        return AlgebraElement(self.ambient, {w: c * other for w, c in self._coeffs.items()})
-
-    def _check_ambient(self, other: "AlgebraElement") -> None:
-        if self.ambient != other.ambient:
-            raise ValueError("elements live over different free products")
-
-    def __repr__(self) -> str:
-        n = self.support_size
-        return f"AlgebraElement(support={n}, trace={self.coefficient(()):.6g})"
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Convolution product.
-
-    Summation runs in sorted word order on both sides so results are
-    bit-identical no matter how the operands were assembled.
-    """
-    a._check_ambient(b)
-    pairs = a.support_size * b.support_size
-    if pairs > DEFAULT_SUPPORT_CAP:
-        raise SupportCapExceeded(pairs, DEFAULT_SUPPORT_CAP)
-    concat = a.ambient.concat
-    acc: dict[Word, complex] = {}
-    b_items = b.items_sorted()
-    for wa, ca in a.items_sorted():
-        for wb, cb in b_items:
-            w = concat(wa, wb)
-            acc[w] = acc.get(w, 0j) + ca * cb
-    return AlgebraElement(a.ambient, acc)
-
-
-def star(a: AlgebraElement) -> AlgebraElement:
-    """Adjoint: coefficient of w becomes the conjugate coefficient of w^-1."""
-    inv = a.ambient.inverse_word
-    return AlgebraElement(a.ambient, {inv(w): c.conjugate() for w, c in a._coeffs.items()})
-
-
-def trace(a: AlgebraElement) -> complex:
-    return a.coefficient(())
-
-
-def is_unitary(a: AlgebraElement, tol: float = UNITARY_TOL) -> bool:
-    """True iff every coefficient of a* a - 1 has modulus at most tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    p = multiply(star(a), a)
-    dev = abs(p.coefficient(()) - 1.0)
-    for w, c in p._coeffs.items():
-        if w:
-            dev = max(dev, abs(c))
-    return dev <= tol
-
 
 def ell_from_trace(tau: complex) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * tau.real))
@@ -264,105 +138,316 @@ def ell_bar_from_trace(tau: complex) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - abs(tau))))
 
 
-def _require_unitary(a: AlgebraElement) -> None:
-    if not is_unitary(a):
-        raise ValueError("length functions are only defined for unitaries")
+# -- words of C2 * Z as int8 rows ---------------------------------------------------
 
 
-def ell(a: AlgebraElement) -> float:
-    """2-norm distance from the identity, sqrt(2 - 2 Re trace)."""
-    _require_unitary(a)
-    return ell_from_trace(trace(a))
+def _encode(words) -> np.ndarray:
+    """Flat words of C2 * Z, (0, 1) for x and (1, k) for v^k, as int8 rows
+    of syllable codes: 0 is x, k != 0 is v^k, and ``_PAD`` ends each row."""
+    codes = [[0 if f == 0 else v for f, v in zip(w[0::2], w[1::2])] for w in words]
+    rows = np.full((len(codes), max(map(len, codes), default=0) + 1), _PAD, dtype=np.int8)
+    for r, c in enumerate(codes):
+        _check_exponents(max(map(abs, c), default=0))
+        rows[r, : len(c)] = c
+    return rows
 
 
-def ell_bar(a: AlgebraElement) -> float:
-    """Projective length: 2-norm distance to the nearest unit scalar,
-    sqrt(2 (1 - |trace|))."""
-    _require_unitary(a)
-    return ell_bar_from_trace(trace(a))
+def _decode(rows: np.ndarray) -> list[tuple]:
+    """int8 rows back to flat words of C2 * Z."""
+    return [tuple(itertools.chain.from_iterable((0, 1) if s == 0 else (1, s)
+                                                for s in row if s != _PAD))
+            for row in rows.tolist()]
 
 
-def order_two_unitary(ambient: FreeProductGroup, alpha: float, factor: int = 0) -> AlgebraElement:
-    """The unitary alpha + i sqrt(1 - alpha^2) s over an order-two factor.
+def _check_exponents(largest: int) -> None:
+    """Raise unless |k| <= 127 for v^k: int8 would wrap, and -128 is ``_PAD``."""
+    if largest > _MAX_EXPONENT:
+        raise OverflowError(f"a syllable v^k with |k| = {largest} does not fit in int8")
 
-    Its trace is exactly alpha, which makes it the workhorse for realizing
-    prescribed traces in the exact model.
+
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    return (rows != _PAD).sum(axis=1)
+
+
+def _reversed(rows: np.ndarray) -> np.ndarray:
+    """Each row's syllables in reverse order, still ended by ``_PAD``."""
+    back = _lengths(rows)[:, None] - 1 - np.arange(rows.shape[1])
+    return np.where(back >= 0, np.take_along_axis(rows, np.maximum(back, 0), axis=1), _PAD)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, its bytes: equal keys are equal words."""
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _row_products(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rows of the words a[i] b[j], each reduced at the boundary.
+
+    Walking a's row back from its end and b's forward from its start, x
+    meets x or v^k meets v^-k and both cancel; v^k meeting v^l with
+    k + l != 0 merges into one syllable, and anything else stops the walk.
+    Each step of the column loop gathers one column of the pairs still
+    cancelling.  Output row r is a's surviving prefix, the merged syllable
+    if any, then b's surviving suffix, which sits at a fixed offset from
+    b's own columns; grouped by that offset, the suffixes are one row
+    gather and one slice copy per group.
     """
-    if not -1.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (-1, 1)")
-    fac = ambient.factors[factor]
-    if fac is Z or fac.order != 2:
-        raise ValueError("factor must be an order-two group")
-    s = 1 - fac.identity  # the unique nontrivial element index
-    word = ambient.word([(factor, s)])
-    beta = 1j * math.sqrt(1.0 - alpha * alpha)
-    return AlgebraElement(ambient, {(): alpha, word: beta})
+    la, lb = _lengths(a)[i], _lengths(b)[j]
+    a_flat, b_flat = a.ravel(), b.ravel()
+    a_end, b_start = i * a.shape[1] + la, j * b.shape[1]  # flat ends of a's and b's words
+    depth = np.zeros(len(i), dtype=np.intp)
+    merged = np.zeros(len(i), dtype=np.int16)  # the merged exponent; 0: no merge
+    live = np.arange(len(i))
+    for t in range(min(a.shape[1], b.shape[1])):
+        sa = np.where(la[live] > t, a_flat[a_end[live] - 1 - t], _PAD).astype(np.int16)
+        sb = b_flat[b_start[live] + t].astype(np.int16)
+        both_v = (sa != 0) & (sb != 0) & (sa != _PAD) & (sb != _PAD)
+        cancel = ((sa == 0) & (sb == 0)) | (both_v & (sa == -sb))
+        merge = both_v & (sa != -sb)
+        merged[live[merge]] = (sa + sb)[merge]
+        live = live[cancel]
+        depth[live] += 1
+        if not live.size:
+            break
+    _check_exponents(int(np.abs(merged).max(initial=0)))
+    m = (merged != 0).astype(np.intp)
+    keep = la - depth - m  # a's surviving prefix; the merged syllable sits at keep
+    shift = keep - depth  # b's column c lands at c + shift
+    width = int((keep + lb - depth).max(initial=0)) + 1
+    out = np.full((len(i), width), _PAD, dtype=np.int8)
+    order = np.argsort(shift, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(shift[order])) + 1):
+        if group.size:
+            s = int(shift[group[0]])
+            lo, hi = max(s, 0), min(width, b.shape[1] + s)
+            out[group, lo:hi] = b[:, lo - s : hi - s][j[group]]
+    cols = min(a.shape[1], width)
+    out[:, :cols] = np.where(np.arange(cols) < keep[:, None], a[:, :cols][i], out[:, :cols])
+    hit = np.flatnonzero(m)
+    out[hit, keep[hit]] = merged[hit]
+    return out
 
 
-def haar_generator(ambient: FreeProductGroup, factor: int) -> AlgebraElement:
-    """Generator word of an infinite cyclic factor: all nonzero powers are
-    traceless, i.e. a Haar unitary of the algebra."""
-    if not ambient.is_infinite_cyclic(factor):
-        raise ValueError("factor must be infinite cyclic")
-    return AlgebraElement.from_word(ambient, ambient.word([(factor, 1)]))
+def _lookup(w: PolyElement, *queries: np.ndarray) -> list[np.ndarray]:
+    """For each array of query rows, the index of each row's word in w's
+    support, -1 where it is not there."""
+    width = w.rows.shape[1]
+    own = _keys(w.rows)
+    order = np.argsort(own)
+    own = own[order]
+    out = []
+    for rows in queries:
+        if rows.shape[1] < width:
+            rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=_PAD)
+        # a word longer than all of w's keeps no _PAD in its first width
+        # columns, so it matches none of w's rows, which all end in _PAD
+        keys = _keys(rows[:, :width])
+        pos = np.minimum(np.searchsorted(own, keys), len(own) - 1)
+        out.append(np.where(own[pos] == keys, order[pos], -1))
+    return out
 
 
-def commutator_element(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return multiply(multiply(multiply(a, b), star(a)), star(b))
+# -- the group algebra --------------------------------------------------------------
 
 
+class PolyElement:
+    """Element of the group algebra of C2 * Z with alpha- and beta-free coefficients.
+
+    ``rows[i]`` spells word i in int8 syllable codes (0 is x, k != 0 is
+    v^k, then ``_PAD``).  Its coefficient is
+    gamma_alpha^parity[i, 0] gamma_beta^parity[i, 1] P_i(alpha, beta),
+    and ``coeffs[i, d, e]`` is the integer coefficient of alpha^d beta^e
+    in P_i.  The parities are a function of the word: products combine
+    them by XOR, and ``_collect`` checks that equal words agree.
+    """
+
+    __slots__ = ("rows", "coeffs", "parity")
+
+    def __init__(self, rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray):
+        self.rows = rows
+        self.coeffs = coeffs
+        self.parity = parity
+
+    @property
+    def words(self) -> list[tuple]:
+        """The support as flat words of C2 * Z, decoded on access."""
+        return _decode(self.rows)
+
+    @property
+    def support_size(self) -> int:
+        return len(self.rows)
+
+    def is_one(self) -> bool:
+        return (not _lengths(self.rows).any() and not self.parity.any()
+                and self.coeffs.tolist() == [[[1]]])
+
+
+def _check_int64(*factors: int) -> None:
+    """Raise unless the product of these bounds (largest entries, terms
+    summed into one entry) fits in int64; called before every int64 product."""
+    if math.prod(factors) > _INT64_MAX:
+        raise OverflowError(f"an int64 product may overflow (bound {math.prod(factors)})")
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _trim(coeffs: np.ndarray) -> np.ndarray:
+    """Drop the trailing zero degrees of alpha and of beta, keeping one of each."""
+    alpha = np.flatnonzero(coeffs.any(axis=(0, 2)))
+    beta = np.flatnonzero(coeffs.any(axis=(0, 1)))
+    return coeffs[:, : alpha[-1] + 1 if alpha.size else 1, : beta[-1] + 1 if beta.size else 1]
+
+
+def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyElement:
+    """Sum the coefficients of equal words and drop the words that sum to 0;
+    the words come out sorted by their bytes.  Equal words carrying
+    different parities raise ArithmeticError."""
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(starts)
+    parity = parity[order]
+    if (parity != parity[first][np.cumsum(starts) - 1]).any():
+        raise ArithmeticError("equal words carry different parities")
+    sums = np.add.reduceat(coeffs[order], first, axis=0) if len(first) else coeffs[:0]
+    nonzero = sums.reshape(len(sums), -1).any(axis=1)
+    keep = first[nonzero]
+    rows = rows[order[keep]]
+    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim(sums[nonzero]),
+                       parity[keep])
+
+
+def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
+    """Convolution product.
+
+    Where both words are odd in a variable t, gamma_t^2 = t^2 - 1: the
+    pair's polynomial p becomes t^2 p - p, read off two spare degrees of t
+    that are allocated only when some pair needs them.
+    """
+    i = np.repeat(np.arange(a.support_size), b.support_size)
+    j = np.tile(np.arange(b.support_size), a.support_size)
+    _, da, ea = a.coeffs.shape
+    _, db, eb = b.coeffs.shape
+    # an entry sums min(da, db) min(ea, eb) products a pair, doubled by each gamma^2
+    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db) * min(ea, eb), 4 * len(i))
+    odd = (a.parity[i] & b.parity[j]).astype(bool)
+    spare = 2 * odd.any(axis=0)
+    pa, pb = a.coeffs[i], b.coeffs[j]
+    prod = np.zeros((len(i), da + db - 1 + spare[0], ea + eb - 1 + spare[1]), dtype=np.int64)
+    for d, e in itertools.product(range(db), range(eb)):
+        prod[:, d : d + da, e : e + ea] += pa * pb[:, d : d + 1, e : e + 1]
+    for axis in np.flatnonzero(spare):
+        p = prod[odd[:, axis]]
+        prod[odd[:, axis]] = np.roll(p, 2, axis=axis + 1) - p
+    return _collect(_row_products(a.rows, b.rows, i, j), prod, a.parity[i] ^ b.parity[j])
+
+
+def star(a: PolyElement) -> PolyElement:
+    """Adjoint: words reversed with v^k -> v^-k; conj(gamma_t) = -gamma_t
+    flips the sign of every word odd in exactly one variable."""
+    rows = _reversed(a.rows)
+    sign = 1 - 2 * (a.parity[:, 0] ^ a.parity[:, 1]).astype(np.int64)
+    return PolyElement(np.where(rows == _PAD, _PAD, -rows), a.coeffs * sign[:, None, None], a.parity)
+
+
+def is_unitary(a: PolyElement) -> bool:
+    """True iff a* a = 1 word by word, as integer polynomials."""
+    return multiply(star(a), a).is_one()
+
+
+Grid = tuple  # tuple[tuple[int, ...], ...]: entry [d][e] multiplies alpha^d beta^e
+
+
+def trace(a: PolyElement) -> Grid:
+    """The coefficient of the empty word, whose parities are 0, as an integer grid."""
+    [row], = _lookup(a, _encode([()]))
+    return tuple(map(tuple, _trim(a.coeffs[row : row + 1])[0].tolist())) if row >= 0 else ((0,),)
+
+
+def evaluate(grid: Grid, alpha: float, beta: float = 0.0) -> tuple[int, int]:
+    """The polynomial of ``grid`` at the exact binary values p/q of alpha and
+    r/s of beta, as a fraction (numerator, q^deg_alpha s^deg_beta) of
+    integers; integer true division rounds it correctly, once."""
+    (p, q), (r, s) = float(alpha).as_integer_ratio(), float(beta).as_integer_ratio()
+    da, db = len(grid) - 1, len(grid[0]) - 1
+    num = sum(c * p**d * q ** (da - d) * r**e * s ** (db - e)
+              for d, row in enumerate(grid) for e, c in enumerate(row))
+    return num, q**da * s**db
+
+
+def unitary(word: Word, variable: int = 0) -> PolyElement:
+    """t + gamma_t g for an involution g of C2 * Z given as a flat word,
+    (0, 1) for x; t is alpha for ``variable`` 0 and beta for 1."""
+    coeffs = np.zeros((2, 2, 2), dtype=np.int64)
+    coeffs[0, 1 - variable, variable] = 1  # t at the empty word
+    coeffs[1, 0, 0] = 1  # gamma_t at g
+    parity = np.zeros((2, 2), dtype=np.int8)
+    parity[1, variable] = 1
+    return PolyElement(_encode([(), word]), _trim(coeffs), parity)
+
+
+# -- the commutator trace identity over C2 * C2 ------------------------------------
+
+#: y = v x v^-1, the second involution of C2 * C2 = <x, y> inside C2 * Z
+_Y = (1, 1, 0, 1, 1, -1)
+
+#: tau(uv) = alpha beta, as a ``trace`` grid
+PRODUCT_RULE = ((0, 0), (0, 1))
+
+#: tau(u v u* v*) = 1 - (1 - alpha^2)(1 - beta^2) = alpha^2 + beta^2 - alpha^2 beta^2
+COMMUTATOR_CLOSED_FORM = ((0, 0, 1), (0, 0, 0), (1, 0, -1))
+
+
+def free_pair() -> tuple[PolyElement, PolyElement]:
+    """u = alpha + gamma_alpha x and beta + gamma_beta y, free unitaries with
+    traces alpha and beta on the two factors of C2 * C2."""
+    return unitary((0, 1), 0), unitary(_Y, 1)
+
+
+@functools.cache
+def _free_pair_traces() -> tuple[Grid, Grid]:
+    """tau(uv) and tau(u v u* v*) of the free pair, expanded once per process.
+
+    Raises ArithmeticError unless u v u* v* is unitary word by word.
+    """
+    u, v = free_pair()
+    uv = multiply(u, v)
+    comm = multiply(multiply(uv, star(u)), star(v))
+    if not is_unitary(comm):
+        raise ArithmeticError("u v u* v* is not unitary")
+    return trace(uv), trace(comm)
+
+
+@dataclass(frozen=True)
 class CommutatorTraceCheck:
-    """Exact commutator trace against the closed form 1 - (1-a^2)(1-b^2)."""
+    """The commutator trace against its closed form at one (alpha, beta).
 
-    __slots__ = ("alpha", "beta", "lhs", "rhs", "deviation")
+    ``lhs``, ``rhs`` and ``deviation`` are each rounded once from their
+    exact values; ``proved`` says that tau(uv) = alpha beta and the closed
+    form hold as polynomials, which makes every deviation 0.
+    """
 
-    def __init__(self, alpha: float, beta: float, lhs: complex, rhs: float):
-        self.alpha = alpha
-        self.beta = beta
-        self.lhs = lhs
-        self.rhs = rhs
-        self.deviation = abs(lhs - rhs)
-
-    def __repr__(self) -> str:
-        return (
-            f"CommutatorTraceCheck(alpha={self.alpha}, beta={self.beta}, "
-            f"deviation={self.deviation:.3e})"
-        )
+    alpha: float
+    beta: float
+    lhs: float
+    rhs: float
+    deviation: float
+    proved: bool
 
 
 def verify_free_commutator_identity(alpha: float, beta: float) -> CommutatorTraceCheck:
-    """Expand tau(u v u* v*) over C2 * C2 and compare with the product formula.
+    """tau(u v u* v*) for the free pair at (alpha, beta), against the closed form.
 
-    u and v are order-two unitaries with traces alpha, beta on the two
-    distinct free factors, so their freeness is structural, not assumed.
+    u and v are unitaries with traces alpha, beta on the two distinct free
+    factors of C2 * C2, so their freeness is structural, not assumed.
     """
-    ambient = two_involution_ambient()
-    u = order_two_unitary(ambient, alpha, 0)
-    v = order_two_unitary(ambient, beta, 1)
-    lhs = trace(commutator_element(u, v))
-    rhs = 1.0 - (1.0 - alpha * alpha) * (1.0 - beta * beta)
-    return CommutatorTraceCheck(alpha, beta, lhs, rhs)
-
-
-# Each call site gets its own C2 instances; FreeProductGroup equality is by
-# factor identity, so cached factors keep ambients of repeated calls compatible.
-_C2_CACHE: dict[int, FiniteGroup] = {}
-
-
-def _order_two_factor(slot: int) -> FiniteGroup:
-    if slot not in _C2_CACHE:
-        from .groups import cyclic_group
-
-        _C2_CACHE[slot] = cyclic_group(2)
-    return _C2_CACHE[slot]
-
-
-def two_involution_ambient() -> FreeProductGroup:
-    """C2 * C2, the exact carrier for two-variable trace identities."""
-    return FreeProductGroup((_order_two_factor(0), _order_two_factor(1)))
-
-
-def involution_haar_ambient() -> FreeProductGroup:
-    """C2 * Z, the exact carrier for the contraction dynamics."""
-    return FreeProductGroup((_order_two_factor(0), Z))
-
+    if not (-1.0 < alpha < 1.0 and -1.0 < beta < 1.0):
+        raise ValueError("alpha and beta must lie strictly inside (-1, 1)")
+    tau_uv, tau_comm = _free_pair_traces()
+    (ln, ld), (rn, rd) = evaluate(tau_comm, alpha, beta), evaluate(COMMUTATOR_CLOSED_FORM, alpha, beta)
+    proved = tau_uv == PRODUCT_RULE and tau_comm == COMMUTATOR_CLOSED_FORM
+    return CommutatorTraceCheck(alpha, beta, ln / ld, rn / rd, abs(ln * rd - rn * ld) / (ld * rd), proved)

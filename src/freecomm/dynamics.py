@@ -2,7 +2,8 @@
 
 Two evaluation routes are kept deliberately separate:
 
-* the exact route works in the group algebra of C2 * Z, where
+* the exact route works in the group algebra of C2 * Z
+  (``algebra.PolyElement``, with alpha its only trace variable), where
   u = alpha + gamma x with gamma = i sqrt(1 - alpha^2) and v is the cyclic
   generator (a Haar unitary of the algebra).  Every coefficient of w_n is
   gamma^(x-count mod 2) times an integer polynomial in alpha, so w_1 .. w_4
@@ -10,9 +11,10 @@ Two evaluation routes are kept deliberately separate:
   once, and only as far as the rows asked for need; their traces are read
   off the identity coefficient.  tau_5 is the pairing <w_4 c_4, c_4 w_4>
   of w_4 with itself; w_5 is never formed.  Each row is evaluated in
-  rational arithmetic at alpha and rounded once.  Words are rows of an
-  int8 array, multiplied a whole support at a time, and the pairings are
-  float64 GEMMs, exact below 2^53 and checked to stay there;
+  rational arithmetic at alpha and rounded once.  Products and adjoints
+  are ``algebra.multiply`` and ``algebra.star``, on int8 word rows a whole
+  support at a time; the pairings are float64 GEMMs, exact below 2^53 and
+  checked to stay there;
 * the scalar recursion tau_{n+1} = 1 - (1 - tau_n^2)(1 - alpha^2)
   predicts the same traces from freeness.
 
@@ -43,7 +45,21 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import ell_bar_from_trace, ell_from_trace
+from .algebra import (
+    PolyElement,
+    _encode,
+    _lookup,
+    _max_abs,
+    _row_products,
+    ell_bar_from_trace,
+    ell_from_trace,
+    evaluate,
+    is_unitary,
+    multiply,
+    star,
+    trace,
+    unitary,
+)
 from .matrices import CMVMatrix, Reflection, as_array
 from .words import FreeWord, w_sequence
 
@@ -59,14 +75,8 @@ EXPANDED_WORDS = 4
 #: rows 1 .. 5 have exact trace polynomials
 EXACT_ROWS = EXPANDED_WORDS + 1
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 #: float64 holds every integer below this exactly
 _FLOAT_EXACT = 2**53
-
-#: ends a row of int8 syllable codes; v^k needs |k| <= 127 so never meets it
-_PAD = -128
-_MAX_EXPONENT = 127
 
 
 @dataclass(frozen=True)
@@ -150,206 +160,14 @@ def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
     return _flush(float(lower)), _flush(float(upper))
 
 
-def _encode(words) -> np.ndarray:
-    """Flat words of C2 * Z, (0, 1) for x and (1, k) for v^k, as int8 rows
-    of syllable codes: 0 is x, k != 0 is v^k, and ``_PAD`` ends each row."""
-    codes = [[0 if f == 0 else v for f, v in zip(w[0::2], w[1::2])] for w in words]
-    rows = np.full((len(codes), max(map(len, codes), default=0) + 1), _PAD, dtype=np.int8)
-    for r, c in enumerate(codes):
-        _check_exponents(max(map(abs, c), default=0))
-        rows[r, : len(c)] = c
-    return rows
-
-
-def _decode(rows: np.ndarray) -> list[tuple]:
-    """int8 rows back to flat words of ``involution_haar_ambient()``."""
-    return [tuple(itertools.chain.from_iterable((0, 1) if s == 0 else (1, s)
-                                                for s in row if s != _PAD))
-            for row in rows.tolist()]
-
-
-def _check_exponents(largest: int) -> None:
-    """Raise unless |k| <= 127 for v^k: int8 would wrap, and -128 is ``_PAD``."""
-    if largest > _MAX_EXPONENT:
-        raise OverflowError(f"a syllable v^k with |k| = {largest} does not fit in int8")
-
-
-def _lengths(rows: np.ndarray) -> np.ndarray:
-    return (rows != _PAD).sum(axis=1)
-
-
-def _reversed(rows: np.ndarray) -> np.ndarray:
-    """Each row's syllables in reverse order, still ended by ``_PAD``."""
-    back = _lengths(rows)[:, None] - 1 - np.arange(rows.shape[1])
-    return np.where(back >= 0, np.take_along_axis(rows, np.maximum(back, 0), axis=1), _PAD)
-
-
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row, its bytes: equal keys are equal words."""
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
-def _row_products(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Rows of the words a[i] b[j], each reduced at the boundary.
-
-    Walking a's row back from its end and b's forward from its start, x
-    meets x or v^k meets v^-k and both cancel; v^k meeting v^l with
-    k + l != 0 merges into one syllable, and anything else stops the walk.
-    Each step of the column loop gathers one column of the pairs still
-    cancelling.  Output row r is a's surviving prefix, the merged syllable
-    if any, then b's surviving suffix, which sits at a fixed offset from
-    b's own columns; grouped by that offset, the suffixes are one row
-    gather and one slice copy per group.
-    """
-    la, lb = _lengths(a)[i], _lengths(b)[j]
-    a_flat, b_flat = a.ravel(), b.ravel()
-    a_end, b_start = i * a.shape[1] + la, j * b.shape[1]  # flat ends of a's and b's words
-    depth = np.zeros(len(i), dtype=np.intp)
-    merged = np.zeros(len(i), dtype=np.int16)  # the merged exponent; 0: no merge
-    live = np.arange(len(i))
-    for t in range(min(a.shape[1], b.shape[1])):
-        sa = np.where(la[live] > t, a_flat[a_end[live] - 1 - t], _PAD).astype(np.int16)
-        sb = b_flat[b_start[live] + t].astype(np.int16)
-        both_v = (sa != 0) & (sb != 0) & (sa != _PAD) & (sb != _PAD)
-        cancel = ((sa == 0) & (sb == 0)) | (both_v & (sa == -sb))
-        merge = both_v & (sa != -sb)
-        merged[live[merge]] = (sa + sb)[merge]
-        live = live[cancel]
-        depth[live] += 1
-        if not live.size:
-            break
-    _check_exponents(int(np.abs(merged).max(initial=0)))
-    m = (merged != 0).astype(np.intp)
-    keep = la - depth - m  # a's surviving prefix; the merged syllable sits at keep
-    shift = keep - depth  # b's column c lands at c + shift
-    width = int((keep + lb - depth).max(initial=0)) + 1
-    out = np.full((len(i), width), _PAD, dtype=np.int8)
-    order = np.argsort(shift, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(shift[order])) + 1):
-        if group.size:
-            s = int(shift[group[0]])
-            lo, hi = max(s, 0), min(width, b.shape[1] + s)
-            out[group, lo:hi] = b[:, lo - s : hi - s][j[group]]
-    cols = min(a.shape[1], width)
-    out[:, :cols] = np.where(np.arange(cols) < keep[:, None], a[:, :cols][i], out[:, :cols])
-    hit = np.flatnonzero(m)
-    out[hit, keep[hit]] = merged[hit]
-    return out
-
-
-class PolyElement:
-    """Element of the group algebra of C2 * Z with alpha-free coefficients.
-
-    With u = alpha + gamma x, where x generates C2 and gamma = i sqrt(1 - alpha^2)
-    (so gamma^2 = alpha^2 - 1), every coefficient of w_n(u, v) at a word g is
-    gamma^parity(g) P_g(alpha), where parity(g) is the number of x syllables
-    mod 2 and P_g has integer coefficients.  ``rows[i]`` spells word i in
-    int8 syllable codes (0 is x, k != 0 is v^k, then ``_PAD``) and
-    ``coeffs[i]`` holds its P, lowest degree first, one int64 row per word.
-    """
-
-    __slots__ = ("rows", "coeffs", "parity")
-
-    def __init__(self, rows: np.ndarray, coeffs: np.ndarray):
-        self.rows = rows
-        self.coeffs = coeffs
-        self.parity = ((rows == 0).sum(axis=1) & 1).astype(np.int64)
-
-    @property
-    def words(self) -> list[tuple]:
-        """The support as words of ``involution_haar_ambient()``, decoded on access."""
-        return _decode(self.rows)
-
-    @property
-    def support_size(self) -> int:
-        return len(self.rows)
-
-    def is_one(self) -> bool:
-        return not _lengths(self.rows).any() and self.coeffs.tolist() == [[1]]
-
-
-def _check_int64(*factors: int) -> None:
-    """Raise unless the product of these bounds (largest entries, terms
-    summed into one entry) fits in int64; called before every int64 product."""
-    if math.prod(factors) > _INT64_MAX:
-        raise OverflowError(f"an int64 product may overflow (bound {math.prod(factors)})")
-
-
-def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
-
-
-def _trim_columns(coeffs: np.ndarray) -> np.ndarray:
-    nonzero = np.flatnonzero(coeffs.any(axis=0))
-    return coeffs[:, : nonzero[-1] + 1 if nonzero.size else 1]
-
-
-def _collect(rows: np.ndarray, coeffs: np.ndarray) -> PolyElement:
-    """Sum the coefficients of equal words and drop the words that sum to 0;
-    the words come out sorted by their bytes."""
-    keys = _keys(rows)
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(coeffs[order], first, axis=0) if len(first) else coeffs[:0]
-    keep = sums.any(axis=1)
-    rows = rows[order[first[keep]]]
-    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim_columns(sums[keep]))
-
-
-def _poly_multiply(a: PolyElement, b: PolyElement) -> PolyElement:
-    """Convolution product; gamma^2 = alpha^2 - 1 where two odd words meet."""
-    i = np.repeat(np.arange(a.support_size), b.support_size)
-    j = np.tile(np.arange(b.support_size), a.support_size)
-    da, db = a.coeffs.shape[1], b.coeffs.shape[1]
-    # each entry sums at most every pair's min(da, db) products, twice for gamma^2
-    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db), 2 * len(i))
-    pa, pb = a.coeffs[i], b.coeffs[j]
-    prod = np.zeros((len(i), da + db + 1), dtype=np.int64)  # two spare columns
-    for d in range(db):
-        prod[:, d : d + da] += pa * pb[:, d : d + 1]
-    odd = (a.parity[i] & b.parity[j]).astype(bool)
-    p = prod[odd]
-    alpha_sq_p = np.zeros_like(p)
-    alpha_sq_p[:, 2:] = p[:, :-2]
-    prod[odd] = alpha_sq_p - p
-    return _collect(_row_products(a.rows, b.rows, i, j), prod)
-
-
-def _poly_star(a: PolyElement) -> PolyElement:
-    """Adjoint: words reversed with v^k -> v^-k; conj(gamma) = -gamma flips
-    the sign of every odd word."""
-    rows = _reversed(a.rows)
-    return PolyElement(np.where(rows == _PAD, _PAD, -rows), a.coeffs * (1 - 2 * a.parity)[:, None])
-
-
-def _conjugate_rows(k: int) -> np.ndarray:
-    """Rows of the empty word and of y = v^k x v^-k; k = 0 is x itself."""
-    return _encode([(), (1, k, 0, 1, 1, -k) if k else (0, 1)])
+def _conjugate(k: int) -> tuple:
+    """y = v^k x v^-k as a flat word of C2 * Z; k = 0 is x itself."""
+    return (1, k, 0, 1, 1, -k) if k else (0, 1)
 
 
 def _linear(k: int) -> PolyElement:
     """alpha + gamma v^k x v^-k: u itself for k = 0, else its conjugate c_k."""
-    return PolyElement(_conjugate_rows(k), np.array([[0, 1], [1, 0]], dtype=np.int64))
-
-
-def _lookup(w: PolyElement, *queries: np.ndarray) -> list[np.ndarray]:
-    """For each array of query rows, the index of each row's word in w's
-    support, -1 where it is not there."""
-    width = w.rows.shape[1]
-    own = _keys(w.rows)
-    order = np.argsort(own)
-    own = own[order]
-    out = []
-    for rows in queries:
-        if rows.shape[1] < width:
-            rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=_PAD)
-        # a word longer than all of w's keeps no _PAD in its first width
-        # columns, so it matches none of w's rows, which all end in _PAD
-        keys = _keys(rows[:, :width])
-        pos = np.minimum(np.searchsorted(own, keys), len(own) - 1)
-        out.append(np.where(own[pos] == keys, order[pos], -1))
-    return out
+    return unitary(_conjugate(k))
 
 
 def _sum_of_products(p: np.ndarray, q: np.ndarray) -> list[int]:
@@ -374,11 +192,12 @@ def _sum_of_products(p: np.ndarray, q: np.ndarray) -> list[int]:
 
 def _graded_pairing(w: PolyElement, image: np.ndarray) -> tuple[list[int], list[int]]:
     """sum of P_g P_image(g) over the even and over the odd words g whose
-    image lies in the support (``image`` holds -1 elsewhere)."""
-    hit = image >= 0
-    even, odd = hit & (w.parity == 0), hit & (w.parity == 1)
-    return (_sum_of_products(w.coeffs[even], w.coeffs[image[even]]),
-            _sum_of_products(w.coeffs[odd], w.coeffs[image[odd]]))
+    image lies in the support (``image`` holds -1 elsewhere).  The decay
+    words carry alpha alone: their beta degree and parity are 0."""
+    hit, parity, coeffs = image >= 0, w.parity[:, 0], w.coeffs[:, :, 0]
+    even, odd = hit & (parity == 0), hit & (parity == 1)
+    return (_sum_of_products(coeffs[even], coeffs[image[even]]),
+            _sum_of_products(coeffs[odd], coeffs[image[odd]]))
 
 
 def _padd(*polys) -> list[int]:
@@ -424,7 +243,7 @@ def paired_trace(w: PolyElement, k: int) -> list[int]:
     gamma and the sign (-1)^(1 - p): S = odd - even.  y g y keeps the
     parity: T = even + (1 - alpha^2) odd.
     """
-    y = _conjugate_rows(k)[1:]
+    y = _encode([_conjugate(k)])
     every, once = np.arange(w.support_size), np.zeros(w.support_size, dtype=np.intp)
     yg = _row_products(y, w.rows, once, every)
     gy = _row_products(w.rows, y, every, once)
@@ -441,7 +260,7 @@ def paired_trace(w: PolyElement, k: int) -> list[int]:
 def _next_word(w: PolyElement, k: int) -> PolyElement:
     """w_{k+1} = (w_k c_k w_k*) c_k* from w = w_k."""
     c = _linear(k)
-    return _poly_multiply(_poly_multiply(_poly_multiply(w, c), _poly_star(w)), _poly_star(c))
+    return multiply(multiply(multiply(w, c), star(w)), star(c))
 
 
 def commutator_polynomials(n_max: int = EXPANDED_WORDS) -> list[PolyElement]:
@@ -481,11 +300,10 @@ class _ExactTraces:
         w = _linear(0) if n == 1 else _next_word(self.word, n - 1)
         if _parseval(w) != [1]:
             raise ArithmeticError(f"w_{n} violates Parseval: tau(w* w) != 1")
-        if n <= 3 and not _poly_multiply(_poly_star(w), w).is_one():
+        if n <= 3 and not is_unitary(w):
             raise ArithmeticError(f"w_{n} is not unitary")
         self.word = w
-        [row], = _lookup(w, _encode([()]))  # tau(w) is the coefficient at the empty word
-        return _padd(w.coeffs[row].tolist()) if row >= 0 else [0]
+        return [c for c, in trace(w)]
 
 
 _EXACT_TRACES = _ExactTraces()
@@ -494,14 +312,6 @@ _EXACT_TRACES = _ExactTraces()
 def trace_polynomials() -> tuple[tuple[int, ...], ...]:
     """tau_1 .. tau_5, each computed once per process (see ``_ExactTraces``)."""
     return tuple(_EXACT_TRACES[n] for n in range(1, EXACT_ROWS + 1))
-
-
-def _evaluate(poly: tuple[int, ...], alpha: float) -> tuple[int, int]:
-    """The polynomial at the exact binary value p/q of alpha, as a fraction
-    (numerator, q^degree) of integers."""
-    p, q = alpha.as_integer_ratio()
-    degree = len(poly) - 1
-    return sum(c * p**k * q ** (degree - k) for k, c in enumerate(poly)), q**degree
 
 
 def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[DecayStep]:
@@ -519,15 +329,15 @@ def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[Decay
     ell_bar_u = ell_bar_from_trace(complex(alpha))
     for n, (tau_rec, ell_rec) in enumerate(_recursion_traces(alpha), start=1):
         if n <= EXACT_ROWS:
-            num, den = _evaluate(_EXACT_TRACES[n], alpha)
+            num, den = evaluate([[c] for c in _EXACT_TRACES[n]], alpha)
             # integer true division rounds correctly: one rounding per value
-            trace = num / den
+            tau_n = num / den
             ell_n = math.sqrt((2 * den - 2 * num) / den)
             ell_bar_n = math.sqrt((2 * den - 2 * abs(num)) / den)
             source = "exact" if n <= EXPANDED_WORDS else "exact_trace"
         else:
             # tau_n >= alpha^2 >= 0 from n = 2 on, so |tau| = tau
-            trace, source = tau_rec, "recursion"
+            tau_n, source = tau_rec, "recursion"
             ell_n = ell_bar_n = ell_rec
         lower, upper = _bounds(n, ell_u, ell_bar_u)
         yield DecayStep(
@@ -537,7 +347,7 @@ def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[Decay
             lower=lower,
             upper=upper,
             in_bounds=lower - slack <= ell_n <= upper + slack,
-            trace=trace,
+            trace=tau_n,
             recursion_trace=tau_rec,
             source=source,
         )

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from freecomm.algebra import FreeProductGroup, Z, ell_bar_from_trace, ell_from_trace
+from freecomm.groups import cyclic_group
+
 
 def word_to_letters(syllables):
     """Expand (gen, exponent) syllables into single +/-1 letters."""
@@ -60,6 +63,180 @@ def norm2(a):
     return math.sqrt(sum(abs(c) ** 2 for _, c in a.items_sorted()))
 
 
+# -- the float group-algebra engine ----------------------------------------------
+#
+# Complex coefficients over FreeProductGroup words, multiplied pair by pair
+# through ``FreeProductGroup.concat``: the reference the exact int8/int64
+# engine of ``freecomm.algebra`` is compared against.
+
+#: coefficients with modulus below this are dropped after every operation
+PRUNE_THRESHOLD = 1e-15
+
+#: bound on the convolution working set (support pairs) and result support
+DEFAULT_SUPPORT_CAP = 2_000_000
+
+#: unitarity tolerance used by the length functions
+UNITARY_TOL = 1e-9
+
+
+class SupportCapExceeded(RuntimeError):
+    """A product would touch more than ``DEFAULT_SUPPORT_CAP`` word pairs.
+
+    The cap bounds the convolution working set, and so the size of the
+    stored result; hitting it raises instead of truncating silently.
+    """
+
+    def __init__(self, needed: int, cap: int):
+        super().__init__(
+            f"product needs {needed} support pairs, exceeding the cap of {cap}"
+        )
+        self.needed = needed
+        self.cap = cap
+
+
+class AlgebraElement:
+    """Finitely supported element of the group algebra of a free product,
+    with complex coefficients.  Immutable after construction."""
+
+    __slots__ = ("ambient", "_coeffs")
+
+    def __init__(self, ambient, coeffs):
+        pruned = {}
+        for w, c in coeffs.items():
+            c = complex(c)
+            if abs(c) >= PRUNE_THRESHOLD:
+                pruned[w] = c
+        self.ambient = ambient
+        self._coeffs = pruned
+
+    @classmethod
+    def one(cls, ambient, scale=1.0):
+        return cls(ambient, {(): scale})
+
+    @classmethod
+    def from_word(cls, ambient, word, scale=1.0):
+        return cls(ambient, {word: scale})
+
+    @property
+    def support_size(self):
+        return len(self._coeffs)
+
+    def coefficient(self, word):
+        return self._coeffs.get(word, 0j)
+
+    def items_sorted(self):
+        return sorted(self._coeffs.items())
+
+    def __add__(self, other):
+        self._check_ambient(other)
+        out = dict(self._coeffs)
+        for w, c in other._coeffs.items():
+            out[w] = out.get(w, 0j) + c
+        return AlgebraElement(self.ambient, out)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __rmul__(self, scalar):
+        return AlgebraElement(self.ambient, {w: scalar * c for w, c in self._coeffs.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, AlgebraElement):
+            return multiply(self, other)
+        return AlgebraElement(self.ambient, {w: c * other for w, c in self._coeffs.items()})
+
+    def _check_ambient(self, other):
+        if self.ambient is not other.ambient:
+            raise ValueError("elements live over different free products")
+
+
+def multiply(a, b):
+    """Convolution product, summed in sorted word order on both sides."""
+    a._check_ambient(b)
+    pairs = a.support_size * b.support_size
+    if pairs > DEFAULT_SUPPORT_CAP:
+        raise SupportCapExceeded(pairs, DEFAULT_SUPPORT_CAP)
+    concat = a.ambient.concat
+    acc = {}
+    b_items = b.items_sorted()
+    for wa, ca in a.items_sorted():
+        for wb, cb in b_items:
+            w = concat(wa, wb)
+            acc[w] = acc.get(w, 0j) + ca * cb
+    return AlgebraElement(a.ambient, acc)
+
+
+def star(a):
+    """Adjoint: coefficient of w becomes the conjugate coefficient of w^-1."""
+    inv = a.ambient.inverse_word
+    return AlgebraElement(a.ambient, {inv(w): c.conjugate() for w, c in a._coeffs.items()})
+
+
+def trace(a):
+    return a.coefficient(())
+
+
+def is_unitary(a, tol=UNITARY_TOL):
+    """True iff every coefficient of a* a - 1 has modulus at most tol."""
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    p = multiply(star(a), a)
+    dev = abs(p.coefficient(()) - 1.0)
+    for w, c in p._coeffs.items():
+        if w:
+            dev = max(dev, abs(c))
+    return dev <= tol
+
+
+def _require_unitary(a):
+    if not is_unitary(a):
+        raise ValueError("length functions are only defined for unitaries")
+
+
+def ell(a):
+    """2-norm distance from the identity, sqrt(2 - 2 Re trace)."""
+    _require_unitary(a)
+    return ell_from_trace(trace(a))
+
+
+def ell_bar(a):
+    """2-norm distance to the nearest unit scalar, sqrt(2 (1 - |trace|))."""
+    _require_unitary(a)
+    return ell_bar_from_trace(trace(a))
+
+
+def order_two_unitary(ambient, alpha, factor=0):
+    """alpha + i sqrt(1 - alpha^2) s over an order-two factor: trace alpha."""
+    if not -1.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly inside (-1, 1)")
+    fac = ambient.factors[factor]
+    if fac is Z or fac.order != 2:
+        raise ValueError("factor must be an order-two group")
+    s = 1 - fac.identity  # the unique nontrivial element index
+    word = ambient.word([(factor, s)])
+    return AlgebraElement(ambient, {(): alpha, word: 1j * math.sqrt(1.0 - alpha * alpha)})
+
+
+def haar_generator(ambient, factor):
+    """Generator word of an infinite cyclic factor: all nonzero powers are
+    traceless, i.e. a Haar unitary of the algebra."""
+    if ambient.factors[factor] is not Z:
+        raise ValueError("factor must be infinite cyclic")
+    return AlgebraElement.from_word(ambient, ambient.word([(factor, 1)]))
+
+
+def commutator_element(a, b):
+    return multiply(multiply(multiply(a, b), star(a)), star(b))
+
+
+#: C2 * C2 and C2 * Z; elements over one ambient must share its instance
+TWO_INVOLUTIONS = FreeProductGroup((cyclic_group(2), cyclic_group(2)))
+INVOLUTION_HAAR = FreeProductGroup((cyclic_group(2), Z))
+
+
 def two_norm_dist(a, b):
     """Trace 2-norm distance of two N x N matrices: the Frobenius norm of
     a - b scaled by 1/sqrt(N)."""
@@ -69,15 +246,15 @@ def two_norm_dist(a, b):
     return float(np.linalg.norm(a - b) / np.sqrt(a.shape[0]))
 
 
-def poly_element_at(w, alpha, ambient):
-    """A ``dynamics.PolyElement`` as a float ``AlgebraElement`` at alpha: the
-    coefficient at word g is gamma^parity(g) P_g(alpha), gamma = i sqrt(1 - alpha^2)."""
-    from freecomm.algebra import AlgebraElement
-
+def poly_element_at(w, alpha, ambient=INVOLUTION_HAAR):
+    """A ``freecomm.algebra.PolyElement`` in alpha alone as a float
+    ``AlgebraElement`` at alpha: the coefficient at word g is
+    gamma^parity(g) P_g(alpha), gamma = i sqrt(1 - alpha^2)."""
+    assert w.coeffs.shape[2] == 1 and not w.parity[:, 1].any()
     gamma = 1j * math.sqrt(1.0 - alpha * alpha)
-    values = w.coeffs @ (alpha ** np.arange(w.coeffs.shape[1]))
+    values = w.coeffs[:, :, 0] @ (alpha ** np.arange(w.coeffs.shape[1]))
     return AlgebraElement(ambient, {g: gamma**parity * value for g, parity, value
-                                    in zip(w.words, w.parity.tolist(), values.tolist())})
+                                    in zip(w.words, w.parity[:, 0].tolist(), values.tolist())})
 
 
 def integer_recursion_polynomials(n_max):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import freecomm as fc
+from freecomm.algebra import ell_bar_from_trace, ell_from_trace, evaluate, free_pair
 from freecomm.catalog import unitary_group_catalog
 from freecomm.discrete import MatrixGroup
 from freecomm.dynamics import decay_curve_exact, find_small_element
@@ -56,28 +57,30 @@ def test_criterion_01_exact_commutator_trace_identity():
 
 def test_criterion_02_freeness_product_rule():
     with _Budget("criterion 2: freeness product rule", 1.0):
-        amb = fc.FreeProductGroup((fc.cyclic_group(2), fc.cyclic_group(2)))
+        u, v = free_pair()
+        tau_uv = fc.trace(fc.multiply(u, v))
         for a in GRID:
             for b in GRID:
-                u = fc.order_two_unitary(amb, a, 0)
-                v = fc.order_two_unitary(amb, b, 1)
-                dev = abs(fc.trace(fc.multiply(u, v)) - a * b)
+                num, den = evaluate(tau_uv, a, b)
+                dev = abs(num / den - a * b)
                 assert dev <= 1e-12, (a, b, dev)
 
 
 def test_criterion_03_two_sided_bound():
     with _Budget("criterion 3: two-sided commutator bound", 1.0):
-        amb = fc.FreeProductGroup((fc.cyclic_group(2), fc.cyclic_group(2)))
+        u, v = free_pair()
+        comm = fc.multiply(fc.multiply(fc.multiply(u, v), fc.star(u)), fc.star(v))
+        assert fc.is_unitary(comm)
+        tau_comm = fc.trace(comm)
         for a in GRID:
             for b in GRID:
-                u = fc.order_two_unitary(amb, a, 0)
-                v = fc.order_two_unitary(amb, b, 1)
-                comm = fc.multiply(fc.multiply(fc.multiply(u, v), fc.star(u)), fc.star(v))
-                lc = fc.ell(comm)
-                lbu, lbv = fc.ell_bar(u), fc.ell_bar(v)
+                num, den = evaluate(tau_comm, a, b)
+                tau = complex(num / den)
+                lc = ell_from_trace(tau)
+                lbu, lbv = ell_bar_from_trace(complex(a)), ell_bar_from_trace(complex(b))
                 assert lbu * lbv / math.sqrt(2) - 1e-10 <= lc, (a, b)
                 assert lc <= math.sqrt(2) * lbu * lbv + 1e-10, (a, b)
-                assert abs(fc.ell_bar(comm) - lc) <= 1e-10, (a, b)
+                assert abs(ell_bar_from_trace(tau) - lc) <= 1e-10, (a, b)
 
 
 def test_criterion_04_decay_chain():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from freecomm.algebra import free_pair, multiply, star
 from freecomm.catalog import quaternion_generators
 from freecomm.discrete import group_closure
 
@@ -42,3 +43,14 @@ def test_closure_hook_reads_a_closed_group():
     counters.clear()
     hook(counters, (), {}, group_closure([np.array([[np.exp(1j)]])], cap=50))
     assert not counters
+
+
+def test_multiply_hook_reads_an_exact_product():
+    hook = next(h for name, _m, _a, h in _tracing().TRACED if name == "algebra.multiply")
+    counters = defaultdict(float)
+    u, _ = free_pair()
+    one = multiply(u, star(u))  # 2 x 2 pairs collect into the empty word
+    assert (u.support_size, one.support_size) == (2, 1) and one.is_one()
+    hook(counters, (u, star(u)), {}, one)
+    assert counters["algebra.multiply.pairs"] == 4
+    assert counters["algebra.multiply.out_support"] == 1

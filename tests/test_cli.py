@@ -29,8 +29,9 @@ def test_verify_identity_default_grid(capsys):
     code, doc = run_json(capsys, ["verify-identity"])
     assert code == 0
     assert doc["pass"] is True
-    assert doc["max_deviation"] <= 1e-12
+    assert doc["max_deviation"] == 0.0
     assert doc["config"]["subcommand"] == "verify-identity"
+    assert "tol" not in doc["config"]
     assert doc["config"]["version"]
     assert len(doc["results"]) == 64
 
@@ -41,12 +42,21 @@ def test_verify_identity_zero_grid(capsys):
     assert doc["results"][0]["deviation"] == 0.0
 
 
-def test_verify_identity_strict_tolerance_fails(capsys):
-    # deviations are ~1e-17 but a zero tolerance flags the float residue
-    code, doc = run_json(capsys, ["verify-identity", "--alpha-grid", "0.5",
-                                  "--beta-grid", "0.5", "--tol", "0"])
+def test_verify_identity_wrong_closed_form_fails(capsys, monkeypatch):
+    # deviations are exact: a closed form off by alpha^2 beta^2 shows as
+    # exactly that at (0.5, 0.5), and the identity is no longer proved
+    monkeypatch.setattr("freecomm.algebra.COMMUTATOR_CLOSED_FORM", ((0, 0, 1), (0, 0, 0), (1, 0, -2)))
+    code, doc = run_json(capsys, ["verify-identity", "--alpha-grid", "0.5,0",
+                                  "--beta-grid", "0.5"])
     assert code == 1
     assert doc["pass"] is False
+    assert [r["deviation"] for r in doc["results"]] == [0.0625, 0.0]
+    assert doc["max_deviation"] == 0.0625
+
+
+def test_verify_identity_rejects_tol(capsys):
+    # with exact deviations a tolerance decides nothing, so there is none
+    assert exit_code(["verify-identity", "--tol", "0"]) == 2
 
 
 def test_verify_identity_bad_grid_is_usage_error(capsys):
@@ -256,10 +266,6 @@ def test_usage_error_exit_code_on_unknown_flag():
     pytest.param(["zassenhaus", "--cap", "2"], id="zassenhaus-cap-below-generators"),
     pytest.param(["zassenhaus", "--t", "-1"], id="zassenhaus-t-negative"),
     pytest.param(["zassenhaus", "--t", "nan"], id="zassenhaus-t-nan"),
-    pytest.param(["verify-identity", "--alpha-grid", "0", "--beta-grid", "0", "--tol", "-1"],
-                 id="verify-identity-tol-negative"),
-    pytest.param(["verify-identity", "--tol", "nan"], id="verify-identity-tol-nan"),
-    pytest.param(["verify-identity", "--tol", "x"], id="verify-identity-tol-x"),
     pytest.param(["dynamics", "--alpha", "0.9", "--tol", "-1e-3"], id="dynamics-tol-negative"),
     pytest.param(["dynamics", "--alpha", "0.9", "--tol", "nan"], id="dynamics-tol-nan"),
     pytest.param(["freeness", "--n", "8", "--trials", "1", "--tol", "-0.5"],

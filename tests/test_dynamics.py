@@ -9,24 +9,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from freecomm.algebra import (
-    DEFAULT_SUPPORT_CAP,
-    AlgebraElement,
-    SupportCapExceeded,
-    commutator_element,
-    involution_haar_ambient,
-    multiply,
-    order_two_unitary,
-    star,
-)
-from freecomm.dynamics import (
     PolyElement,
-    _ExactTraces,
     _decode,
     _encode,
-    _linear,
-    _poly_multiply,
-    _poly_star,
     _row_products,
+    multiply,
+    star,
+    trace,
+)
+from freecomm.dynamics import (
+    _ExactTraces,
+    _linear,
     _sum_of_products,
     commutator_polynomials,
     decay_curve_exact,
@@ -47,7 +40,19 @@ from freecomm.matrices import (
 )
 from freecomm.words import w_sequence
 
-from oracles import dense_decay_curve, integer_recursion_polynomials, norm2, poly_element_at
+import oracles
+from oracles import (
+    DEFAULT_SUPPORT_CAP,
+    INVOLUTION_HAAR,
+    AlgebraElement,
+    SupportCapExceeded,
+    commutator_element,
+    dense_decay_curve,
+    integer_recursion_polynomials,
+    norm2,
+    order_two_unitary,
+    poly_element_at,
+)
 
 ALPHAS = (0.76, 0.8, 0.9, 0.95)
 #: the float engine and the polynomial route are compared here
@@ -98,9 +103,8 @@ def test_pairing_matches_expansion():
     for n, w in enumerate(commutator_polynomials(3), 1):
         for k in range(n + 1):
             c = _linear(k)
-            wcw = _poly_multiply(_poly_multiply(w, c), _poly_star(w))
-            full = _poly_multiply(wcw, _poly_star(c))
-            tau = full.coeffs[full.words.index(())].tolist()
+            full = multiply(multiply(multiply(w, c), star(w)), star(c))
+            tau = [t for t, in trace(full)]
             paired = paired_trace(w, k)
             assert paired == tau[: len(paired)] and not any(tau[len(paired):]), (n, k)
 
@@ -108,7 +112,7 @@ def test_pairing_matches_expansion():
 def _float_route(alpha):
     """w_1 .. w_3 on the float engine, w_{k+1} = [w_k, v^k u v^-k], and the
     trace of w_4 = (w_3 c w_3*) c*, summed without forming the last product."""
-    amb = involution_haar_ambient()
+    amb = INVOLUTION_HAAR
     beta = 1j * math.sqrt(1.0 - alpha * alpha)
 
     def conjugate(k):
@@ -118,22 +122,22 @@ def _float_route(alpha):
     for k in (1, 2):
         words.append(commutator_element(words[-1], conjugate(k)))
     c = conjugate(3)
-    wcw = multiply(multiply(words[-1], c), star(words[-1]))
+    wcw = oracles.multiply(oracles.multiply(words[-1], c), oracles.star(words[-1]))
     # tau(a b) = sum_h a(h^-1) b(h)
-    tau4 = sum(wcw.coefficient(amb.inverse_word(h)) * b for h, b in star(c).items_sorted())
+    tau4 = sum(wcw.coefficient(amb.inverse_word(h)) * b
+               for h, b in oracles.star(c).items_sorted())
     return words, tau4
 
 
 def test_float_engine_agrees_with_polynomial_route():
-    amb = involution_haar_ambient()
     polys = commutator_polynomials()
     for alpha in CROSS_ALPHAS:
         words, tau4 = _float_route(alpha)
         for poly, w in zip(polys, words):
-            at = poly_element_at(poly, alpha, amb)
+            at = poly_element_at(poly, alpha)
             assert at.support_size == w.support_size, (alpha, w.support_size)
             assert norm2(at - w) <= 1e-12, alpha
-        exact = polys[3].coeffs[polys[3].words.index(())].tolist()
+        exact = [c for c, in trace(polys[3])]
         assert abs(sum(c * alpha**k for k, c in enumerate(exact)) - tau4) <= 1e-12, alpha
 
 
@@ -150,9 +154,10 @@ def test_exact_rows_are_rounded_once():
 
 
 def test_poly_overflow_is_loud():
-    big = PolyElement(_encode([()]), np.array([[2**40]], dtype=np.int64))
+    big = PolyElement(_encode([()]), np.array([[[2**40]]], dtype=np.int64),
+                      np.zeros((1, 2), dtype=np.int8))
     with pytest.raises(OverflowError):
-        _poly_multiply(big, big)
+        multiply(big, big)
 
 
 def test_float_pairing_overflow_is_loud():
@@ -169,11 +174,11 @@ def test_exponent_outside_int8_is_loud():
         with pytest.raises(OverflowError):
             _encode([(1, k)])
     assert _decode(_encode([(1, 127), (1, -127)])) == [(1, 127), (1, -127)]
-    one = np.array([[1]], dtype=np.int64)
-    big = PolyElement(_encode([(1, 100)]), one)
+    one = np.array([[[1]]], dtype=np.int64)
+    big = PolyElement(_encode([(1, 100)]), one, np.zeros((1, 2), dtype=np.int8))
     with pytest.raises(OverflowError):
-        _poly_multiply(big, big)  # v^100 v^100 = v^200
-    assert _poly_multiply(big, _poly_star(big)).is_one()
+        multiply(big, big)  # v^100 v^100 = v^200
+    assert multiply(big, star(big)).is_one()
 
 
 @st.composite
@@ -200,7 +205,7 @@ def test_row_products_and_star_match_the_tuple_engine(left, extra, cut):
     # FreeProductGroup.concat and inverse_word, the reference engine; the
     # right factors cancel into the left ones fully (inverses) or for a
     # cascade of `cut` syllables before going on with a word of `extra`
-    amb = involution_haar_ambient()
+    amb = INVOLUTION_HAAR
     right = [()] + [amb.inverse_word(w) for w in left] + extra
     right += [amb.concat(amb.inverse_word(w[max(len(w) - 2 * cut, 0):]), e)
               for w in left for e in extra]
@@ -209,11 +214,13 @@ def test_row_products_and_star_match_the_tuple_engine(left, extra, cut):
     got = _decode(_row_products(_encode(left), _encode(right), i, j))
     assert got == [amb.concat(left[a], right[b]) for a, b in zip(i, j)]
 
-    coeffs = np.arange(1, len(left) + 1, dtype=np.int64)[:, None]
-    star = _poly_star(PolyElement(_encode(left), coeffs))
-    assert star.words == [amb.inverse_word(w) for w in left]
+    coeffs = np.arange(1, len(left) + 1, dtype=np.int64)[:, None, None]
     odd = [w[0::2].count(0) % 2 for w in left]
-    assert star.coeffs[:, 0].tolist() == [(-1) ** p * c for p, c in zip(odd, coeffs[:, 0].tolist())]
+    parity = np.array([[p, 0] for p in odd], dtype=np.int8)
+    adjoint = star(PolyElement(_encode(left), coeffs, parity))
+    assert adjoint.words == [amb.inverse_word(w) for w in left]
+    assert adjoint.coeffs[:, 0, 0].tolist() == [(-1) ** p * c for p, c in
+                                                zip(odd, coeffs[:, 0, 0].tolist())]
 
 
 def test_exact_trace_agrees_with_recursion():
@@ -473,10 +480,9 @@ def test_reports_serialize_deterministically():
 def test_multiply_cap_error_is_loud():
     # w_4 at alpha = 0.9 on the float engine: w_4 w_4* needs 32768^2 pairs,
     # past the fixed cap; the float engine refuses instead of truncating
-    amb = involution_haar_ambient()
-    w4 = poly_element_at(commutator_polynomials()[3], 0.9, amb)
+    w4 = poly_element_at(commutator_polynomials()[3], 0.9)
     assert w4.support_size == 32768
     with pytest.raises(SupportCapExceeded) as err:
-        multiply(w4, star(w4))
+        oracles.multiply(w4, oracles.star(w4))
     assert err.value.needed == 32768**2
     assert err.value.cap == DEFAULT_SUPPORT_CAP
