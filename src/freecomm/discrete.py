@@ -93,12 +93,12 @@ class MatrixGroup(FiniteGroup):
 
 class _ElementIndex:
     """Nearest-element lookup with a cheap Frobenius sandwich before the
-    exact op-norm comparison (op <= fro <= sqrt(N) * op)."""
+    exact op-norm comparison (op <= fro <= sqrt(N) * op).  The flattened
+    elements fill the prefix of one array that doubles when full."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._flat: list[np.ndarray] = []
-        self._stack: np.ndarray | None = None
+        self._flat = np.empty((16, dim * dim), dtype=complex)
         self.matrices: list[np.ndarray] = []
 
     def __len__(self) -> int:
@@ -107,9 +107,7 @@ class _ElementIndex:
     def find(self, m: np.ndarray) -> int | None:
         if not self.matrices:
             return None
-        if self._stack is None:
-            self._stack = np.stack(self._flat)
-        fro = np.linalg.norm(self._stack - m.ravel(), axis=1)
+        fro = np.linalg.norm(self._flat[: len(self)] - m.ravel(), axis=1)
         # fro <= eps  =>  op <= eps; fro > eps*sqrt(N)  =>  op > eps
         certain = np.nonzero(fro <= DEFAULT_MERGE_EPS)[0]
         if certain.size:
@@ -121,10 +119,12 @@ class _ElementIndex:
         return None
 
     def add(self, m: np.ndarray) -> int:
+        k = len(self)
+        if k == len(self._flat):
+            self._flat = np.concatenate([self._flat, np.empty_like(self._flat)])
+        self._flat[k] = m.ravel()
         self.matrices.append(m)
-        self._flat.append(m.ravel())
-        self._stack = None
-        return len(self.matrices) - 1
+        return k
 
 
 def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonClosure:
@@ -228,13 +228,12 @@ def gamma_filter(group: MatrixGroup, threshold: float) -> FilterReport:
     members = group.generated(gens)
     sub = tuple(sorted(members))
 
-    abelian = all(
-        group.mul(i, j) == group.mul(j, i) for i in sub for j in sub if j < i
-    )
+    # exact on the table: <S> is abelian iff S commutes pairwise, and
+    # normal iff g s g^-1 lies in <S> for g among G's generators (G is
+    # finite, so g <S> g^-1 inside <S> makes them equal) and s in S
+    abelian = all(group.mul(i, j) == group.mul(j, i) for i in gens for j in gens if j < i)
     normal = all(
-        group.mul(group.mul(g, h), group.inv(g)) in members
-        for g in range(group.order)
-        for h in sub
+        group.conjugate(s, g) in members for g in group.generator_indices for s in gens
     )
     return FilterReport(
         threshold=threshold,

@@ -19,7 +19,7 @@ import numpy as np
 #: op-norm tolerance every constructed unitary must satisfy
 UNITARY_OP_TOL = 1e-10
 
-#: column width of the Householder panels in ``_orthonormalize_haar``
+#: column width of the Householder panels in ``_haar_frame``
 _PANEL_WIDTH = 32
 
 
@@ -160,27 +160,36 @@ class CMVMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.alpha),) * 2
 
-    def _factor(self, start: int, x: np.ndarray) -> np.ndarray:
-        """L x (start 0) or M x (start 1): Theta_k on rows k, k + 1 for
-        k = start, start + 2, ..., and conj alpha_{N-1} on a lone last row."""
+    def _factor(self, start: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = L x (start 0) or M x (start 1), elementwise: Theta_k on rows
+        k, k + 1 for k = start, start + 2, ..., and conj alpha_{N-1} on a
+        lone last row.  ``out`` may be ``x`` itself."""
         n = len(self.alpha)
         if x.ndim != 2 or x.shape[0] != n:
             raise ValueError("dimension mismatch")
         a, r = self.alpha[start : n - 1 : 2, None], self._rho[start : n - 1 : 2, None]
         top, bottom = x[start : n - 1 : 2], x[start + 1 : n : 2]
-        y = x.astype(complex)
-        y[start : n - 1 : 2] = a.conj() * top + r * bottom
-        y[start + 1 : n : 2] = r * top - a * bottom
+        out_top, out_bottom = out[start : n - 1 : 2], out[start + 1 : n : 2]
+        a_bottom, r_top = a * bottom, r * top  # the products still needing x
+        np.multiply(a.conj(), top, out=out_top)
+        np.multiply(r, bottom, out=out_bottom)
+        np.add(out_top, out_bottom, out=out_top)
+        np.subtract(r_top, a_bottom, out=out_bottom)
+        out[:start] = x[:start]
         if (n - 1 - start) % 2 == 0:
-            y[n - 1] *= self.alpha[n - 1].conj()
-        return y
+            np.multiply(x[n - 1], self.alpha[n - 1].conj(), out=out[n - 1])
+        return out
 
     def __matmul__(self, x) -> np.ndarray:
-        return self._factor(0, self._factor(1, as_array(x)))
+        x = as_array(x)
+        y = self._factor(1, x, np.empty_like(x, dtype=complex))
+        return self._factor(0, y, y)
 
     def __rmatmul__(self, x) -> np.ndarray:
         # each Theta_k is symmetric, so X L M = (M (L X^T))^T
-        return self._factor(1, self._factor(0, as_array(x).T)).T
+        x = as_array(x).T
+        y = self._factor(0, x, np.empty_like(x, dtype=complex))
+        return self._factor(1, y, y).T
 
     def trace(self) -> complex:
         """The diagonal of L M is -alpha_{k-1} conj alpha_k, with alpha_{-1} = -1."""
@@ -192,86 +201,61 @@ class CMVMatrix:
         return self @ np.eye(len(self.alpha))
 
 
-def _orthonormalize_haar(z: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the columns of z (N x m, m <= N), by
-    Householder QR with the triangular factor's diagonal phases divided
-    out, so the result follows the exact Haar law: a Haar unitary for
-    square z, a Haar-distributed N x m frame for tall z.
+def _haar_frame(n: int, m: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """N x m frame (m <= N) with the exact law of the first m columns of a
+    Haar unitary; m = N gives a Haar unitary.
 
-    Blocked compact-WY form (Schreiber & Van Loan 1989).  The columns are
-    factored in panels of ``_PANEL_WIDTH``.  Inside a panel, each reflector
-    H = I - tau v v* (v[0] carries the phase of the pivot, tau = 2/|v|^2)
-    is applied to the panel's own columns with fixed-order einsum kernels.
-    The panel's reflectors are then gathered as H_1 ... H_b = I - V T V*,
-    with T upper triangular (LAPACK ``larft``, forward and columnwise), and
-    the trailing columns get C -= V (T* (V* C)).  Q is formed by applying
-    the blocks to the first m columns of the identity in reverse,
+    The Householder reflectors of a complex-Gaussian matrix's QR are
+    independent, and the k-th comes from a fresh Gaussian vector x in
+    C^(N-k+1) (Stewart 1980), so no matrix is factored: each x gives
+    H_k = I - tau v v* on the last N - k + 1 coordinates, v = x + s |x| e_1
+    with s the phase of x[0] and tau = 2/|v|^2, and H_k x = -s |x| e_1.
+    The frame is Q = H_1 ... H_m I[:, :m] with column k multiplied by
+    -s_k, the phase of R's k-th diagonal entry, which makes the law
+    exactly Haar (Mezzadri 2007).  A Gaussian's scale drops out of H_k.
+
+    Blocked compact-WY form (Schreiber & Van Loan 1989).  The reflectors
+    come in panels of ``_PANEL_WIDTH``, drawn from the last panel to the
+    first; the reflector vectors of a panel starting at k0 are the lower
+    trapezoid of one (N - k0) x b Gaussian draw.  A panel's reflectors are
+    gathered as H_k0 ... H_k1-1 = I - V T V*, with T upper triangular
+    (LAPACK ``larft``, forward and columnwise), and applied to Q at once,
     C -= V (T (V* C)).
 
-    The two block updates are complex GEMM, which carries almost all of the
-    work; everything else is einsum.  The result must be bit-identical at
-    every BLAS thread count.  LAPACK's own QR is not: its bytes change
-    between one thread and several.  Threaded GEMM splits the output
-    matrix, not the inner sums, across threads, so each entry is summed in
-    the same order at every thread count, as
+    That update is complex GEMM, which carries almost all of the work;
+    everything else is einsum or elementwise.  The result must be
+    bit-identical at every BLAS thread count.  LAPACK's own QR is not: its
+    bytes change between one thread and several.  Threaded GEMM splits the
+    output matrix, not the inner sums, across threads, so each entry is
+    summed in the same order at every thread count, as
     ``test_haar_bit_identical_across_thread_counts`` checks.
     """
-    n, m = z.shape
-    a = z.astype(complex)
-    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for k0 in range(0, m, _PANEL_WIDTH):
-        k1 = min(k0 + _PANEL_WIDTH, m)
-        b = k1 - k0
-        v_blk = np.zeros((n - k0, b), dtype=complex)
-        taus = np.zeros(b)
-        for j in range(b):
-            k = k0 + j
-            x = a[k:, k]
-            xnorm = float(np.sqrt(np.einsum("i,i->", x.conj(), x).real))
-            alpha = x[0]
-            s = alpha / abs(alpha) if abs(alpha) > 0 else 1.0 + 0j
-            v = v_blk[j:, j]
-            v[:] = x
-            v[0] += s * xnorm
-            vnorm2 = float(np.einsum("i,i->", v.conj(), v).real)
-            if vnorm2 > 0:
-                taus[j] = 2.0 / vnorm2
-                w = np.einsum("i,ij->j", v.conj(), a[k:, k:k1])
-                a[k:, k:k1] -= np.multiply.outer(v, taus[j] * w)
-        gram = np.einsum("ij,ik->jk", v_blk.conj(), v_blk)
+    rng = make_rng(seed)
+    q = np.eye(n, m, dtype=complex)
+    phases = np.empty(m, dtype=complex)
+    for k0 in reversed(range(0, m, _PANEL_WIDTH)):
+        b = min(_PANEL_WIDTH, m - k0)
+        v = np.tril(rng.standard_normal((n - k0, b)) + 1j * rng.standard_normal((n - k0, b)))
+        diag = np.arange(b)
+        s = v[diag, diag] / np.abs(v[diag, diag])
+        v[diag, diag] += s * np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
+        phases[k0 : k0 + b] = -s
+        gram = np.einsum("ij,ik->jk", v.conj(), v)
+        taus = 2.0 / gram.diagonal().real
         t = np.zeros((b, b), dtype=complex)
         for j in range(b):
             t[j, j] = taus[j]
             t[:j, j] = -taus[j] * np.einsum("ij,j->i", t[:j, :j], gram[:j, j])
-        if k1 < m:
-            c = a[k0:, k1:]
-            c -= v_blk @ (t.conj().T @ (v_blk.conj().T @ c))
-        blocks.append((k0, v_blk, t))
-    r_diag = np.diagonal(a).copy()
-    q = np.eye(n, m, dtype=complex)
-    for k0, v_blk, t in reversed(blocks):
         c = q[k0:, k0:]
-        c -= v_blk @ (t @ (v_blk.conj().T @ c))
-    mods = np.abs(r_diag)
-    phases = np.where(mods > 0, r_diag / np.where(mods > 0, mods, 1.0), 1.0)
-    return q * phases[np.newaxis, :]
-
-
-def _haar_frame(n: int, k: int, seed: int | np.random.SeedSequence) -> np.ndarray:
-    """N x k orthonormal frame with the law of the first k columns of a
-    Haar unitary: an i.i.d. complex-Gaussian N x k matrix, orthonormalized."""
-    rng = make_rng(seed)
-    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
-    return _orthonormalize_haar(z)
+        c -= v @ (t @ (v.conj().T @ c))
+    q *= phases
+    return q
 
 
 def sample_haar(n: int, seed: int | np.random.SeedSequence) -> UnitaryMatrix:
-    """Haar-distributed unitary, deterministic for a fixed (n, seed).
-
-    Orthonormalizes an i.i.d. complex-Gaussian matrix and divides out the
-    triangular factor's diagonal phases; the diagonal-phase correction
-    makes the law exactly Haar rather than merely approximately so.
-    """
+    """Haar-distributed unitary, deterministic for a fixed (n, seed): the
+    product of N independent Householder reflectors with their phases
+    divided out (``_haar_frame``)."""
     if n < 1:
         raise ValueError("dimension must be positive")
     return UnitaryMatrix(_haar_frame(n, n, seed))
@@ -352,9 +336,10 @@ def freeness_report(u, v) -> FreenessReport:
     tu, tv = normalized_trace(a), normalized_trace(b)
     uv, vu = a @ b, b @ a
     tuv = normalized_trace(uv)
-    # tau(UVU*V*) = tr(UV (VU)*) / N, paired entrywise; numpy's own
-    # fixed-order sum, not a BLAS dot, keeps the bytes thread-invariant
-    tcomm = complex((uv * vu.conj()).sum()) / n
+    # tau(UVU*V*) = tr(UV (VU)*) / N, paired entrywise in place; numpy's
+    # own fixed-order sum, not a BLAS dot, keeps the bytes thread-invariant
+    np.conjugate(vu, out=vu)
+    tcomm = complex(np.multiply(uv, vu, out=vu).sum()) / n
     d1 = abs(tuv - tu * tv)
     rhs = 1.0 - (1.0 - abs(tu) ** 2) * (1.0 - abs(tv) ** 2)
     d2 = abs(tcomm - rhs)

@@ -522,3 +522,95 @@ def dense_cmv(alpha):
             f[k, k], f[k, k + 1] = np.conj(a), rho
             f[k + 1, k], f[k + 1, k + 1] = rho, -a
     return factors[0] @ factors[1]
+
+
+def orthonormalize_haar(z):
+    """Orthonormal columns spanning the columns of z (N x m, m <= N), by
+    blocked Householder QR with the triangular factor's diagonal phases
+    divided out: a Haar unitary for a square complex-Gaussian z, a Haar
+    N x m frame for a tall one.
+
+    The columns are factored in panels of 32.  Inside a panel each
+    reflector H = I - tau v v* (v[0] carries the phase of the pivot,
+    tau = 2/|v|^2) is applied to the panel's own columns; the panel's
+    reflectors are gathered as I - V T V* (LAPACK ``larft``, forward and
+    columnwise), and the trailing columns get C -= V (T* (V* C)).  Q is
+    formed by applying the blocks to I[:, :m] in reverse, C -= V (T (V* C)).
+    """
+    n, m = z.shape
+    a = z.astype(complex)
+    blocks = []
+    for k0 in range(0, m, 32):
+        k1 = min(k0 + 32, m)
+        b = k1 - k0
+        v_blk = np.zeros((n - k0, b), dtype=complex)
+        taus = np.zeros(b)
+        for j in range(b):
+            k = k0 + j
+            x = a[k:, k]
+            xnorm = float(np.sqrt(np.einsum("i,i->", x.conj(), x).real))
+            s = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0 + 0j
+            v = v_blk[j:, j]
+            v[:] = x
+            v[0] += s * xnorm
+            vnorm2 = float(np.einsum("i,i->", v.conj(), v).real)
+            if vnorm2 > 0:
+                taus[j] = 2.0 / vnorm2
+                w = np.einsum("i,ij->j", v.conj(), a[k:, k:k1])
+                a[k:, k:k1] -= np.multiply.outer(v, taus[j] * w)
+        gram = np.einsum("ij,ik->jk", v_blk.conj(), v_blk)
+        t = np.zeros((b, b), dtype=complex)
+        for j in range(b):
+            t[j, j] = taus[j]
+            t[:j, j] = -taus[j] * np.einsum("ij,j->i", t[:j, :j], gram[:j, j])
+        if k1 < m:
+            c = a[k0:, k1:]
+            c -= v_blk @ (t.conj().T @ (v_blk.conj().T @ c))
+        blocks.append((k0, v_blk, t))
+    r_diag = np.diagonal(a).copy()
+    q = np.eye(n, m, dtype=complex)
+    for k0, v_blk, t in reversed(blocks):
+        c = q[k0:, k0:]
+        c -= v_blk @ (t @ (v_blk.conj().T @ c))
+    mods = np.abs(r_diag)
+    phases = np.where(mods > 0, r_diag / np.where(mods > 0, mods, 1.0), 1.0)
+    return q * phases[np.newaxis, :]
+
+
+def unblocked_haar(n, m, seed):
+    """The N x m Haar frame of ``matrices._haar_frame`` from the same drawn
+    reflectors, applied one at a time: the Gaussian draws are taken panel by
+    panel in the sampler's order, x_k is column k - k0 of its panel's draw
+    from row k - k0 down, and I[:, :m] gets H_m first, then H_{m-1}, ...,
+    each as C -= tau v (v* C), then column k times -s_k."""
+    from freecomm.matrices import _PANEL_WIDTH, make_rng
+
+    rng = make_rng(seed)
+    q = np.eye(n, m, dtype=complex)
+    phases = np.zeros(m, dtype=complex)
+    for k0 in reversed(range(0, m, _PANEL_WIDTH)):
+        b = min(_PANEL_WIDTH, m - k0)
+        draw = rng.standard_normal((n - k0, b)) + 1j * rng.standard_normal((n - k0, b))
+        for j in reversed(range(b)):
+            k = k0 + j
+            x = draw[j:, j]
+            s = x[0] / abs(x[0])
+            v = x.copy()
+            v[0] += s * np.linalg.norm(x)
+            tau = 2.0 / np.vdot(v, v).real
+            q[k:] -= tau * np.outer(v, v.conj() @ q[k:])
+            phases[k] = -s
+    return q * phases
+
+
+def subgroup_verdicts(group, members):
+    """(abelian, normal) for the subgroup with index set ``members``, by the
+    full scans: every pair of members commutes, and g h g^-1 is a member
+    for every group element g and member h."""
+    abelian = all(group.mul(i, j) == group.mul(j, i) for i in members for j in members)
+    normal = all(
+        group.mul(group.mul(g, h), group.inv(g)) in members
+        for g in range(group.order)
+        for h in members
+    )
+    return abelian, normal

@@ -5,6 +5,7 @@ import pytest
 
 from freecomm.catalog import (
     binary_tetrahedral_generators,
+    finite_group_catalog,
     pauli_generators,
     quaternion_generators,
     unitary_group_catalog,
@@ -20,7 +21,7 @@ from freecomm.discrete import (
 )
 from freecomm.matrices import sample_haar, subseed
 
-from oracles import naive_closure
+from oracles import naive_closure, subgroup_verdicts
 
 
 def test_ell_op_examples():
@@ -181,6 +182,40 @@ def test_filter_monotone_in_threshold():
         assert prev <= sub
         prev = sub
     assert len(prev) == 24  # threshold beyond 2 captures everything
+
+
+def test_filter_verdicts_match_full_scans():
+    # verdicts from the generators of <S> against the |G| |H| and |H|^2
+    # scans, at a threshold between each pair of consecutive distinct
+    # lengths (and above the largest), on every bundled and dicyclic group
+    for name, gens in CLOSURE_INPUTS.items():
+        mg = group_closure(gens)
+        ells = sorted(set(np.round(mg.element_ells(), 9)))
+        for t in [(a + b) / 2 for a, b in zip(ells, ells[1:])] + [ells[-1] + 1.0]:
+            rep = gamma_filter(mg, t)
+            want = subgroup_verdicts(mg, frozenset(rep.subgroup_indices))
+            assert (rep.is_abelian, rep.is_normal) == want, (name, t)
+
+
+def test_filter_verdicts_match_full_scans_for_non_class_lengths():
+    # the element lengths of a unitary group are class functions, so every
+    # filtered subgroup above is normal; 1 x 1 elements with lengths that
+    # are not, on the tables of the finite catalog, give subgroups that are
+    # neither abelian nor normal
+    verdicts = set()
+    for name, g in finite_group_catalog().items():
+        gens: list[int] = []
+        for x in range(g.order):  # a greedy generating set
+            if x not in g.generated(gens):
+                gens.append(x)
+        angles = [0.0 if x == g.identity else 0.1 * (x + 1) for x in range(g.order)]
+        mg = MatrixGroup([np.array([[np.exp(1j * a)]]) for a in angles], g.table, gens)
+        for t in sorted(mg.element_ells())[1:]:
+            rep = gamma_filter(mg, t + 1e-9)
+            want = subgroup_verdicts(mg, frozenset(rep.subgroup_indices))
+            assert (rep.is_abelian, rep.is_normal) == want, (name, t)
+            verdicts.add(want)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_heisenberg_examples():

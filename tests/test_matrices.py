@@ -20,7 +20,13 @@ from freecomm.matrices import (
     unitary_with_trace,
 )
 
-from oracles import dense_cmv, ks_uniform, two_norm_dist
+from oracles import (
+    dense_cmv,
+    ks_uniform,
+    orthonormalize_haar,
+    two_norm_dist,
+    unblocked_haar,
+)
 
 
 def test_haar_dimension_one_is_phase():
@@ -74,16 +80,28 @@ def test_haar_bit_identical_across_thread_counts():
     assert len(digests) == 1
 
 
+def test_blocked_haar_matches_unblocked_reflectors():
+    # one panel (40), several panels with a ragged last one (130), and a
+    # thin 130 x 45 frame
+    from freecomm.matrices import _haar_frame
+
+    for n, k in ((40, 40), (130, 130), (130, 45)):
+        u = _haar_frame(n, k, subseed(78, n, k))
+        assert u.shape == (n, k)
+        assert np.max(np.abs(u - unblocked_haar(n, k, subseed(78, n, k)))) <= 1e-12
+        assert np.allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
+
+
 def test_orthonormalization_matches_lapack_span():
-    # same Q R = Z factorization as LAPACK up to column phases, within one
-    # panel (40) and across panels with a ragged last one (130), and for a
-    # tall 130 x 45 input (thin Q)
-    from freecomm.matrices import _orthonormalize_haar, make_rng
+    # the QR oracle: same Q R = Z factorization as LAPACK up to column
+    # phases, within one panel (40) and across panels with a ragged last
+    # one (130), and for a tall 130 x 45 input (thin Q)
+    from freecomm.matrices import make_rng
 
     for n, k in ((40, 40), (130, 130), (130, 45)):
         rng = make_rng(77, n)
         z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
-        u = _orthonormalize_haar(z)
+        u = orthonormalize_haar(z)
         q, r = np.linalg.qr(z)
         u_ref = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[np.newaxis, :]
         assert u.shape == (n, k)
@@ -122,6 +140,16 @@ def test_haar_entry_modulus_is_uniform():
     assert ks_uniform(samples) <= 0.05
     samples = [abs(_haar_frame(2, 1, subseed(5151, k))[0, 0]) ** 2 for k in range(10_000)]
     assert ks_uniform(samples) <= 0.05
+
+
+def test_haar_determinant_phase_is_uniform():
+    # arg det / 2 pi is uniform for a Haar unitary; the reflectors alone
+    # have det (-1)^N, so this sees the column phases -s_k
+    samples = [
+        np.angle(np.linalg.det(sample_haar(3, subseed(5152, k)).array)) / (2 * np.pi) % 1.0
+        for k in range(5_000)
+    ]
+    assert ks_uniform(samples) <= 0.03
 
 
 def test_unitary_with_trace_counting():
