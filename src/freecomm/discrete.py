@@ -87,44 +87,43 @@ class MatrixGroup(FiniteGroup):
         return self.elements[0].shape[0]
 
     def element_ells(self) -> list[float]:
-        eye = np.eye(self.dim)
-        return [op_norm(eye - g) for g in self.elements]
+        """||1 - g|| for every element, from one stacked SVD."""
+        diffs = np.eye(self.dim) - np.asarray(self.elements, dtype=complex)
+        return np.linalg.svd(diffs, compute_uv=False)[:, 0].tolist()
 
 
-class _ElementIndex:
-    """Nearest-element lookup with a cheap Frobenius sandwich before the
-    exact op-norm comparison (op <= fro <= sqrt(N) * op).  The flattened
-    elements fill the prefix of one array that doubles when full."""
+#: entries of the largest query x element block the Frobenius screen forms
+_SCREEN_BLOCK = 1 << 16
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._flat = np.empty((16, dim * dim), dtype=complex)
-        self.matrices: list[np.ndarray] = []
+_EPS = np.finfo(float).eps
 
-    def __len__(self) -> int:
-        return len(self.matrices)
 
-    def find(self, m: np.ndarray) -> int | None:
-        if not self.matrices:
-            return None
-        fro = np.linalg.norm(self._flat[: len(self)] - m.ravel(), axis=1)
-        # fro <= eps  =>  op <= eps; fro > eps*sqrt(N)  =>  op > eps
-        certain = np.nonzero(fro <= DEFAULT_MERGE_EPS)[0]
-        if certain.size:
-            return int(certain[0])
-        maybe = np.nonzero(fro <= DEFAULT_MERGE_EPS * np.sqrt(self.dim))[0]
-        for idx in maybe:
-            if op_norm(self.matrices[idx] - m) <= DEFAULT_MERGE_EPS:
-                return int(idx)
-        return None
+def _close_pairs(known: np.ndarray, queries: np.ndarray, limit: float) -> dict[int, list]:
+    """Per query q, the (j, ||known[j] - queries[q]||_F) within ``limit``
+    in increasing j, for stacks of flattened matrices.
 
-    def add(self, m: np.ndarray) -> int:
-        k = len(self)
-        if k == len(self._flat):
-            self._flat = np.concatenate([self._flat, np.empty_like(self._flat)])
-        self._flat[k] = m.ravel()
-        self.matrices.append(m)
-        return k
+    A screen from one GEMM per block of queries, |k|^2 + |p|^2 - 2 Re <k, p>,
+    drops the pairs beyond ``limit``.  Its slack covers the rounding error
+    of that expansion, below 8 (e + 4) eps (|k|^2 + |p|^2) for e entries
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so it
+    drops no pair within ``limit``.  Each pair that passes gets
+    ``np.linalg.norm`` of its difference row, the value a lookup of one
+    product at a time computes.
+    """
+    kk = np.square(known.view(float)).sum(axis=1)
+    slack = 8.0 * (known.shape[1] + 4) * _EPS
+    step = max(1, _SCREEN_BLOCK // len(known))
+    out: dict[int, list] = {}
+    for a in range(0, len(queries), step):
+        p = queries[a : a + step]
+        scale = np.square(p.view(float)).sum(axis=1)[:, None] + kk
+        sq = scale - 2.0 * (p @ known.conj().T).real
+        qs, js = np.nonzero(sq <= limit**2 + slack * scale)
+        dist = np.linalg.norm(known[js] - p[qs], axis=1)
+        for q, j, d in zip((qs + a).tolist(), js.tolist(), dist.tolist()):
+            if d <= limit:
+                out.setdefault(q, []).append((j, d))
+    return out
 
 
 def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonClosure:
@@ -136,12 +135,28 @@ def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonC
     a product lands within ``NEAR_IDENTITY_BAND`` of the identity without
     merging with it (within ``DEFAULT_MERGE_EPS``).
 
+    A product merges with the first known element (lowest index) within
+    eps = ``DEFAULT_MERGE_EPS`` in Frobenius norm, which bounds the op
+    norm.  Failing that, the elements within eps sqrt(N) in Frobenius
+    norm, the only ones that can be within eps in op norm, are tried in
+    index order by their exact op-norm distance.  The search runs one BFS
+    layer at a time: the layer's products come from one batched matmul and
+    are compared at once with all earlier elements and with each other
+    (``_close_pairs``); only the products that match no earlier element
+    are then resolved one by one, in discovery order, against the new
+    elements found before them.  That makes the same merges, in the same
+    order, as looking up one product at a time.
+    A new element's op-norm distance to the identity is computed only when
+    its Frobenius distance lets it lie in the near-identity band, or when
+    it would pass the cap and needs a witness.
+
     The Cayley table is read off the search by index arithmetic alone
     (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 4.1):
     each element j > 0 was first met as elements[p] @ steps[k], so
     elements[i] @ elements[j] is the step-k neighbour of elements[i] @
-    elements[p], a row entry already filled.  A table that float merging
-    made inconsistent fails the ``FiniteGroup`` checks with ValueError.
+    elements[p], an entry of an earlier layer's column.  A table that
+    float merging made inconsistent fails the ``FiniteGroup`` checks with
+    ValueError.
     """
     gens = [as_array(g) for g in generators]
     if not gens:
@@ -155,40 +170,73 @@ def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonC
     if cap < len(gens):
         raise ValueError("cap smaller than the generating set")
 
-    steps = gens + [g.conj().T for g in gens]
-    index = _ElementIndex(dim)
-    index.add(np.eye(dim, dtype=complex))
-    right: list[list[int]] = []  # right[i][k]: index of elements[i] @ steps[k]
-    found_by: list[tuple[int, int]] = []  # (parent, step) of elements 1, 2, ...
-    i = 0
-    while i < len(index):  # discovery order is breadth-first order
-        row = []
-        for k, s in enumerate(steps):
-            p = index.matrices[i] @ s
-            found = index.find(p)
-            if found is None:
-                d_id = op_norm(p - np.eye(dim))
-                if d_id <= NEAR_IDENTITY_BAND:
-                    # not merged with the identity, yet inside the band
-                    return NonClosure("near_identity", p, d_id, len(index))
-                if len(index) >= cap:
-                    return NonClosure("cap_exceeded", p, d_id, len(index))
-                found = index.add(p)
-                found_by.append((i, k))
-            row.append(found)
-        right.append(row)
-        i += 1
+    eps, maybe_eps = DEFAULT_MERGE_EPS, DEFAULT_MERGE_EPS * np.sqrt(dim)
+    # op(p - 1) <= band needs fro(p - 1) <= band sqrt(N); the factor leaves
+    # room for rounding, so only products near the identity get an SVD
+    band_fro = NEAR_IDENTITY_BAND * np.sqrt(dim) * (1.0 + 1e-6)
+    steps = np.array(gens + [g.conj().T for g in gens])
+    n_steps = len(steps)
+    eye = np.eye(dim)
+    mats = np.empty((16, dim, dim), dtype=complex)
+    mats[0] = eye
+    right = np.empty((16, n_steps), dtype=np.intp)  # right[i, k]: elements[i] @ steps[k]
+    parents: list[int] = []  # element j > 0 was found as elements[parents[j-1]] @ steps[moves[j-1]]
+    moves: list[int] = []
+    n, lo = 1, 0
+    while lo < n:  # elements lo..hi-1 form one BFS layer
+        hi = n
+        prods = (mats[lo:hi, None] @ steps[None]).reshape(-1, dim, dim)  # (i, k) order
+        flat = prods.reshape(len(prods), -1)
+        # columns below hi are the known elements, the rest this layer's products
+        close = _close_pairs(np.concatenate([mats[:hi].reshape(hi, -1), flat]), flat, maybe_eps)
+        found = [next((j for j, d in close.get(q, ()) if j < hi and d <= eps), -1)
+                 for q in range(len(prods))]
+        unmatched = [q for q, j in enumerate(found) if j < 0]
+        if unmatched:
+            to_id = np.linalg.norm(flat[unmatched] - eye.ravel(), axis=1).tolist()
+            added: dict[int, int] = {}  # product -> element, for this layer's new ones
+            for q, near_id in zip(unmatched, to_id):
+                # the band in index order: known elements, then earlier new ones
+                band = [(j if j < hi else added[j - hi], d) for j, d in close.get(q, ())
+                        if j < hi or j - hi in added]
+                match = next((j for j, d in band if d <= eps), None)
+                if match is None:
+                    match = next((j for j, _ in band if op_norm(mats[j] - prods[q]) <= eps), None)
+                if match is None:
+                    if near_id <= band_fro or n >= cap:
+                        d_id = op_norm(prods[q] - eye)
+                        if d_id <= NEAR_IDENTITY_BAND:
+                            # not merged with the identity, yet inside the band
+                            return NonClosure("near_identity", prods[q].copy(), d_id, n)
+                        if n >= cap:
+                            return NonClosure("cap_exceeded", prods[q].copy(), d_id, n)
+                    if n == len(mats):
+                        mats = np.concatenate([mats, np.empty_like(mats)])
+                        right = np.concatenate([right, np.empty_like(right)])
+                    mats[n] = prods[q]
+                    parents.append(lo + q // n_steps)
+                    moves.append(q % n_steps)
+                    match = added[q] = n
+                    n += 1
+                found[q] = match
+        right[lo:hi] = np.reshape(found, (hi - lo, n_steps))
+        lo = hi
 
-    table = []
-    for i in range(len(index)):
-        row = [i]
-        for parent, k in found_by:
-            row.append(right[row[parent]][k])
-        table.append(row)
+    # table[i, j] = table[i, parent_j] @ step_j, one BFS layer of columns
+    # at a time: every parent lies in an earlier layer
+    parent, move = np.array(parents, dtype=np.intp), np.array(moves, dtype=np.intp)
+    table = np.empty((n, n), dtype=np.min_scalar_type(n))
+    table[:, 0] = np.arange(n)
+    j = 1
+    while j < n:
+        end = j + int(np.searchsorted(parent[j - 1 :], j))  # the elements whose parents are below j
+        cols = slice(j - 1, end - 1)
+        table[:, j:end] = right[table[:, parent[cols]], move[cols]]
+        j = end
     return MatrixGroup(
-        elements=index.matrices,
+        elements=tuple(mats[:n].copy()),
         table=table,
-        generator_indices=right[0][: len(gens)],
+        generator_indices=right[0, : len(gens)].tolist(),
     )
 
 

@@ -14,6 +14,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class FiniteGroup:
     """A finite group given by an ``n x n`` multiplication table of indices."""
@@ -24,22 +26,31 @@ class FiniteGroup:
         labels: Sequence[str] | None = None,
         name: str = "group",
     ):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
-        n = len(rows)
+        n = len(table)
         if n == 0:
             raise ValueError("group must have at least one element")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-            if sorted(row) != list(range(n)):
-                raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            col = sorted(rows[i][j] for i in range(n))
-            if col != list(range(n)):
-                raise ValueError(f"table column {j} is not a permutation of 0..{n - 1}")
+        # rows are checked in order, so the array stops at a ragged row
+        ragged = next((i for i, row in enumerate(table) if len(row) != n), n)
+        t = np.asarray(table[:ragged])
+        if t.dtype.kind not in "iu":
+            # int() each entry (floats, ints beyond int64), clamped to
+            # -1..n: an entry outside 0..n-1 stays outside
+            t = np.array([[min(max(int(x), -1), n) for x in row] for row in table[:ragged]],
+                         dtype=np.int64)
+        t = t.reshape(ragged, n)
+        everyone = np.arange(n)
+        bad = np.flatnonzero((np.sort(t, axis=1) != everyone).any(axis=1))
+        if bad.size:
+            raise ValueError(f"table row {bad[0]} is not a permutation of 0..{n - 1}")
+        if ragged < n:
+            raise ValueError(f"table row {ragged} has length {len(table[ragged])}, expected {n}")
+        t = t.astype(np.min_scalar_type(n), copy=False)  # entries lie in 0..n-1
+        bad = np.flatnonzero((np.sort(t, axis=0) != everyone[:, None]).any(axis=0))
+        if bad.size:
+            raise ValueError(f"table column {bad[0]} is not a permutation of 0..{n - 1}")
 
         self.order = n
-        self.table = rows
+        self.table = tuple(map(tuple, t.tolist()))
         self.name = str(name)
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
@@ -50,50 +61,48 @@ class FiniteGroup:
             raise ValueError("labels must be distinct")
         self.labels = labels
 
-        self.identity = self._find_identity()
-        self.inverse = self._build_inverses()
-        self._check_associativity()
+        self.identity = self._find_identity(t)
+        self.inverse = self._build_inverses(t)
+        self._check_associativity(t)
 
     # -- construction checks -------------------------------------------------
 
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(self.order)):
-                return e
-        raise ValueError("table has no two-sided identity")
+    def _find_identity(self, t: np.ndarray) -> int:
+        everyone = np.arange(self.order)
+        two_sided = (t == everyone).all(axis=1) & (t == everyone[:, None]).all(axis=0)
+        if not two_sided.any():
+            raise ValueError("table has no two-sided identity")
+        return int(two_sided.argmax())
 
-    def _build_inverses(self) -> tuple[int, ...]:
-        inv = []
+    def _build_inverses(self, t: np.ndarray) -> tuple[int, ...]:
         e = self.identity
-        for a, row in enumerate(self.table):
-            b = row.index(e)  # the only right inverse: rows are permutations
-            if self.table[b][a] != e:
-                raise ValueError(f"element {a} has no two-sided inverse")
-            inv.append(b)
-        return tuple(inv)
+        inv = (t == e).argmax(axis=1)  # the only right inverse: rows are permutations
+        bad = np.flatnonzero(t[inv, np.arange(self.order)] != e)
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has no two-sided inverse")
+        return tuple(inv.tolist())
 
-    def _check_associativity(self) -> None:
+    def _check_associativity(self, t: np.ndarray) -> None:
         """Light's test (Clifford & Preston, I, 1.2): exact at every order.
 
         The elements b with (a b) c = a (b c) for all a, c are closed under
         products and include the identity, so it suffices to check b over a
         set S from which right multiplication reaches every element; S is
-        chosen greedily, at most log2(n) elements for a group.
+        chosen greedily, at most log2(n) elements for a group.  For each s
+        in S the n x n arrays (a s) c and a (s c) are compared at once, and
+        the first mismatch in row-major order is reported.
         """
-        n, t = self.order, self.table
         gens: list[int] = []
         reached = self.generated(gens)
-        for g in range(n):
+        for g in range(self.order):
             if g not in reached:
                 gens.append(g)
                 reached = self.generated(gens)
         for s in gens:
-            ts = t[s]
-            for a in range(n):
-                ta, tas = t[a], t[t[a][s]]
-                for c in range(n):
-                    if tas[c] != ta[ts[c]]:
-                        raise ValueError(f"table is not associative at ({a}, {s}, {c})")
+            bad = t[t[:, s]] != t[:, t[s]]
+            if bad.any():
+                a, c = divmod(int(bad.argmax()), self.order)
+                raise ValueError(f"table is not associative at ({a}, {s}, {c})")
 
     def generated(self, gens: Iterable[int]) -> frozenset[int]:
         """Indices reached from the identity by right multiplication by

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from freecomm.algebra import FreeProductGroup, Z, ell_bar_from_trace, ell_from_trace
+from freecomm.discrete import DEFAULT_MERGE_EPS, NEAR_IDENTITY_BAND, NonClosure
 from freecomm.groups import cyclic_group
 
 
@@ -364,6 +365,103 @@ def naive_closure(generators, tol=1e-8, max_elements=100_000):
                     if len(elements) > max_elements:
                         raise RuntimeError("naive closure blew up")
     return elements
+
+
+def sequential_closure(generators, cap=10_000):
+    """Breadth-first closure one product at a time: each product is looked
+    up against every element known so far (first Frobenius-certain match,
+    else the op-norm check over the Frobenius band in index order), and the
+    Cayley table is filled one entry at a time from the discovery words.
+    Returns ``(elements, table, generator_indices)`` or a ``NonClosure``."""
+    eps, band = DEFAULT_MERGE_EPS, NEAR_IDENTITY_BAND
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    dim = gens[0].shape[0]
+    steps = gens + [g.conj().T for g in gens]
+    elements = [np.eye(dim, dtype=complex)]
+
+    def find(m):
+        fro = np.linalg.norm(np.array([e.ravel() for e in elements]) - m.ravel(), axis=1)
+        certain = np.nonzero(fro <= eps)[0]
+        if certain.size:
+            return int(certain[0])
+        for idx in np.nonzero(fro <= eps * np.sqrt(dim))[0]:
+            if np.linalg.svd(elements[idx] - m, compute_uv=False)[0] <= eps:
+                return int(idx)
+        return None
+
+    right, found_by = [], []
+    i = 0
+    while i < len(elements):
+        row = []
+        for k, s in enumerate(steps):
+            p = elements[i] @ s
+            found = find(p)
+            if found is None:
+                d_id = float(np.linalg.svd(p - np.eye(dim), compute_uv=False)[0])
+                if d_id <= band:
+                    return NonClosure("near_identity", p, d_id, len(elements))
+                if len(elements) >= cap:
+                    return NonClosure("cap_exceeded", p, d_id, len(elements))
+                found = len(elements)
+                elements.append(p)
+                found_by.append((i, k))
+            row.append(found)
+        right.append(row)
+        i += 1
+
+    table = []
+    for i in range(len(elements)):
+        row = [i]
+        for parent, k in found_by:
+            row.append(right[row[parent]][k])
+        table.append(row)
+    return elements, table, right[0][: len(gens)]
+
+
+def table_check_error(table):
+    """The first defect of a multiplication table, as the ``ValueError``
+    message ``FiniteGroup`` gives for it, found by plain loops in the same
+    order (rows, columns, identity, inverses, Light's associativity test
+    over a greedy generating set); None for a group table."""
+    rows = [[int(x) for x in row] for row in table]
+    n = len(rows)
+    if n == 0:
+        return "group must have at least one element"
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return f"table row {i} has length {len(row)}, expected {n}"
+        if sorted(row) != list(range(n)):
+            return f"table row {i} is not a permutation of 0..{n - 1}"
+    for j in range(n):
+        if sorted(rows[i][j] for i in range(n)) != list(range(n)):
+            return f"table column {j} is not a permutation of 0..{n - 1}"
+    e = next((e for e in range(n)
+              if all(rows[e][j] == j and rows[j][e] == j for j in range(n))), None)
+    if e is None:
+        return "table has no two-sided identity"
+    for a, row in enumerate(rows):
+        if rows[row.index(e)][a] != e:
+            return f"element {a} has no two-sided inverse"
+
+    def generated(gens):
+        reached, queue = {e}, [e]
+        for a in queue:
+            for s in gens:
+                if rows[a][s] not in reached:
+                    reached.add(rows[a][s])
+                    queue.append(rows[a][s])
+        return reached
+
+    gens = []
+    for g in range(n):
+        if g not in generated(gens):
+            gens.append(g)
+    for s in gens:
+        for a in range(n):
+            for c in range(n):
+                if rows[rows[a][s]][c] != rows[a][rows[s][c]]:
+                    return f"table is not associative at ({a}, {s}, {c})"
+    return None
 
 
 def ks_uniform(samples) -> float:

@@ -213,6 +213,10 @@ _CLI_CASES = [
     ["dynamics", "--alpha=-0.9", "--model", "matrix", "--n", "256", "--seed", "7",
      "--n-max", "3", "--format", "json"],
     ["freeness", "--n", "256", "--trials", "3", "--seed", str(MASTER_SEED)],
+    # odd N, where the Haar draw's last bits depend on the thread count
+    ["freeness", "--n", "257", "--seed", "20220"],
+    ["dynamics", "--alpha", "0.9", "--model", "matrix", "--n", "255", "--seed", "7",
+     "--n-max", "3", "--format", "json"],
     ["mif", "--group-name", "sym3", "--depth", "2",
      "--word", "e . t^1 . (12) . t^1 . (12) . t^-1 . (12) . t^-1 . (12)"],
 ]

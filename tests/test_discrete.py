@@ -1,7 +1,11 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import freecomm.discrete as discrete
 
 from freecomm.catalog import (
     binary_tetrahedral_generators,
@@ -19,9 +23,10 @@ from freecomm.discrete import (
     group_closure,
     heisenberg_irrep,
 )
-from freecomm.matrices import sample_haar, subseed
+from freecomm.matrices import op_norm, sample_haar, subseed
+from freecomm.reps import dihedral_generators, icosahedral_rotation_group, rotation_matrix
 
-from oracles import naive_closure, subgroup_verdicts
+from oracles import naive_closure, sequential_closure, subgroup_verdicts
 
 
 def test_ell_op_examples():
@@ -243,3 +248,111 @@ def test_catalog_filters_all_abelian_normal():
         assert isinstance(mg, MatrixGroup), name
         rep = gamma_filter(mg, 0.5)
         assert rep.is_abelian and rep.is_normal, name
+
+
+def _benchmark_closure_inputs():
+    """The closure-filter inputs of the benchmark at seed 1: dicyclic groups
+    of order 120, 240 and 320 and the 1-rad rotation pair, which never
+    closes up, all conjugated by one seeded SU(2) element."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    w = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(w)
+    conj = w.random_su2(w._rng("closure-filter", 1))
+    out = {f"bench-dicyclic{o}": list(w.dicyclic_pair(math.pi / (o // 4), conj))
+           for o in w.DICYCLIC_ORDERS}
+    out["bench-rotation"] = list(w.dicyclic_pair(w.ROTATION_ANGLE, conj))
+    return out
+
+
+def _assert_same_closure(gens, cap=10_000):
+    got, want = group_closure(gens, cap=cap), sequential_closure(gens, cap=cap)
+    if isinstance(want, NonClosure):
+        assert isinstance(got, NonClosure)
+        assert (got.reason, got.ell, got.elements_found) == (want.reason, want.ell, want.elements_found)
+        assert got.element.tobytes() == want.element.tobytes()
+        return got
+    elements, table, generator_indices = want
+    assert isinstance(got, MatrixGroup)
+    assert [e.tobytes() for e in got.elements] == [e.tobytes() for e in elements]
+    assert got.table == tuple(map(tuple, table))
+    assert got.generator_indices == tuple(generator_indices)
+    return got
+
+
+def test_layered_closure_matches_sequential_oracle():
+    # bitwise: elements, Cayley table, generator indices and witnesses
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    icosahedral = [rotation_matrix(np.array([0.0, 1.0, phi]), 2.0 * math.pi / 5.0),
+                   np.diag([-1.0, -1.0, 1.0])]
+    inputs = {
+        **CLOSURE_INPUTS,
+        **_benchmark_closure_inputs(),
+        **{f"clock-shift{n}": [heisenberg_irrep(n).clock, heisenberg_irrep(n).shift]
+           for n in range(3, 7)},
+        "icosahedral": icosahedral,
+        **{f"dihedral{m}": dihedral_generators(m) for m in (3, 5, 12, 24)},
+    }
+    for name, gens in inputs.items():
+        out = _assert_same_closure(gens)
+        assert isinstance(out, NonClosure) == (name == "bench-rotation"), name
+    assert group_closure(icosahedral).table == icosahedral_rotation_group().table
+    # the cap witness, and a cap reached exactly by a closing group
+    assert _assert_same_closure([np.array([[np.exp(1j)]])], cap=50).reason == "cap_exceeded"
+    assert _assert_same_closure(dihedral_generators(12) + dihedral_generators(6), cap=24).order == 24
+
+
+def _band_generators(phases):
+    """A pair-swapping permutation s and s z, z = diag(e^{i phases}): the
+    product s (s z) = z lands at Frobenius distance |z - 1| from the
+    identity, and s z at the same distance from s."""
+    s = np.eye(4)[[1, 0, 3, 2]].astype(complex)
+    return [s, s @ np.diag(np.exp(1j * np.asarray(phases)))]
+
+
+def _counting_op_norm(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return op_norm(a)
+
+    monkeypatch.setattr(discrete, "op_norm", counted)
+    return calls
+
+
+def test_maybe_band_merges_through_op_norm(monkeypatch):
+    # z = e^{i d} 1 with d = 0.9 eps: fro |z - 1| = 2 |e^{id} - 1| = 1.8 eps
+    # lies in (eps, 2 eps] = (eps, eps sqrt(N)], and op |e^{id} - 1| <= eps.
+    # s z merges with s, found earlier in the same layer, and z = s (s z)
+    # with the identity, an earlier layer; only the op norm can merge them
+    gens = _band_generators([0.9e-8] * 4)
+    s, sz = gens
+    eps = discrete.DEFAULT_MERGE_EPS
+    assert eps < np.linalg.norm(sz - s) <= 2 * eps and op_norm(sz - s) <= eps
+    calls = _counting_op_norm(monkeypatch)
+    mg = _assert_same_closure(gens)
+    assert calls  # the fallback ran
+    assert mg.order == 2
+    assert mg.generator_indices == (1, 1)
+    assert mg.table == ((0, 1), (1, 0))
+
+
+def test_maybe_band_without_op_match_is_near_identity(monkeypatch):
+    # z = diag(e^{i d}, 1, 1, 1) with d = 1.5 eps: fro and op are both
+    # |e^{id} - 1| = 1.5 eps, inside the band but op > eps, so s z stays
+    # apart from s, and z = s (s z) is a near-identity witness
+    gens = _band_generators([1.5e-8, 0.0, 0.0, 0.0])
+    calls = _counting_op_norm(monkeypatch)
+    out = _assert_same_closure(gens)
+    assert calls
+    assert isinstance(out, NonClosure) and out.reason == "near_identity"
+    assert out.ell == pytest.approx(1.5e-8, rel=1e-6)
+    assert out.elements_found == 4
+
+
+def test_element_ells_match_op_norm_bitwise():
+    for gens in CLOSURE_INPUTS.values():
+        mg = group_closure(gens)
+        eye = np.eye(mg.dim)
+        assert mg.element_ells() == [op_norm(eye - g) for g in mg.elements]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from freecomm.groups import (
     symmetric_group,
 )
 
-from oracles import is_associative, reduced_latin_squares
+from oracles import is_associative, reduced_latin_squares, table_check_error
 
 
 def test_cyclic_basics():
@@ -156,3 +157,62 @@ def test_accepts_exactly_the_associative_latin_squares(n, squares, groups):
             assert is_associative(table), table
             accepted += 1
     assert (seen, accepted) == (squares, groups)
+
+
+def _check_error(table):
+    try:
+        FiniteGroup(table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _order65_loop():
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    return [[loop[a // 13][b // 13] * 13 + (a + b) % 13 for b in range(65)] for a in range(65)]
+
+
+def test_array_checks_match_loop_checks():
+    # the same ValueError text, naming the same first failing index, as
+    # plain loops over rows, columns, identity, inverses and Light's test
+    tables = []
+    for n in range(1, 6):
+        for square in reduced_latin_squares(n):
+            tables.append(square)
+            # rows reversed: an identity row may be missing
+            tables.append(square[::-1])
+            # rows and entries relabelled by a cycle: the identity moves
+            relabel = [(x + 1) % n for x in range(n)]
+            tables.append([[relabel[x] for x in square[relabel.index(a)]] for a in range(n)])
+    bad = [list(row) for row in cyclic_group(100).table]
+    bad[3][4], bad[3][5] = bad[3][5], bad[3][4]
+    tables += [
+        bad,
+        _order65_loop(),
+        [[0, 1, 2], [1, 2], [2, 0, 1]],  # ragged
+        [[0, 1, 2], [1, 1, 0], [2, 0]],  # a bad row before a ragged one
+        [[0, 1], [1, 2]],  # an entry out of range
+        [[0, 1], [1, -1]],
+        [[0, 1], [1, 2**70]],  # beyond int64
+        [[0.0, 1.0], [1.0, 0.0]],
+    ]
+    kinds = set()
+    for table in tables:
+        want = table_check_error(table)
+        assert _check_error(table) == want, table
+        kinds.add(re.sub(r"-?\d+", "#", want) if want else None)
+    assert kinds == {
+        None,
+        "table row # has length #, expected #",
+        "table row # is not a permutation of #..#",
+        "table column # is not a permutation of #..#",
+        "table has no two-sided identity",
+        "element # has no two-sided inverse",
+        "table is not associative at (#, #, #)",
+    }
