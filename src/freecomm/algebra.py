@@ -166,7 +166,8 @@ def _check_exponents(largest: int) -> None:
 
 
 def _lengths(rows: np.ndarray) -> np.ndarray:
-    return (rows != _PAD).sum(axis=1)
+    """Syllables per row: the column of each row's first ``_PAD``."""
+    return np.argmax(rows == _PAD, axis=1)
 
 
 def _reversed(rows: np.ndarray) -> np.ndarray:
@@ -222,7 +223,8 @@ def _row_products(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) ->
             lo, hi = max(s, 0), min(width, b.shape[1] + s)
             out[group, lo:hi] = b[:, lo - s : hi - s][j[group]]
     cols = min(a.shape[1], width)
-    out[:, :cols] = np.where(np.arange(cols) < keep[:, None], a[:, :cols][i], out[:, :cols])
+    prefix = np.arange(cols, dtype=np.int32) < keep[:, None].astype(np.int32)
+    np.copyto(out[:, :cols], a[i, :cols], where=prefix)
     hit = np.flatnonzero(m)
     out[hit, keep[hit]] = merged[hit]
     return out
@@ -302,44 +304,73 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 
 def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyElement:
     """Sum the coefficients of equal words and drop the words that sum to 0;
-    the words come out sorted by their bytes.  Equal words carrying
-    different parities raise ArithmeticError."""
+    the words come out sorted by their bytes.  A word met once is gathered
+    straight into place, and only the words met more than once are summed.
+    Equal words carrying different parities raise ArithmeticError."""
     keys = _keys(rows)
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = keys[1:] != keys[:-1]
-    first = np.flatnonzero(starts)
-    parity = parity[order]
-    if (parity != parity[first][np.cumsum(starts) - 1]).any():
+    group = np.cumsum(starts) - 1  # the word of each sorted row
+    first = order[starts]
+    if (parity[order] != parity[first][group]).any():
         raise ArithmeticError("equal words carry different parities")
-    sums = np.add.reduceat(coeffs[order], first, axis=0) if len(first) else coeffs[:0]
-    nonzero = sums.reshape(len(sums), -1).any(axis=1)
-    keep = first[nonzero]
-    rows = rows[order[keep]]
-    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim(sums[nonzero]),
-                       parity[keep])
+    sums = coeffs[first]
+    counts = np.diff(np.flatnonzero(np.append(starts, True)))
+    repeated = np.flatnonzero(counts[group] > 1)  # sorted rows of words met more than once
+    if repeated.size:
+        heads = np.flatnonzero(starts[repeated])
+        sums[counts > 1] = np.add.reduceat(coeffs[order[repeated]], heads, axis=0)
+    nonzero = sums.any(axis=(1, 2))
+    if not nonzero.all():  # only a sum of repeats, or a zero given as input, can vanish
+        sums, first = sums[nonzero], first[nonzero]
+    rows = rows[first]
+    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim(sums), parity[first])
+
+
+def add(a: PolyElement, b: PolyElement) -> PolyElement:
+    """Sum of two elements."""
+    (na, wa), (nb, wb) = a.rows.shape, b.rows.shape
+    _, da, ea = a.coeffs.shape
+    _, db, eb = b.coeffs.shape
+    # a word's sum holds at most one term per row of a and of b
+    _check_int64(max(_max_abs(a.coeffs), _max_abs(b.coeffs)), na + nb)
+    rows = np.full((na + nb, max(wa, wb)), _PAD, dtype=np.int8)
+    rows[:na, :wa], rows[na:, :wb] = a.rows, b.rows
+    coeffs = np.zeros((na + nb, max(da, db), max(ea, eb)), dtype=np.int64)
+    coeffs[:na, :da, :ea], coeffs[na:, :db, :eb] = a.coeffs, b.coeffs
+    return _collect(rows, coeffs, np.concatenate([a.parity, b.parity]))
 
 
 def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
-    """Convolution product.
+    """Convolution product over the full grid of word pairs.
 
-    Where both words are odd in a variable t, gamma_t^2 = t^2 - 1: the
-    pair's polynomial p becomes t^2 p - p, read off two spare degrees of t
-    that are allocated only when some pair needs them.
+    The pairs run word by word of the operand with more words, the tall
+    one.  One int64 product gives every pair's polynomial, one row per
+    pair: the tall operand's polynomials, flattened one row per word, times
+    the Toeplitz matrix of the short one, whose column block s multiplies
+    by its polynomial s.  Where both words are odd in a variable t,
+    gamma_t^2 = t^2 - 1: the pair's polynomial p becomes t^2 p - p, read
+    off two spare degrees of t that are allocated only when some pair
+    needs them.
     """
-    i = np.repeat(np.arange(a.support_size), b.support_size)
-    j = np.tile(np.arange(b.support_size), a.support_size)
-    _, da, ea = a.coeffs.shape
-    _, db, eb = b.coeffs.shape
+    tall, short = (a, b) if a.support_size >= b.support_size else (b, a)
+    nt, ns = tall.support_size, short.support_size
+    _, dt, et = tall.coeffs.shape
+    _, ds, es = short.coeffs.shape
     # an entry sums min(da, db) min(ea, eb) products a pair, doubled by each gamma^2
-    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db) * min(ea, eb), 4 * len(i))
+    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(dt, ds) * min(et, es), 4 * nt * ns)
+    by_tall, by_short = np.repeat(np.arange(nt), ns), np.tile(np.arange(ns), nt)
+    i, j = (by_tall, by_short) if tall is a else (by_short, by_tall)
     odd = (a.parity[i] & b.parity[j]).astype(bool)
     spare = 2 * odd.any(axis=0)
-    pa, pb = a.coeffs[i], b.coeffs[j]
-    prod = np.zeros((len(i), da + db - 1 + spare[0], ea + eb - 1 + spare[1]), dtype=np.int64)
-    for d, e in itertools.product(range(db), range(eb)):
-        prod[:, d : d + da, e : e + ea] += pa * pb[:, d : d + 1, e : e + 1]
+    d_out, e_out = dt + ds - 1 + spare[0], et + es - 1 + spare[1]
+    toeplitz = np.zeros((dt, et, ns, d_out, e_out), dtype=np.int64)
+    for d, e in itertools.product(range(dt), range(et)):
+        toeplitz[d, e, :, d : d + ds, e : e + es] = short.coeffs
+    prod = tall.coeffs.reshape(nt, dt * et) @ toeplitz.reshape(dt * et, ns * d_out * e_out)
+    prod = prod.reshape(nt * ns, d_out, e_out)
     for axis in np.flatnonzero(spare):
         p = prod[odd[:, axis]]
         prod[odd[:, axis]] = np.roll(p, 2, axis=axis + 1) - p
@@ -364,8 +395,8 @@ Grid = tuple  # tuple[tuple[int, ...], ...]: entry [d][e] multiplies alpha^d bet
 
 def trace(a: PolyElement) -> Grid:
     """The coefficient of the empty word, whose parities are 0, as an integer grid."""
-    [row], = _lookup(a, _encode([()]))
-    return tuple(map(tuple, _trim(a.coeffs[row : row + 1])[0].tolist())) if row >= 0 else ((0,),)
+    empty = np.flatnonzero(a.rows[:, 0] == _PAD)  # the one row that starts with _PAD
+    return tuple(map(tuple, _trim(a.coeffs[empty[:1]])[0].tolist())) if empty.size else ((0,),)
 
 
 def evaluate(grid: Grid, alpha: float, beta: float = 0.0) -> tuple[int, int]:

@@ -9,10 +9,12 @@ Two evaluation routes are kept deliberately separate:
   gamma^(x-count mod 2) times an integer polynomial in alpha, so w_1 .. w_4
   are expanded word by word at most once per process, for every alpha at
   once, and only as far as the rows asked for need; their traces are read
-  off the identity coefficient.  tau_5 is the pairing <w_4 c_4, c_4 w_4>
-  of w_4 with itself; w_5 is never formed.  Each row is evaluated in
-  rational arithmetic at alpha and rounded once.  Products and adjoints
-  are ``algebra.multiply`` and ``algebra.star``, on int8 word rows a whole
+  off the identity coefficient.  With c_n = alpha + gamma y_n and
+  w_n w_n* = 1 checked word by word, w_{n+1} = (alpha + w_n (gamma y_n)
+  w_n*) c_n*.  tau_5 is the pairing <w_4 c_4, c_4 w_4> of w_4 with
+  itself; w_5 is never formed.  Each row is evaluated in rational
+  arithmetic at alpha and rounded once.  Products and adjoints are
+  ``algebra.multiply`` and ``algebra.star``, on int8 word rows a whole
   support at a time; the pairings are float64 GEMMs, exact below 2^53 and
   checked to stay there;
 * the scalar recursion tau_{n+1} = 1 - (1 - tau_n^2)(1 - alpha^2)
@@ -46,11 +48,15 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import (
+    _PAD,
     PolyElement,
     _encode,
+    _lengths,
     _lookup,
     _max_abs,
     _row_products,
+    _trim,
+    add,
     ell_bar_from_trace,
     ell_from_trace,
     evaluate,
@@ -229,7 +235,7 @@ def _parseval(w: PolyElement) -> list[int]:
     return _padd(even, _pmul(_ONE_MINUS_ALPHA_SQ, odd))
 
 
-def paired_trace(w: PolyElement, k: int) -> list[int]:
+def paired_trace(w: PolyElement, k: int, parseval: list[int]) -> list[int]:
     """tau(w c w* c*) with c = alpha + gamma y, y = v^k x v^-k, as <w c, c w>.
 
     Neither w c nor c w is formed: (w c)(g) = alpha w(g) + gamma w(g y) and
@@ -241,26 +247,54 @@ def paired_trace(w: PolyElement, k: int) -> list[int]:
     sums over the words g of w whose image under the map lies in w's support.
     y g and g y flip the parity p of g, so w(g) conj(w(image)) carries one
     gamma and the sign (-1)^(1 - p): S = odd - even.  y g y keeps the
-    parity: T = even + (1 - alpha^2) odd.
+    parity: T = even + (1 - alpha^2) odd.  ``parseval`` is <w, w> =
+    tau(w* w), as ``_parseval`` gives it; the caller has it already.
     """
     y = _encode([_conjugate(k)])
-    every, once = np.arange(w.support_size), np.zeros(w.support_size, dtype=np.intp)
-    yg = _row_products(y, w.rows, once, every)
-    gy = _row_products(w.rows, y, every, once)
-    ygy = _row_products(yg, y, every, once)
-    (e1, o1), (e2, o2), (e3, o3) = (_graded_pairing(w, image) for image in _lookup(w, yg, gy, ygy))
+    if k > int(np.abs(w.rows, dtype=np.int16).max(where=w.rows != _PAD, initial=0)):
+        # y's outer syllables v^k and v^-k lie outside the support, so no
+        # word keeping one lies in it.  No g holds v^k or v^-k to cancel
+        # them: y g keeps the v^k, g y the v^-k, and y g y both unless g
+        # has at most one syllable.  Only those g are looked up.
+        rows = np.flatnonzero(_lengths(w.rows) <= 1)
+    else:
+        rows = np.arange(w.support_size)
+    once = np.zeros_like(rows)
+    yg = _row_products(y, w.rows, once, rows)
+    gy = _row_products(w.rows, y, rows, once)
+    ygy = _row_products(yg, y, np.arange(len(rows)), once)
+    images = np.full((3, w.support_size), -1)
+    images[:, rows] = _lookup(w, yg, gy, ygy)
+    (e1, o1), (e2, o2), (e3, o3) = (_graded_pairing(w, image) for image in images)
     s_diff = _padd(o1, e2, [-c for c in _padd(e1, o2)])
     return _padd(
-        _pmul(_ALPHA_SQ, _parseval(w)),
+        _pmul(_ALPHA_SQ, parseval),
         _pmul(_ALPHA_ONE_MINUS_ALPHA_SQ, s_diff),
         _pmul(_ONE_MINUS_ALPHA_SQ, _padd(e3, _pmul(_ONE_MINUS_ALPHA_SQ, o3))),
     )
 
 
-def _next_word(w: PolyElement, k: int) -> PolyElement:
-    """w_{k+1} = (w_k c_k w_k*) c_k* from w = w_k."""
+def _commutator(w: PolyElement, k: int) -> PolyElement:
+    """w c w* c* with c = c_k = alpha + gamma y, for a w with w w* = 1.
+
+    Then w c w* = alpha w w* + w (gamma y) w* = alpha + w (gamma y) w*:
+    |w| + |w|^2 pairs instead of the 2|w| + 2|w|^2 of (w c) w*.
+    """
     c = _linear(k)
-    return multiply(multiply(multiply(w, c), star(w)), star(c))
+    alpha, gamma_y = (PolyElement(c.rows[[r]], _trim(c.coeffs[[r]]), c.parity[[r]]) for r in (0, 1))
+    return multiply(add(alpha, multiply(multiply(w, gamma_y), star(w))), star(c))
+
+
+def _require_unitary(w: PolyElement, n: int) -> None:
+    """Raise ArithmeticError unless w_n w_n* = 1 word by word."""
+    if not is_unitary(star(w)):
+        raise ArithmeticError(f"w_{n} is not unitary: w w* != 1")
+
+
+def _next_word(w: PolyElement, k: int) -> PolyElement:
+    """w_{k+1} = [w_k, c_k] from w = w_k, once w w* = 1 is checked."""
+    _require_unitary(w, k)
+    return _commutator(w, k)
 
 
 def commutator_polynomials(n_max: int = EXPANDED_WORDS) -> list[PolyElement]:
@@ -280,8 +314,10 @@ class _ExactTraces:
 
     Only the traces and the last word still needed are kept.  tau_n for
     n <= 4 is read off w_n, which is checked exactly first: Parseval
-    (tau(w* w) = 1 as a polynomial) for every w_n and w_n* w_n = 1 word by
-    word for n <= 3.  tau_5 pairs w_4 with itself, and w_4 is dropped.
+    (tau(w* w) = 1 as a polynomial) for every w_n and w_n w_n* = 1 word by
+    word for n <= 3, the identity that forms w_{n+1} as
+    (alpha + w_n (gamma y) w_n*) c_n* (``_commutator``).  tau_5 pairs w_4
+    with itself, reusing its checked Parseval sum, and w_4 is dropped.
     """
 
     def __init__(self):
@@ -295,13 +331,13 @@ class _ExactTraces:
 
     def _next_trace(self, n: int) -> list[int]:
         if n > EXPANDED_WORDS:
-            tau, self.word = paired_trace(self.word, EXPANDED_WORDS), None
+            tau, self.word = paired_trace(self.word, EXPANDED_WORDS, [1]), None
             return tau
-        w = _linear(0) if n == 1 else _next_word(self.word, n - 1)
+        w = _linear(0) if n == 1 else _commutator(self.word, n - 1)
         if _parseval(w) != [1]:
             raise ArithmeticError(f"w_{n} violates Parseval: tau(w* w) != 1")
-        if n <= 3 and not is_unitary(w):
-            raise ArithmeticError(f"w_{n} is not unitary")
+        if n < EXPANDED_WORDS:
+            _require_unitary(w, n)
         self.word = w
         return [c for c, in trace(w)]
 
@@ -373,13 +409,11 @@ def decay_curve_exact(alpha: float, n_max: int, slack: float = EXACT_SLACK) -> D
 
 
 def _factor(u) -> tuple[int, np.ndarray, np.ndarray]:
-    """(sign, B, M) with u = sign (I + B M B*): a ``Reflection`` as
-    B = Q, M = -2 I; any other unitary as B = I, M = u - I."""
-    if isinstance(u, Reflection):
-        return u.sign, u.basis, -2.0 * np.eye(u.basis.shape[1])
-    a = as_array(u)
-    eye = np.eye(a.shape[0])
-    return 1, eye, a - eye
+    """(sign, B, M) with u = sign (I + B M B*) for a ``Reflection``:
+    B = Q, M = -2 I.  Raises TypeError for any other u."""
+    if not isinstance(u, Reflection):
+        raise TypeError(f"u must be a Reflection, got {type(u).__name__}")
+    return u.sign, u.basis, -2.0 * np.eye(u.basis.shape[1])
 
 
 def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, float, float]:
@@ -411,12 +445,12 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     Every word is carried as w_n = I + B M B*, B of size N x r.  With
     P_n = v^n B_u and A = w_n P_n, the next word is
     w_{n+1} = (w_n c_n w_n*) c_n* = I + [A P_n] M' [A P_n]*, where
-    M' = [[M_u, M_u (A* P_n) M_u*], [0, M_u*]].  A ``Reflection`` enters
-    as B = Q, M = -2 I, so r stays 2k and a row costs O(N^2 k); any
-    other unitary enters as B = I.  The reflection's sign matters for
-    row 1 only: each commutator holds c_n once and c_n* once.  Bounds
-    only hold up to the freeness error of the model, hence the wide
-    slack envelope.
+    M' = [[M_u, M_u (A* P_n) M_u*], [0, M_u*]].  u must be a
+    ``Reflection`` (TypeError otherwise); it enters as B = Q, M = -2 I,
+    so r stays 2k and a row costs O(N^2 k).  The reflection's sign
+    matters for row 1 only: each commutator holds c_n once and c_n* once.
+    Bounds only hold up to the freeness error of the model, hence the
+    wide slack envelope.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

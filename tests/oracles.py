@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from freecomm import algebra
 from freecomm.algebra import FreeProductGroup, Z, ell_bar_from_trace, ell_from_trace
 from freecomm.discrete import DEFAULT_MERGE_EPS, NEAR_IDENTITY_BAND, NonClosure
 from freecomm.groups import cyclic_group
@@ -229,13 +230,69 @@ def haar_generator(ambient, factor):
     return AlgebraElement.from_word(ambient, ambient.word([(factor, 1)]))
 
 
+#: C2 * C2 and C2 * Z; elements over one ambient must share its instance
+TWO_INVOLUTIONS = FreeProductGroup((cyclic_group(2), cyclic_group(2)))
+INVOLUTION_HAAR = FreeProductGroup((cyclic_group(2), Z))
+
+
 def commutator_element(a, b):
     return multiply(multiply(multiply(a, b), star(a)), star(b))
 
 
-#: C2 * C2 and C2 * Z; elements over one ambient must share its instance
-TWO_INVOLUTIONS = FreeProductGroup((cyclic_group(2), cyclic_group(2)))
-INVOLUTION_HAAR = FreeProductGroup((cyclic_group(2), Z))
+def exact_commutator(w, c):
+    """w c w* c* of exact ``freecomm.algebra`` elements as three plain
+    products, ((w c) w*) c*, assuming nothing of w."""
+    return algebra.multiply(algebra.multiply(algebra.multiply(w, c), algebra.star(w)),
+                            algebra.star(c))
+
+
+# -- a dict-of-words reference for the exact product ------------------------------
+#
+# An element is {word: (grid, parity)}: a flat word of C2 * Z, the object
+# array of integers whose entry [d][e] multiplies alpha^d beta^e, and the
+# parities (p, q) of gamma_alpha^p gamma_beta^q.
+
+#: gamma_alpha^2 = alpha^2 - 1 and gamma_beta^2 = beta^2 - 1 as grids
+GAMMA_SQUARED = (np.array([[-1], [0], [1]], dtype=object), np.array([[-1, 0, 1]], dtype=object))
+
+
+def grid_product(p, q):
+    """The product of two integer polynomials in alpha and beta, as grids."""
+    out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1] + q.shape[1] - 1), dtype=object)
+    for (d, e), c in np.ndenumerate(p):
+        out[d : d + q.shape[0], e : e + q.shape[1]] += c * q
+    return out
+
+
+def grid_sum(p, q):
+    out = np.zeros(np.maximum(p.shape, q.shape), dtype=object)
+    out[: p.shape[0], : p.shape[1]] += p
+    out[: q.shape[0], : q.shape[1]] += q
+    return out
+
+
+def dict_multiply(a, b, ambient=INVOLUTION_HAAR):
+    """The product of two {word: (grid, parity)} elements, pair by pair.
+
+    Words are reduced by ``FreeProductGroup.concat``, grids multiplied in
+    Python integers, and where both words are odd in t the pair's grid is
+    multiplied by gamma_t^2 = t^2 - 1.  Equal words must carry equal
+    parities (ArithmeticError otherwise); words whose grids sum to 0 are
+    dropped.
+    """
+    acc = {}
+    for (wa, (ga, pa)), (wb, (gb, pb)) in itertools.product(a.items(), b.items()):
+        grid = grid_product(ga, gb)
+        for t in (0, 1):
+            if pa[t] and pb[t]:
+                grid = grid_product(grid, GAMMA_SQUARED[t])
+        word, parity = ambient.concat(wa, wb), (pa[0] ^ pb[0], pa[1] ^ pb[1])
+        if word in acc:
+            if acc[word][1] != parity:
+                raise ArithmeticError("equal words carry different parities")
+            grid = grid_sum(acc[word][0], grid)
+        acc[word] = (grid, parity)
+    return {w: (g, p) for w, (g, p) in acc.items() if any(g.flat)}
 
 
 def two_norm_dist(a, b):

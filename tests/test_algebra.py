@@ -7,12 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freecomm.algebra import (
+    _INT64_MAX,
     COMMUTATOR_CLOSED_FORM,
     PRODUCT_RULE,
     FreeProductGroup,
+    PolyElement,
     Z,
     _collect,
     _encode,
+    add,
     ell_bar_from_trace,
     ell_from_trace,
     evaluate,
@@ -32,6 +35,7 @@ from oracles import (
     INVOLUTION_HAAR,
     TWO_INVOLUTIONS,
     AlgebraElement,
+    dict_multiply,
     ell,
     ell_bar,
     evaluate_word,
@@ -90,17 +94,6 @@ def same(a, b):
                ((a.rows, b.rows), (a.coeffs, b.coeffs), (a.parity, b.parity)))
 
 
-def plus(a, b):
-    width = max(a.rows.shape[1], b.rows.shape[1])
-    rows = [np.pad(r.rows, ((0, 0), (0, width - r.rows.shape[1])), constant_values=-128)
-            for r in (a, b)]
-    shape = np.maximum(a.coeffs.shape, b.coeffs.shape)
-    coeffs = [np.pad(r.coeffs, [(0, 0)] + [(0, int(s - n)) for s, n in
-                                          zip(shape[1:], r.coeffs.shape[1:])]) for r in (a, b)]
-    return _collect(np.concatenate(rows), np.concatenate(coeffs),
-                    np.concatenate([a.parity, b.parity]))
-
-
 def generator(k):
     """h_k = t + gamma_t v^k x v^-k, t = alpha for even k and beta for odd k.
 
@@ -125,7 +118,7 @@ def product(indices):
 
 products = st.lists(st.integers(0, len(GENERATORS) - 1), max_size=4).map(product)
 # sums of two products are not unitary, so Parseval sees more than tau(a* a) = 1
-elements = st.one_of(products, st.tuples(products, products).map(lambda ab: plus(*ab)))
+elements = st.one_of(products, st.tuples(products, products).map(lambda ab: add(*ab)))
 
 
 def poly_mul(p, q):
@@ -230,7 +223,69 @@ def test_is_unitary_examples():
     assert is_unitary(element((X, [[1]], (0, 0))))  # x itself
     assert not is_unitary(element((X, [[1]], (1, 0))))  # gamma x: |gamma|^2 = 1 - alpha^2
     assert not is_unitary(element(((), [[2]], (0, 0))))
-    assert not is_unitary(plus(u, v))
+    assert not is_unitary(add(u, v))
+
+
+@st.composite
+def dict_pairs(draw):
+    """Two {word: (grid, parity)} elements of C2 * Z with small coefficients.
+
+    Each word's parity is its image under a homomorphism to (Z/2)^2, drawn
+    per example (x and v each to one of the four pairs), so equal words
+    always agree and both-odd pairs of either variable occur; each element
+    has its own grid shape in alpha and beta, and may be empty.
+    """
+    images = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
+    x_to, v_to = draw(images), draw(images)
+
+    def parity(word):
+        xs = word[0::2].count(0)
+        vs = sum(v for f, v in zip(word[0::2], word[1::2]) if f == 1)
+        return tuple((xs * x_to[t] + vs * v_to[t]) % 2 for t in (0, 1))
+
+    out = []
+    for _ in range(2):
+        words = draw(st.lists(normal_words(3, INVOLUTION_HAAR), max_size=4, unique=True))
+        shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+        cells = st.lists(st.integers(-3, 3), min_size=math.prod(shape), max_size=math.prod(shape))
+        grids = {w: np.array(draw(cells), dtype=object).reshape(shape) for w in words}
+        out.append(({w: (g, parity(w)) for w, g in grids.items()}, shape))
+    return out
+
+
+def as_poly(elem, shape, scale=1):
+    words = list(elem)
+    coeffs = np.zeros((len(words), *shape), dtype=np.int64)
+    for k, w in enumerate(words):
+        coeffs[k] = elem[w][0] * scale
+    parity = np.array([elem[w][1] for w in words], dtype=np.int8).reshape(-1, 2)
+    return PolyElement(_encode(words), coeffs, parity)
+
+
+def canonical(elem):
+    """{word: (trimmed grid, parity)} of a dict element or a ``PolyElement``."""
+    if isinstance(elem, PolyElement):
+        elem = {w: (g, tuple(p)) for w, g, p in
+                zip(elem.words, elem.coeffs.astype(object), elem.parity.tolist())}
+    return {w: (as_grid(g), p) for w, (g, p) in elem.items()}
+
+
+@given(dict_pairs())
+def test_multiply_matches_dict_reference(pair):
+    # multiply against pair-by-pair products in Python integers; then with
+    # both elements scaled to the edge of the int64 guard, and one step past it
+    (a, shape_a), (b, shape_b) = pair
+    reference = dict_multiply(a, b)
+    assert canonical(multiply(as_poly(a, shape_a), as_poly(b, shape_b))) == canonical(reference)
+    largest = math.prod(max((abs(c) for g, _ in e.values() for c in g.flat), default=0) for e in (a, b))
+    if not largest:
+        return
+    terms = min(shape_a[0], shape_b[0]) * min(shape_a[1], shape_b[1]) * 4 * len(a) * len(b)
+    scale = math.isqrt(_INT64_MAX // (largest * terms))
+    got = multiply(as_poly(a, shape_a, scale), as_poly(b, shape_b, scale))
+    assert canonical(got) == canonical({w: (g * scale**2, p) for w, (g, p) in reference.items()})
+    with pytest.raises(OverflowError):
+        multiply(as_poly(a, shape_a, scale + 1), as_poly(b, shape_b, scale + 1))
 
 
 def test_collect_rejects_parity_mismatch():

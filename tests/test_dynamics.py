@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from freecomm import dynamics
 from freecomm.algebra import (
     PolyElement,
     _decode,
     _encode,
     _row_products,
+    add,
     multiply,
     star,
     trace,
@@ -20,6 +22,8 @@ from freecomm.algebra import (
 from freecomm.dynamics import (
     _ExactTraces,
     _linear,
+    _next_word,
+    _parseval,
     _sum_of_products,
     commutator_polynomials,
     decay_curve_exact,
@@ -48,6 +52,7 @@ from oracles import (
     SupportCapExceeded,
     commutator_element,
     dense_decay_curve,
+    exact_commutator,
     integer_recursion_polynomials,
     norm2,
     order_two_unitary,
@@ -96,16 +101,50 @@ def test_exact_traces_build_only_the_rows_asked_for():
     assert traces.word is None
 
 
+def test_next_word_matches_product_chain():
+    # the conjugation form (alpha + w (gamma y) w*) c* against the three
+    # plain products ((w c) w*) c*, word for word: w_2, w_3 and w_4
+    w = _linear(0)
+    for k in (1, 2, 3):
+        got, expected = _next_word(w, k), exact_commutator(w, _linear(k))
+        for p, q in ((got.rows, expected.rows), (got.coeffs, expected.coeffs),
+                     (got.parity, expected.parity)):
+            assert p.dtype == q.dtype and np.array_equal(p, q), k
+        w = got
+    assert w.support_size == 32768
+
+
+def test_next_word_rejects_non_unitary():
+    # the conjugation form needs w w* = 1; 2u has Parseval sum 4
+    u = _linear(0)
+    with pytest.raises(ArithmeticError):
+        _next_word(add(u, u), 1)
+
+
+def test_next_word_pair_count(monkeypatch):
+    # w_4 from w_3 takes |w| + |w|^2 + 2 (|w|^2 + 1) pairs; the plain
+    # chain took 2|w| + 2|w|^2 + 2 (|w|^2 + 1) = 65794.  The check
+    # w_3 w_3* = 1 runs inside algebra.is_unitary and is not counted here.
+    w3 = commutator_polynomials(3)[2]
+    pairs = []
+
+    def counting(a, b):
+        pairs.append(a.support_size * b.support_size)
+        return multiply(a, b)
+
+    monkeypatch.setattr(dynamics, "multiply", counting)
+    assert _next_word(w3, 3).support_size == 32768
+    assert sum(pairs) <= 128 + 16384 + 32770
+
+
 def test_pairing_matches_expansion():
     # <w c, c w> read off w_n alone equals the trace of the expanded
     # commutator [w_n, c_k].  k = n is the decay step, where only g = ()
     # pairs with y g y; k < n makes all three maps hit the support.
     for n, w in enumerate(commutator_polynomials(3), 1):
         for k in range(n + 1):
-            c = _linear(k)
-            full = multiply(multiply(multiply(w, c), star(w)), star(c))
-            tau = [t for t, in trace(full)]
-            paired = paired_trace(w, k)
+            tau = [t for t, in trace(exact_commutator(w, _linear(k)))]
+            paired = paired_trace(w, k, _parseval(w))
             assert paired == tau[: len(paired)] and not any(tau[len(paired):]), (n, k)
 
 
@@ -364,17 +403,26 @@ def test_find_small_element_validation():
 
 
 def test_matrix_curve_identity_partner():
-    u = sample_haar(32, 4)
+    u, _ = unitary_with_trace(0.3, 32, 4)
     report = decay_curve_matrix(u, np.eye(32), 2)
-    assert abs(report.steps[1].ell) <= 1e-10  # [U, U] = 1
+    rows = dense_decay_curve(u.array, np.eye(32), 2)
+    assert abs(report.steps[1].ell) <= 1e-10 and abs(rows[1][1]) <= 1e-10  # [U, U] = 1
+    for step, (trace, ell, ell_bar) in zip(report.steps, rows):
+        assert abs(step.trace - trace) <= 1e-13
+        assert abs(step.ell - ell) <= 1e-13
+        assert abs(step.ell_bar - ell_bar) <= 1e-13
 
 
 def test_matrix_curve_single_row():
-    u = sample_haar(32, 4)
-    report = decay_curve_matrix(u, sample_haar(32, 5), 1)
+    u, _ = unitary_with_trace(0.3, 32, 4)
+    v = sample_haar(32, 5)
+    report = decay_curve_matrix(u, v, 1)
     assert len(report.steps) == 1
-    tau = report.steps[0].trace
-    assert abs(report.steps[0].ell - math.sqrt(2 - 2 * tau)) <= 1e-12
+    [(trace, ell, ell_bar)] = dense_decay_curve(u.array, v.array, 1)
+    step = report.steps[0]
+    assert abs(step.trace - trace) <= 1e-13
+    assert abs(step.ell - ell) <= 1e-13 and abs(step.ell_bar - ell_bar) <= 1e-13
+    assert abs(step.ell - math.sqrt(2 - 2 * step.trace)) <= 1e-12
 
 
 def test_matrix_curve_tracks_exact_recursion():
@@ -459,11 +507,17 @@ def test_matrix_curve_sign_drops_out_from_row_two():
 
 def test_matrix_curve_dimension_mismatch():
     with pytest.raises(ValueError):
-        decay_curve_matrix(sample_haar(4, 0), sample_haar(8, 0), 2)
+        decay_curve_matrix(unitary_with_trace(0.5, 8, 0)[0], sample_haar(4, 0), 2)
     with pytest.raises(ValueError):
         decay_curve_matrix(unitary_with_trace(0.5, 4, 0)[0], sample_haar(8, 0), 2)
     with pytest.raises(ValueError):
         decay_curve_matrix(unitary_with_trace(0.5, 4, 0)[0], sample_cue(8, 0), 2)
+
+
+def test_matrix_curve_needs_a_reflection():
+    # a dense u has no low-rank factor; the route takes Reflections only
+    with pytest.raises(TypeError):
+        decay_curve_matrix(sample_haar(4, 0), sample_haar(4, 1), 2)
 
 
 def test_reports_serialize_deterministically():
