@@ -329,18 +329,71 @@ def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyEl
     return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim(sums), parity[first])
 
 
+def _sorted_words(rows: np.ndarray) -> bool:
+    """True iff the rows strictly increase in their bytes read unsigned, the
+    order ``_collect`` leaves its words in: compared eight bytes at a time
+    as big-endian integers, from the last such column to the first."""
+    n, width = rows.shape
+    padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = rows.view(np.uint8)
+    words = padded.view(">u8")
+    later, earlier = words[1:], words[:-1]
+    increasing = np.zeros(len(later), dtype=bool)
+    for k in reversed(range(words.shape[1])):
+        increasing = (later[:, k] > earlier[:, k]) | ((later[:, k] == earlier[:, k]) & increasing)
+    return bool(increasing.all())
+
+
+def _widen(rows: np.ndarray, width: int) -> np.ndarray:
+    if rows.shape[1] == width:
+        return rows
+    out = np.full((len(rows), width), _PAD, dtype=np.int8)
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
 def add(a: PolyElement, b: PolyElement) -> PolyElement:
-    """Sum of two elements."""
-    (na, wa), (nb, wb) = a.rows.shape, b.rows.shape
-    _, da, ea = a.coeffs.shape
-    _, db, eb = b.coeffs.shape
+    """Sum of two elements.
+
+    Words sorted by their bytes with no repeats and no zero coefficients,
+    as ``_collect`` leaves them, are merged as they are: the smaller
+    support's words are placed among the larger's by binary search, only
+    the words both hold are summed, and those of them that sum to 0 are
+    dropped.  An operand in any other order goes through ``_collect`` first.
+    """
     # a word's sum holds at most one term per row of a and of b
-    _check_int64(max(_max_abs(a.coeffs), _max_abs(b.coeffs)), na + nb)
-    rows = np.full((na + nb, max(wa, wb)), _PAD, dtype=np.int8)
-    rows[:na, :wa], rows[na:, :wb] = a.rows, b.rows
-    coeffs = np.zeros((na + nb, max(da, db), max(ea, eb)), dtype=np.int64)
-    coeffs[:na, :da, :ea], coeffs[na:, :db, :eb] = a.coeffs, b.coeffs
-    return _collect(rows, coeffs, np.concatenate([a.parity, b.parity]))
+    _check_int64(max(_max_abs(a.coeffs), _max_abs(b.coeffs)), a.support_size + b.support_size)
+    a, b = (x if _sorted_words(x.rows) and x.coeffs.any(axis=(1, 2)).all()
+            else _collect(x.rows, x.coeffs, x.parity) for x in (a, b))
+    big, small = (a, b) if a.support_size >= b.support_size else (b, a)
+    width = max(a.rows.shape[1], b.rows.shape[1])
+    rows_big, rows_small = _widen(big.rows, width), _widen(small.rows, width)
+    # the row of big at or after each word of small
+    at = np.searchsorted(_keys(rows_big), _keys(rows_small))
+    shared = np.zeros(len(at), dtype=bool)
+    inside = np.flatnonzero(at < len(rows_big))
+    shared[inside] = (rows_big[at[inside]] == rows_small[inside]).all(axis=1)
+    if (big.parity[at[shared]] != small.parity[shared]).any():
+        raise ArithmeticError("equal words carry different parities")
+    new = np.flatnonzero(~shared)
+    from_small = at[new] + np.arange(len(new))  # the sum's rows that hold small's new words
+    from_big = np.ones(len(rows_big) + len(new), dtype=bool)
+    from_big[from_small] = False
+    from_big = np.flatnonzero(from_big)
+    rows = np.empty((len(from_big) + len(new), width), dtype=np.int8)
+    rows[from_big], rows[from_small] = rows_big, rows_small[new]
+    (_, db, eb), (_, ds, es) = big.coeffs.shape, small.coeffs.shape
+    coeffs = np.zeros((len(rows), max(db, ds), max(eb, es)), dtype=np.int64)
+    coeffs[from_big, :db, :eb] = big.coeffs
+    coeffs[from_small, :ds, :es] = small.coeffs[new]
+    summed = from_big[at[shared]]
+    coeffs[summed, :ds, :es] += small.coeffs[shared]
+    parity = np.empty((len(rows), 2), dtype=np.result_type(big.parity, small.parity))
+    parity[from_big], parity[from_small] = big.parity, small.parity[new]
+    vanished = summed[~coeffs[summed].any(axis=(1, 2))]
+    if vanished.size:
+        rows, coeffs, parity = (np.delete(x, vanished, axis=0) for x in (rows, coeffs, parity))
+    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim(coeffs), parity)
 
 
 def multiply(a: PolyElement, b: PolyElement) -> PolyElement:

@@ -422,7 +422,10 @@ def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, f
     tau = sign (1 + tr S / N), and the 2-norm distance of w to a unit
     scalar c is ||(1 - sign c) I + S||_F / sqrt(N).  S is formed from the
     factor in O(N^2 r), and (1 - sign c) I + S is small wherever w is near
-    c, so neither length cancels as tau nears 1.
+    c, so neither length cancels as tau nears 1.  The squared moduli of S
+    are formed once; each c rewrites only their diagonal, to
+    |s_ii + 1 - sign c|^2, and sums the same array in the same order as
+    the sum over (1 - sign c) I + S would.
     """
     dim = b.shape[0]
     s = b @ m @ b.conj().T
@@ -431,10 +434,13 @@ def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, f
         trace = trace.real
     tau = sign * (1.0 + trace / dim)
     phase = tau / abs(tau) if tau else 1.0
+    diag = s.diagonal()
+    sq = s.real**2 + s.imag**2
 
     def dist(c: complex) -> float:
-        x = s + (1.0 - sign * c) * np.eye(dim)
-        return math.sqrt(float((x.real**2 + x.imag**2).sum()) / dim)
+        x = diag + (1.0 - sign * c)
+        np.fill_diagonal(sq, x.real**2 + x.imag**2)
+        return math.sqrt(float(sq.sum()) / dim)
 
     return tau, dist(1.0), dist(phase)
 

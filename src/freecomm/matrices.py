@@ -12,6 +12,7 @@ a Haar eigenbasis and the other only the CUE eigenvalue law (``sample_cue``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,16 @@ UNITARY_OP_TOL = 1e-10
 
 #: column width of the Householder panels in ``_haar_frame``
 _PANEL_WIDTH = 32
+
+#: rows per GEMM in ``_panel_gram``: a 32 x 32 x 128 product stays below
+#: OpenBLAS's threading cut-off
+_GRAM_CHUNK = 128
+
+#: column width of the blocks of U*U - I that ``unitarity_defect`` sums
+_DEFECT_BLOCK = 64
+
+#: the strict upper triangle of a panel's top square, zeroed in each draw
+_STRICT_UPPER = np.triu(np.ones((_PANEL_WIDTH, _PANEL_WIDTH), dtype=bool), 1)
 
 
 def subseed(master: int, *path: int) -> np.random.SeedSequence:
@@ -64,15 +75,30 @@ def normalized_trace(u) -> complex:
 
 
 def unitarity_defect(u) -> float:
-    """Upper bound on ||U*U - I||_op (Frobenius shortcut, exact op norm only
-    when the cheap bound is not already conclusive).  For a tall U this is
-    the defect of its columns from an orthonormal frame."""
+    """Upper bound on ||U*U - I||_op: the Frobenius norm of E = U*U - I,
+    and the exact op norm of E only when that cheap bound is not already
+    conclusive.  For a tall U this is the defect of its columns from an
+    orthonormal frame.
+
+    E is Hermitian, so its squared Frobenius norm is summed over the
+    blocks of ``_DEFECT_BLOCK`` columns on and above the block diagonal,
+    the diagonal blocks once and the others twice: about half of the
+    flops of U*U, and no m x m array.  Each block row of E comes from one
+    GEMM.
+    """
     a = as_array(u)
-    e = a.conj().T @ a - np.eye(a.shape[1])
-    fro = float(np.linalg.norm(e))
+    m = a.shape[1]
+    sq = 0.0
+    for i in range(0, m, _DEFECT_BLOCK):
+        b = min(_DEFECT_BLOCK, m - i)
+        g = a[:, i : i + b].conj().T @ a[:, i:]
+        g[np.arange(b), np.arange(b)] -= 1.0
+        diagonal_block = g[:, :b]
+        sq += 2.0 * np.vdot(g, g).real - np.vdot(diagonal_block, diagonal_block).real
+    fro = math.sqrt(sq)
     if fro <= UNITARY_OP_TOL:
         return fro
-    return op_norm(e)
+    return op_norm(a.conj().T @ a - np.eye(m))
 
 
 @dataclass(frozen=True)
@@ -201,6 +227,24 @@ class CMVMatrix:
         return self @ np.eye(len(self.alpha))
 
 
+def _panel_gram(vh: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V* V for a panel V, given V* as ``vh``, summed over chunks of
+    ``_GRAM_CHUNK`` rows in one fixed order.
+
+    A one-shot V* V GEMM changes its last bits with the OpenBLAS thread
+    count at some heights (200, 257, 300, 480, 513 and 1000 among them).
+    A chunk product of a 32-column panel is small enough that the bundled
+    OpenBLAS runs it on one thread, so the sum keeps its bytes across
+    thread counts.  That is a measured property of this BLAS, not a BLAS
+    guarantee; ``test_panel_gram_bit_identical_across_thread_counts``
+    pins it.
+    """
+    gram = vh[:, :_GRAM_CHUNK] @ v[:_GRAM_CHUNK]
+    for r in range(_GRAM_CHUNK, len(v), _GRAM_CHUNK):
+        gram += vh[:, r : r + _GRAM_CHUNK] @ v[r : r + _GRAM_CHUNK]
+    return gram
+
+
 def _haar_frame(n: int, m: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """N x m frame (m <= N) with the exact law of the first m columns of a
     Haar unitary; m = N gives a Haar unitary.
@@ -222,9 +266,11 @@ def _haar_frame(n: int, m: int, seed: int | np.random.SeedSequence) -> np.ndarra
     (LAPACK ``larft``, forward and columnwise), and applied to Q at once,
     C -= V (T (V* C)).
 
-    That update is complex GEMM, which carries almost all of the work;
-    everything else is einsum or elementwise.  The draw's last bits can
-    depend on the BLAS thread count: OpenBLAS's threaded GEMM keeps them at
+    That update is complex GEMM, which carries almost all of the work.
+    T is built from the panel's Gram matrix V* V, a fixed-order sum of
+    small GEMMs (``_panel_gram``), one short matrix-vector product per
+    column; the rest is elementwise.  The draw's last bits can depend on
+    the BLAS thread count: OpenBLAS's threaded GEMM keeps them at
     some sizes (64, 200, 255, 256, 512 and 1024, as
     ``test_haar_bit_identical_across_thread_counts`` checks) and changes
     them at others (190, 197, 257, 300 and 513 among them; a bare c* c at
@@ -238,19 +284,23 @@ def _haar_frame(n: int, m: int, seed: int | np.random.SeedSequence) -> np.ndarra
     phases = np.empty(m, dtype=complex)
     for k0 in reversed(range(0, m, _PANEL_WIDTH)):
         b = min(_PANEL_WIDTH, m - k0)
-        v = np.tril(rng.standard_normal((n - k0, b)) + 1j * rng.standard_normal((n - k0, b)))
+        xy = rng.standard_normal((2, n - k0, b))  # the real parts, then the imaginary
+        v = np.empty((n - k0, b), dtype=complex)
+        v.real, v.imag = xy
+        np.copyto(v[:b], 0.0, where=_STRICT_UPPER[:b, :b])
         diag = np.arange(b)
         s = v[diag, diag] / np.abs(v[diag, diag])
         v[diag, diag] += s * np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
         phases[k0 : k0 + b] = -s
-        gram = np.einsum("ij,ik->jk", v.conj(), v)
+        vh = v.conj().T
+        gram = _panel_gram(vh, v)
         taus = 2.0 / gram.diagonal().real
         t = np.zeros((b, b), dtype=complex)
         for j in range(b):
             t[j, j] = taus[j]
-            t[:j, j] = -taus[j] * np.einsum("ij,j->i", t[:j, :j], gram[:j, j])
+            t[:j, j] = -taus[j] * (t[:j, :j] @ gram[:j, j])
         c = q[k0:, k0:]
-        c -= v @ (t @ (v.conj().T @ c))
+        c -= v @ (t @ (vh @ c))
     q *= phases
     return q
 

@@ -769,3 +769,55 @@ def subgroup_verdicts(group, members):
         for h in members
     )
     return abelian, normal
+
+
+# -- the matrix layer's dense forms ------------------------------------------------
+
+
+def dense_unitarity_defect(u):
+    """||U*U - I|| from the whole m x m error E = U*U - I: its Frobenius
+    norm, or, when that exceeds ``UNITARY_OP_TOL``, the op norm of E."""
+    from freecomm.matrices import UNITARY_OP_TOL, as_array, op_norm
+
+    a = as_array(u)
+    e = a.conj().T @ a - np.eye(a.shape[1])
+    fro = float(np.linalg.norm(e))
+    if fro <= UNITARY_OP_TOL:
+        return fro
+    return op_norm(e)
+
+
+def einsum_panel_gram(v):
+    """V* V for a Householder panel V, as one einsum."""
+    return np.einsum("ij,ik->jk", v.conj(), v)
+
+
+def eye_factor_lengths(sign, b, m):
+    """(tau, ell, ell_bar) of w = sign (I + B M B*) with each distance to a
+    unit scalar c read off the whole array (1 - sign c) I + B M B*."""
+    dim = b.shape[0]
+    s = b @ m @ b.conj().T
+    trace = complex(np.trace(s))
+    if np.array_equal(m, m.conj().T):
+        trace = trace.real
+    tau = sign * (1.0 + trace / dim)
+    phase = tau / abs(tau) if tau else 1.0
+
+    def dist(c):
+        x = s + (1.0 - sign * c) * np.eye(dim)
+        return math.sqrt(float((x.real**2 + x.imag**2).sum()) / dim)
+
+    return tau, dist(1.0), dist(phase)
+
+
+def collect_add(a, b):
+    """a + b by stacking both supports and summing equal words through
+    ``algebra._collect``, which sorts all of them."""
+    (na, wa), (nb, wb) = a.rows.shape, b.rows.shape
+    _, da, ea = a.coeffs.shape
+    _, db, eb = b.coeffs.shape
+    rows = np.full((na + nb, max(wa, wb)), algebra._PAD, dtype=np.int8)
+    rows[:na, :wa], rows[na:, :wb] = a.rows, b.rows
+    coeffs = np.zeros((na + nb, max(da, db), max(ea, eb)), dtype=np.int64)
+    coeffs[:na, :da, :ea], coeffs[na:, :db, :eb] = a.coeffs, b.coeffs
+    return algebra._collect(rows, coeffs, np.concatenate([a.parity, b.parity]))

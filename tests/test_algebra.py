@@ -35,6 +35,7 @@ from oracles import (
     INVOLUTION_HAAR,
     TWO_INVOLUTIONS,
     AlgebraElement,
+    collect_add,
     dict_multiply,
     ell,
     ell_bar,
@@ -286,6 +287,46 @@ def test_multiply_matches_dict_reference(pair):
     assert canonical(got) == canonical({w: (g * scale**2, p) for w, (g, p) in reference.items()})
     with pytest.raises(OverflowError):
         multiply(as_poly(a, shape_a, scale + 1), as_poly(b, shape_b, scale + 1))
+
+
+def exactly(a, b):
+    """The same rows, coefficients and parities, as stored."""
+    return all(np.array_equal(p, q) and p.dtype == q.dtype for p, q in
+               ((a.rows, b.rows), (a.coeffs, b.coeffs), (a.parity, b.parity)))
+
+
+def negated(a):
+    return PolyElement(a.rows, -a.coeffs, a.parity)
+
+
+@given(elements, elements)
+def test_add_matches_collect_route(a, b):
+    # sorted operands merge; star's reversed words are out of order, and a
+    # sum with its own negation cancels every word
+    for x, y in ((a, b), (b, a), (star(a), b), (a, star(b)), (a, negated(a)),
+                 (add(a, b), negated(b)), (a, ONE)):
+        assert exactly(add(x, y), collect_add(x, y))
+
+
+@given(dict_pairs())
+def test_add_matches_collect_route_on_unsorted_supports(pair):
+    # hand-built supports: any word order, zero coefficients left in
+    (a, shape_a), (b, shape_b) = pair
+    x, y = as_poly(a, shape_a), as_poly(b, shape_b)
+    assert exactly(add(x, y), collect_add(x, y))
+    assert exactly(add(y, y), collect_add(y, y))
+
+
+def test_add_guards_int64_and_parities():
+    # each word's sum holds one term from each operand: 2 (2^62 - 1) fits
+    # in int64 and 2 * 2^62 is one past it; and equal words with different
+    # parities cannot be summed
+    edge = element((Y, [[2**62 - 1]], (0, 1)))
+    assert add(edge, edge).coeffs.tolist() == [[[2**63 - 2]]]
+    with pytest.raises(OverflowError):
+        add(element((Y, [[2**62]], (0, 1))), edge)
+    with pytest.raises(ArithmeticError):
+        add(element((Y, [[1]], (0, 1))), element((Y, [[1]], (1, 0))))
 
 
 def test_collect_rejects_parity_mismatch():

@@ -53,6 +53,7 @@ from oracles import (
     commutator_element,
     dense_decay_curve,
     exact_commutator,
+    eye_factor_lengths,
     integer_recursion_polynomials,
     norm2,
     order_two_unitary,
@@ -454,6 +455,34 @@ def test_matrix_curve_matches_dense_oracle(alpha, dim):
         assert abs(step.trace - trace) <= 1e-13
         assert abs(step.ell - ell) <= 1e-13
         assert abs(step.ell_bar - ell_bar) <= 1e-13
+
+
+def _bits(tau, ell, ell_bar):
+    tau = complex(tau)
+    return np.array([tau.real, tau.imag, ell, ell_bar]).tobytes(), type(tau)
+
+
+@pytest.mark.parametrize("dim", [255, 256])
+def test_factor_lengths_bitwise_match_eye_oracle(dim, monkeypatch):
+    # the factor of u with sign 1 (alpha > 0) and sign -1 (alpha < 0), then
+    # the 2k-wide factors of rows 2-4 of a decay curve
+    for alpha in (0.8, -0.8):
+        u, _ = unitary_with_trace(alpha, dim, subseed(17, dim))
+        assert u.sign == (1 if alpha > 0 else -1)
+        args = dynamics._factor(u)
+        assert _bits(*dynamics._factor_lengths(*args)) == _bits(*eye_factor_lengths(*args))
+    seen = []
+    lengths = dynamics._factor_lengths
+
+    def recorded(*args):
+        seen.append(args)
+        return lengths(*args)
+
+    monkeypatch.setattr(dynamics, "_factor_lengths", recorded)
+    decay_curve_matrix(u, sample_cue(dim, subseed(17, dim, 1)), 4)
+    assert [b.shape[1] for _, b, _ in seen[1:]] == [2 * u.basis.shape[1]] * 3
+    for args in seen:
+        assert _bits(*lengths(*args)) == _bits(*eye_factor_lengths(*args))
 
 
 @pytest.mark.parametrize("dim", [2, 63, 64])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freecomm.matrices import (
+    UNITARY_OP_TOL,
     CMVMatrix,
     Reflection,
     UnitaryMatrix,
@@ -22,6 +23,8 @@ from freecomm.matrices import (
 
 from oracles import (
     dense_cmv,
+    dense_unitarity_defect,
+    einsum_panel_gram,
     ks_uniform,
     orthonormalize_haar,
     two_norm_dist,
@@ -79,6 +82,61 @@ def test_haar_bit_identical_across_thread_counts():
         assert res.returncode == 0, res.stderr
         digests.add(res.stdout.strip())
     assert len(digests) == 1
+
+
+def _panel(k, seed):
+    """A 32-column lower-trapezoidal complex-Gaussian panel of height k."""
+    from freecomm.matrices import make_rng
+
+    rng = make_rng(seed, k)
+    return np.tril(rng.standard_normal((k, 32)) + 1j * rng.standard_normal((k, 32)))
+
+
+GRAM_HEIGHTS = (200, 257, 300, 480, 513, 1000)
+
+
+def test_panel_gram_bit_identical_across_thread_counts():
+    # one-shot V* V GEMMs change their last bits with the thread count at
+    # these heights; the sum of 128-row chunk products does not
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import hashlib\n"
+        "from test_matrices import GRAM_HEIGHTS, _panel\n"
+        "from freecomm.matrices import _panel_gram\n"
+        "h = hashlib.sha256()\n"
+        "for k in GRAM_HEIGHTS:\n"
+        "    v = _panel(k, 4321)\n"
+        "    h.update(_panel_gram(v.conj().T, v).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    digests = set()
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [tests_dir, env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        digests.add(res.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_panel_gram_matches_einsum():
+    from freecomm.matrices import _panel_gram
+
+    for k in (1, 31, 128, 129) + GRAM_HEIGHTS:
+        v = _panel(k, 99)
+        gram = _panel_gram(v.conj().T, v)
+        assert gram.shape == (32, 32)
+        assert np.max(np.abs(gram - einsum_panel_gram(v))) <= 1e-13 * np.max(np.abs(gram))
 
 
 def test_blocked_haar_matches_unblocked_reflectors():
@@ -229,6 +287,57 @@ def test_op_norm_matches_svd():
 def test_op_norm_rejects_nonsquare():
     with pytest.raises(ValueError):
         op_norm(np.ones((2, 3)))
+
+
+def _perturbed(q, eps, seed):
+    """q plus eps times a complex Gaussian matrix scaled to unit column norms."""
+    from freecomm.matrices import make_rng
+
+    rng = make_rng(seed)
+    z = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+    return q + eps * z / math.sqrt(2 * q.shape[0])
+
+
+DEFECT_SHAPES = [(1, 1), (63, 63), (64, 64), (65, 65), (130, 130), (257, 257),
+                 (130, 45), (1024, 51)]
+
+
+@pytest.mark.parametrize("shape", DEFECT_SHAPES)
+def test_unitarity_defect_matches_dense_oracle(shape):
+    # exact draws (Frobenius branch near 1e-14), and perturbed ones on both
+    # sides of the 1e-10 bound where the op norm of E takes over
+    from freecomm.matrices import _haar_frame
+
+    q = _haar_frame(*shape, subseed(31, *shape))
+    for eps in (0.0, 1e-12, 1e-9):
+        a = _perturbed(q, eps, subseed(32, *shape)) if eps else q
+        got, want = unitarity_defect(a), dense_unitarity_defect(a)
+        assert abs(got - want) <= 1e-14 + 1e-12 * want
+
+
+def test_unitarity_defect_catches_half_counted_blocks():
+    # a mutant that counts each off-diagonal block of E once under-reports
+    # the Frobenius norm by about 1/sqrt(2), far outside the oracle's tolerance
+    from freecomm.matrices import _DEFECT_BLOCK, _haar_frame
+
+    a = _perturbed(_haar_frame(257, 257, 33), 1e-12, 34)
+    sq = 0.0
+    for i in range(0, 257, _DEFECT_BLOCK):
+        b = min(_DEFECT_BLOCK, 257 - i)
+        g = a[:, i : i + b].conj().T @ a[:, i:]
+        g[np.arange(b), np.arange(b)] -= 1.0
+        sq += np.vdot(g, g).real
+    mutant, want = math.sqrt(sq), dense_unitarity_defect(a)
+    assert want <= UNITARY_OP_TOL  # the Frobenius branch
+    assert abs(unitarity_defect(a) - want) <= 1e-14 + 1e-12 * want
+    assert mutant < 0.9 * want
+
+
+def test_unitary_matrix_rejects_one_moved_entry():
+    q = sample_haar(130, 35).array.copy()
+    q[57, 3] += 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryMatrix(q)
 
 
 def test_unitary_matrix_rejects_non_unitary():
