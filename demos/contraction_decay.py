@@ -22,7 +22,7 @@ print("   later rows extrapolate with the trace recursion the exact rows verify)
 
 res = find_small_element(ALPHA, 0.1)
 print(f"\nfirst word below 0.1: n={res.n}, ell={res.ell:.6f}, "
-      f"word has {res.word.letter_length()} letters")
+      f"word has {sum(map(abs, res.word[1::2]))} letters")
 
 print("\nmatrix model at N = 400 (same alpha, CUE-law CMV partner):")
 u, realized = unitary_with_trace(ALPHA, 400, subseed(1, 0))

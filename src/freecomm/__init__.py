@@ -34,6 +34,7 @@ from .dynamics import (
     decay_curve_matrix,
     find_small_element,
     trace_recursion,
+    w_sequence,
 )
 from .groups import FiniteGroup, cyclic_group, load_finite_group, quaternion_group, symmetric_group
 from .matrices import (
@@ -54,6 +55,7 @@ from .mixed import (
     MixedWord,
     is_mixed_identity,
     iterated_commutator,
+    mixed_commutator as commutator,
     parse_mixed_word,
 )
 from .reps import (
@@ -62,7 +64,6 @@ from .reps import (
     dihedral_chain_demo,
     least_dimension_criterion,
 )
-from .words import FreeWord, commutator, w_sequence
 
 __all__ = [
     "CMVMatrix",
@@ -72,7 +73,6 @@ __all__ = [
     "FilterReport",
     "FiniteGroup",
     "FreeProductGroup",
-    "FreeWord",
     "MatrixGroup",
     "MixedWord",
     "NonClosure",

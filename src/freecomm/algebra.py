@@ -446,10 +446,15 @@ def is_unitary(a: PolyElement) -> bool:
 Grid = tuple  # tuple[tuple[int, ...], ...]: entry [d][e] multiplies alpha^d beta^e
 
 
+def _grid(coeffs: np.ndarray) -> Grid:
+    """An integer array whose entry [d, e] multiplies alpha^d beta^e, trimmed, as a grid."""
+    return tuple(map(tuple, _trim(coeffs[None])[0].tolist()))
+
+
 def trace(a: PolyElement) -> Grid:
     """The coefficient of the empty word, whose parities are 0, as an integer grid."""
     empty = np.flatnonzero(a.rows[:, 0] == _PAD)  # the one row that starts with _PAD
-    return tuple(map(tuple, _trim(a.coeffs[empty[:1]])[0].tolist())) if empty.size else ((0,),)
+    return _grid(a.coeffs[empty[0]]) if empty.size else ((0,),)
 
 
 def evaluate(grid: Grid, alpha: float, beta: float = 0.0) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from .catalog import finite_group_catalog, load_unitary_catalog, unitary_group_c
 from .discrete import MatrixGroup, gamma_filter, group_closure
 from .dynamics import EXACT_SLACK, MATRIX_SLACK, decay_curve_exact, decay_curve_matrix
 from .groups import load_finite_group
-from .matrices import sample_cue, subseed, unitary_with_trace
+from .matrices import freeness_trial, sample_cue, subseed, unitary_with_trace
 from .mixed import MixedWord, is_mixed_identity, mixed_identity_scan, parse_mixed_word
 from .reporting import emit_json, emit_text
 
@@ -222,8 +222,6 @@ def cmd_mif(args) -> int:
 
 
 def cmd_freeness(args) -> int:
-    from .matrices import freeness_trial
-
     results = []
     worst = 0.0
     for trial in range(args.trials):

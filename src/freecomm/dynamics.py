@@ -49,8 +49,14 @@ import numpy as np
 
 from .algebra import (
     _PAD,
+    FreeProductGroup,
+    Grid,
     PolyElement,
+    Word,
+    Z,
+    _check_int64,
     _encode,
+    _grid,
     _lengths,
     _lookup,
     _max_abs,
@@ -67,7 +73,6 @@ from .algebra import (
     unitary,
 )
 from .matrices import CMVMatrix, Reflection, as_array
-from .words import FreeWord, w_sequence
 
 #: slack for the exact-model bound chain
 EXACT_SLACK = 1e-10
@@ -176,67 +181,59 @@ def _linear(k: int) -> PolyElement:
     return unitary(_conjugate(k))
 
 
-def _sum_of_products(p: np.ndarray, q: np.ndarray) -> list[int]:
-    """sum_i p_i * q_i over the rows, as one polynomial.
+def _sum_of_products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_i p_i * q_i over the rows, as one polynomial: its int64
+    coefficients of alpha, len(p[0]) + len(q[0]) - 1 of them even for no rows.
 
     One float64 GEMM: every partial sum of the integer products is at most
     rows * max|p| * max|q| in size, so below 2^53 each is exact, whatever
     order BLAS sums in.
     """
-    if not len(p):
-        return [0]
     bound = _max_abs(p) * _max_abs(q) * len(p)
     if bound >= _FLOAT_EXACT:
         raise OverflowError(f"a float64 pairing may round (bound {bound} >= 2^53)")
     m = (p.T.astype(np.float64) @ q.astype(np.float64)).astype(np.int64)  # alpha^(d + e)
-    out = [0] * (p.shape[1] + q.shape[1] - 1)
-    for d, row in enumerate(m.tolist()):
-        for e, c in enumerate(row):
-            out[d + e] += c
+    _check_int64(bound, min(m.shape))  # each entry of out sums at most min(m.shape) of m's
+    out = np.zeros(p.shape[1] + q.shape[1] - 1, dtype=np.int64)
+    np.add.at(out, np.add.outer(np.arange(p.shape[1]), np.arange(q.shape[1])), m)
     return out
 
 
-def _graded_pairing(w: PolyElement, image: np.ndarray) -> tuple[list[int], list[int]]:
-    """sum of P_g P_image(g) over the even and over the odd words g whose
-    image lies in the support (``image`` holds -1 elsewhere).  The decay
-    words carry alpha alone: their beta degree and parity are 0."""
-    hit, parity, coeffs = image >= 0, w.parity[:, 0], w.coeffs[:, :, 0]
-    even, odd = hit & (parity == 0), hit & (parity == 1)
-    return (_sum_of_products(coeffs[even], coeffs[image[even]]),
-            _sum_of_products(coeffs[odd], coeffs[image[odd]]))
+def _pairing(w: PolyElement, images: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum of weight * P_g P_image(g) over the maps, one row of ``images``
+    each (-1 where a word's image is not in the support), and over the even
+    and the odd words g, as int64 coefficients of alpha.  ``weights[map,
+    parity]`` holds a fixed polynomial in alpha, lowest degree first.  The
+    decay words carry alpha alone: their beta degree and parity are 0.
+    """
+    parity, coeffs = w.parity[:, 0], w.coeffs[:, :, 0]
+    sums = [_sum_of_products(coeffs[rows], coeffs[image[rows]])
+            for image in images for rows in ((image >= 0) & (parity == p) for p in (0, 1))]
+    # an entry sums one product per weight coefficient and sum
+    _check_int64(max(map(_max_abs, sums)), _max_abs(weights), weights.size)
+    return sum(np.convolve(weight, s) for weight, s in zip(weights.reshape(len(sums), -1), sums))
 
 
-def _padd(*polys) -> list[int]:
-    out = [0] * max(len(p) for p in polys)
-    for p in polys:
-        for k, c in enumerate(p):
-            out[k] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+#: <w, w> = E + (1 - alpha^2) O, with |gamma|^2 = 1 - alpha^2 on the odd words
+_PARSEVAL_WEIGHTS = np.array([[[1, 0, 0], [1, 0, -1]]])
+
+#: alpha (1 - alpha^2) (S(y g) - S(g y)) with S = O - E, and (1 - alpha^2)
+#: T(y g y) with T = E + (1 - alpha^2) O (see ``paired_trace``)
+_PAIRED_WEIGHTS = np.array([
+    [[0, -1, 0, 1, 0], [0, 1, 0, -1, 0]],  # y g
+    [[0, 1, 0, -1, 0], [0, -1, 0, 1, 0]],  # g y
+    [[1, 0, -1, 0, 0], [1, 0, -2, 0, 1]],  # y g y
+])
 
 
-def _pmul(p, q) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for d, a in enumerate(p):
-        for e, b in enumerate(q):
-            out[d + e] += a * b
-    return _padd(out)
-
-
-_ALPHA_SQ = (0, 0, 1)
-_ONE_MINUS_ALPHA_SQ = (1, 0, -1)  # gamma * conj(gamma)
-_ALPHA_ONE_MINUS_ALPHA_SQ = (0, 1, 0, -1)
-
-
-def _parseval(w: PolyElement) -> list[int]:
+def _parseval(w: PolyElement) -> Grid:
     """tau(w* w) = sum over words of |gamma|^(2 parity) P^2."""
-    even, odd = _graded_pairing(w, np.arange(w.support_size))
-    return _padd(even, _pmul(_ONE_MINUS_ALPHA_SQ, odd))
+    return _grid(_pairing(w, np.arange(w.support_size)[None], _PARSEVAL_WEIGHTS)[:, None])
 
 
-def paired_trace(w: PolyElement, k: int, parseval: list[int]) -> list[int]:
-    """tau(w c w* c*) with c = alpha + gamma y, y = v^k x v^-k, as <w c, c w>.
+def paired_trace(w: PolyElement, k: int) -> Grid:
+    """tau(w c w* c*) with c = alpha + gamma y, y = v^k x v^-k, as <w c, c w>,
+    for a w with <w, w> = tau(w* w) = 1, as ``_parseval`` checks.
 
     Neither w c nor c w is formed: (w c)(g) = alpha w(g) + gamma w(g y) and
     (c w)(g) = alpha w(g) + gamma w(y g), so, with conj(gamma) = -gamma,
@@ -247,8 +244,7 @@ def paired_trace(w: PolyElement, k: int, parseval: list[int]) -> list[int]:
     sums over the words g of w whose image under the map lies in w's support.
     y g and g y flip the parity p of g, so w(g) conj(w(image)) carries one
     gamma and the sign (-1)^(1 - p): S = odd - even.  y g y keeps the
-    parity: T = even + (1 - alpha^2) odd.  ``parseval`` is <w, w> =
-    tau(w* w), as ``_parseval`` gives it; the caller has it already.
+    parity: T = even + (1 - alpha^2) odd, as in <w, w>.
     """
     y = _encode([_conjugate(k)])
     if k > int(np.abs(w.rows, dtype=np.int16).max(where=w.rows != _PAD, initial=0)):
@@ -265,13 +261,9 @@ def paired_trace(w: PolyElement, k: int, parseval: list[int]) -> list[int]:
     ygy = _row_products(yg, y, np.arange(len(rows)), once)
     images = np.full((3, w.support_size), -1)
     images[:, rows] = _lookup(w, yg, gy, ygy)
-    (e1, o1), (e2, o2), (e3, o3) = (_graded_pairing(w, image) for image in images)
-    s_diff = _padd(o1, e2, [-c for c in _padd(e1, o2)])
-    return _padd(
-        _pmul(_ALPHA_SQ, parseval),
-        _pmul(_ALPHA_ONE_MINUS_ALPHA_SQ, s_diff),
-        _pmul(_ONE_MINUS_ALPHA_SQ, _padd(e3, _pmul(_ONE_MINUS_ALPHA_SQ, o3))),
-    )
+    tau = _pairing(w, images, _PAIRED_WEIGHTS)
+    tau[2] += 1  # alpha^2 <w, w>
+    return _grid(tau[:, None])
 
 
 def _commutator(w: PolyElement, k: int) -> PolyElement:
@@ -285,69 +277,41 @@ def _commutator(w: PolyElement, k: int) -> PolyElement:
     return multiply(add(alpha, multiply(multiply(w, gamma_y), star(w))), star(c))
 
 
-def _require_unitary(w: PolyElement, n: int) -> None:
-    """Raise ArithmeticError unless w_n w_n* = 1 word by word."""
-    if not is_unitary(star(w)):
-        raise ArithmeticError(f"w_{n} is not unitary: w w* != 1")
-
-
-def _next_word(w: PolyElement, k: int) -> PolyElement:
-    """w_{k+1} = [w_k, c_k] from w = w_k, once w w* = 1 is checked."""
-    _require_unitary(w, k)
-    return _commutator(w, k)
-
-
-def commutator_polynomials(n_max: int = EXPANDED_WORDS) -> list[PolyElement]:
-    """w_1 .. w_{n_max}(u, v) over C2 * Z with alpha-free coefficients.
-
-    Built fresh on every call; the exact rows keep only their traces.
-    """
-    out = [_linear(0)]
-    for k in range(1, n_max):
-        out.append(_next_word(out[-1], k))
-    return out
-
-
 class _ExactTraces:
-    """tau_1 .. tau_5 as integer coefficients of alpha, lowest degree first,
-    each built the first time a row asks for it.
+    """tau_1 .. tau_5 as ``Grid``s in alpha, each built the first time a row
+    asks for it; the one place that builds the words w_n(u, v).
 
     Only the traces and the last word still needed are kept.  tau_n for
     n <= 4 is read off w_n, which is checked exactly first: Parseval
     (tau(w* w) = 1 as a polynomial) for every w_n and w_n w_n* = 1 word by
     word for n <= 3, the identity that forms w_{n+1} as
     (alpha + w_n (gamma y) w_n*) c_n* (``_commutator``).  tau_5 pairs w_4
-    with itself, reusing its checked Parseval sum, and w_4 is dropped.
+    with itself, and w_4 is dropped.
     """
 
     def __init__(self):
-        self.taus: list[tuple[int, ...]] = []
+        self.taus: list[Grid] = []
         self.word: PolyElement | None = None
 
-    def __getitem__(self, n: int) -> tuple[int, ...]:
+    def __getitem__(self, n: int) -> Grid:
         while len(self.taus) < n:
-            self.taus.append(tuple(self._next_trace(len(self.taus) + 1)))
+            self.taus.append(self._next_trace(len(self.taus) + 1))
         return self.taus[n - 1]
 
-    def _next_trace(self, n: int) -> list[int]:
+    def _next_trace(self, n: int) -> Grid:
         if n > EXPANDED_WORDS:
-            tau, self.word = paired_trace(self.word, EXPANDED_WORDS, [1]), None
+            tau, self.word = paired_trace(self.word, EXPANDED_WORDS), None
             return tau
         w = _linear(0) if n == 1 else _commutator(self.word, n - 1)
-        if _parseval(w) != [1]:
+        if _parseval(w) != ((1,),):
             raise ArithmeticError(f"w_{n} violates Parseval: tau(w* w) != 1")
-        if n < EXPANDED_WORDS:
-            _require_unitary(w, n)
+        if n < EXPANDED_WORDS and not is_unitary(star(w)):
+            raise ArithmeticError(f"w_{n} is not unitary: w w* != 1")
         self.word = w
-        return [c for c, in trace(w)]
+        return trace(w)
 
 
 _EXACT_TRACES = _ExactTraces()
-
-
-def trace_polynomials() -> tuple[tuple[int, ...], ...]:
-    """tau_1 .. tau_5, each computed once per process (see ``_ExactTraces``)."""
-    return tuple(_EXACT_TRACES[n] for n in range(1, EXACT_ROWS + 1))
 
 
 def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[DecayStep]:
@@ -365,7 +329,7 @@ def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[Decay
     ell_bar_u = ell_bar_from_trace(complex(alpha))
     for n, (tau_rec, ell_rec) in enumerate(_recursion_traces(alpha), start=1):
         if n <= EXACT_ROWS:
-            num, den = evaluate([[c] for c in _EXACT_TRACES[n]], alpha)
+            num, den = evaluate(_EXACT_TRACES[n], alpha)
             # integer true division rounds correctly: one rounding per value
             tau_n = num / den
             ell_n = math.sqrt((2 * den - 2 * num) / den)
@@ -502,6 +466,25 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     )
 
 
+_FREE_XY = FreeProductGroup({"x": Z, "y": Z})
+
+
+def w_sequence(n: int) -> Word:
+    """w_n as a flat word of the free group on x and y: w_1 = x and
+    w_{k+1} = [w_k, y^k x y^-k].  Evaluated at x -> u and y -> v it is the
+    unitary whose trace the exact route reads.  From n = 2 on it has
+    3 * 2^n - 4 syllables: each nesting doubles them.
+    """
+    if n < 1:
+        raise ValueError("word index must be >= 1")
+    mul, inv = _FREE_XY.concat, _FREE_XY.inverse_word
+    w = ("x", 1)
+    for k in range(1, n):
+        c = ("y", k, "x", 1, "y", -k)
+        w = mul(mul(w, c), mul(inv(w), inv(c)))
+    return w
+
+
 @dataclass(frozen=True)
 class SmallElement:
     n: int
@@ -509,8 +492,8 @@ class SmallElement:
     source: str
 
     @property
-    def word(self) -> FreeWord:
-        """w_n itself: 3 * 2^n - 4 syllables from n = 2 on, built on access."""
+    def word(self) -> Word:
+        """w_n itself (``w_sequence``), built on access."""
         return w_sequence(self.n)
 
 

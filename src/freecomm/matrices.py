@@ -38,13 +38,8 @@ def subseed(master: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
 
 
-def make_rng(seed: int | np.random.SeedSequence, *path: int) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed if not path else np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + tuple(path)
-        )
-    else:
-        ss = subseed(int(seed), *path)
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    ss = seed if isinstance(seed, np.random.SeedSequence) else subseed(int(seed))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .algebra import FreeProductGroup, Word, Z
 from .groups import FiniteGroup
-from .words import commutator as mixed_commutator
 
 
 def _free_product(group: FiniteGroup) -> FreeProductGroup:
@@ -130,6 +129,11 @@ def parse_mixed_word(group: FiniteGroup, literal: str) -> MixedWord:
     if len(segments) % 2 == 0:
         raise ValueError("literal must start and end with a coefficient label")
     return MixedWord.from_tokens(group, tokens)
+
+
+def mixed_commutator(a: MixedWord, b: MixedWord) -> MixedWord:
+    """[a, b] = a b a^-1 b^-1."""
+    return a * b * a.inverse() * b.inverse()
 
 
 def iterated_commutator(ws: Sequence[MixedWord]) -> MixedWord:

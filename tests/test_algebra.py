@@ -28,8 +28,7 @@ from freecomm.algebra import (
     verify_free_commutator_identity,
 )
 from freecomm.groups import cyclic_group
-from freecomm.dynamics import commutator_polynomials
-from freecomm.words import w_sequence
+from freecomm.dynamics import _ExactTraces, w_sequence
 
 from oracles import (
     INVOLUTION_HAAR,
@@ -385,10 +384,12 @@ def test_substitute_into_algebra_matches_closed_form():
     # the decay route's polynomial element, and w_2 has the closed-form trace
     u = unitary(X)
     v = element(((1, 1), [[1]], (0, 0)))
-    polys = commutator_polynomials(3)
+    traces = _ExactTraces()
     for n in (1, 2, 3):
-        val = evaluate_word(w_sequence(n).syllables, {"x": u, "y": v}, multiply, star, ONE)
-        assert same(val, polys[n - 1])
+        w = w_sequence(n)
+        val = evaluate_word(zip(w[::2], w[1::2]), {"x": u, "y": v}, multiply, star, ONE)
+        traces[n]
+        assert same(val, traces.word)
         if n == 2:
             assert trace(val) == ((0,), (0,), (2,), (0,), (-1,))  # 1 - (1 - alpha^2)^2
 

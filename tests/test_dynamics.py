@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -22,17 +23,14 @@ from freecomm.algebra import (
 from freecomm.dynamics import (
     _ExactTraces,
     _linear,
-    _next_word,
-    _parseval,
     _sum_of_products,
-    commutator_polynomials,
     decay_curve_exact,
     decay_curve_matrix,
     find_small_element,
     iter_exact_steps,
     paired_trace,
-    trace_polynomials,
     trace_recursion,
+    w_sequence,
 )
 from freecomm.matrices import (
     Reflection,
@@ -42,7 +40,6 @@ from freecomm.matrices import (
     subseed,
     unitary_with_trace,
 )
-from freecomm.words import w_sequence
 
 import oracles
 from oracles import (
@@ -65,6 +62,21 @@ ALPHAS = (0.76, 0.8, 0.9, 0.95)
 CROSS_ALPHAS = (0.9, -0.42, 0.3, -0.3, 0.76)
 
 
+@functools.cache
+def _exact_words():
+    """w_1 .. w_4 as ``_ExactTraces`` builds them, stepped one row at a time."""
+    traces, words = _ExactTraces(), []
+    for n in range(1, 5):
+        traces[n]
+        words.append(traces.word)
+    return words
+
+
+def _grid(poly):
+    """An integer coefficient list of alpha as a ``trace`` grid."""
+    return tuple((c,) for c in poly)
+
+
 def _recursion_oracle(alpha, n):
     # scalar recursion written out independently of the library
     tau = alpha
@@ -81,52 +93,65 @@ def test_trace_recursion_matches_oracle():
 
 
 def test_exact_supports_square_each_step():
-    words = commutator_polynomials()
-    assert [w.support_size for w in words] == [2, 8, 128, 32768]
+    assert [w.support_size for w in _exact_words()] == [2, 8, 128, 32768]
 
 
 def test_trace_polynomials_equal_recursion_polynomials():
-    # the whole identity, for every alpha at once: integer coefficient lists
-    taus = [list(tau) for tau in trace_polynomials()]
-    assert taus == integer_recursion_polynomials(5)
-    assert [len(t) - 1 for t in taus] == [1, 4, 10, 22, 46]
+    # the whole identity, for every alpha at once: integer coefficient grids
+    traces = _ExactTraces()
+    polys = integer_recursion_polynomials(5)
+    assert [traces[n] for n in range(1, 6)] == [_grid(p) for p in polys]
+    assert [len(p) - 1 for p in polys] == [1, 4, 10, 22, 46]
 
 
 def test_exact_traces_build_only_the_rows_asked_for():
     # a short curve builds only its own words, and keeps only the last one
     traces = _ExactTraces()
-    assert traces[2] == tuple(integer_recursion_polynomials(2)[1])
+    assert traces[2] == _grid(integer_recursion_polynomials(2)[1])
     assert len(traces.taus) == 2 and traces.word.support_size == 8
     assert traces[4] and traces.word.support_size == 32768
-    assert traces[5] == tuple(integer_recursion_polynomials(5)[4])
+    assert traces[5] == _grid(integer_recursion_polynomials(5)[4])
     assert traces.word is None
 
 
 def test_next_word_matches_product_chain():
     # the conjugation form (alpha + w (gamma y) w*) c* against the three
     # plain products ((w c) w*) c*, word for word: w_2, w_3 and w_4
-    w = _linear(0)
+    words = _exact_words()
     for k in (1, 2, 3):
-        got, expected = _next_word(w, k), exact_commutator(w, _linear(k))
+        got, expected = words[k], exact_commutator(words[k - 1], _linear(k))
         for p, q in ((got.rows, expected.rows), (got.coeffs, expected.coeffs),
                      (got.parity, expected.parity)):
             assert p.dtype == q.dtype and np.array_equal(p, q), k
-        w = got
-    assert w.support_size == 32768
 
 
-def test_next_word_rejects_non_unitary():
-    # the conjugation form needs w w* = 1; 2u has Parseval sum 4
-    u = _linear(0)
-    with pytest.raises(ArithmeticError):
-        _next_word(add(u, u), 1)
+def test_next_word_rejects_non_unitary(monkeypatch):
+    # the conjugation form needs w w* = 1, checked word by word: with the
+    # Parseval check passed over, a w_2 formed from 2u still fails it
+    monkeypatch.setattr(dynamics, "_parseval", lambda w: ((1,),))
+    traces = _ExactTraces()
+    traces[1]
+    traces.word = add(traces.word, traces.word)
+    with pytest.raises(ArithmeticError, match="not unitary"):
+        traces[2]
+
+
+def test_next_word_rejects_parseval_violation():
+    # every w_n must have tau(w* w) = 1: a w_2 formed from 2u fails that
+    # check before the word-by-word one
+    traces = _ExactTraces()
+    traces[1]
+    traces.word = add(traces.word, traces.word)
+    with pytest.raises(ArithmeticError, match="Parseval"):
+        traces[2]
 
 
 def test_next_word_pair_count(monkeypatch):
     # w_4 from w_3 takes |w| + |w|^2 + 2 (|w|^2 + 1) pairs; the plain
-    # chain took 2|w| + 2|w|^2 + 2 (|w|^2 + 1) = 65794.  The check
-    # w_3 w_3* = 1 runs inside algebra.is_unitary and is not counted here.
-    w3 = commutator_polynomials(3)[2]
+    # chain took 2|w| + 2|w|^2 + 2 (|w|^2 + 1) = 65794.  w_4 w_4* = 1 is
+    # not checked word by word, and Parseval's sum multiplies no words.
+    traces = _ExactTraces()
+    traces[3]
     pairs = []
 
     def counting(a, b):
@@ -134,7 +159,8 @@ def test_next_word_pair_count(monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(dynamics, "multiply", counting)
-    assert _next_word(w3, 3).support_size == 32768
+    traces[4]
+    assert traces.word.support_size == 32768
     assert sum(pairs) <= 128 + 16384 + 32770
 
 
@@ -142,11 +168,9 @@ def test_pairing_matches_expansion():
     # <w c, c w> read off w_n alone equals the trace of the expanded
     # commutator [w_n, c_k].  k = n is the decay step, where only g = ()
     # pairs with y g y; k < n makes all three maps hit the support.
-    for n, w in enumerate(commutator_polynomials(3), 1):
+    for n, w in enumerate(_exact_words()[:3], 1):
         for k in range(n + 1):
-            tau = [t for t, in trace(exact_commutator(w, _linear(k)))]
-            paired = paired_trace(w, k, _parseval(w))
-            assert paired == tau[: len(paired)] and not any(tau[len(paired):]), (n, k)
+            assert paired_trace(w, k) == trace(exact_commutator(w, _linear(k))), (n, k)
 
 
 def _float_route(alpha):
@@ -170,7 +194,7 @@ def _float_route(alpha):
 
 
 def test_float_engine_agrees_with_polynomial_route():
-    polys = commutator_polynomials()
+    polys = _exact_words()
     for alpha in CROSS_ALPHAS:
         words, tau4 = _float_route(alpha)
         for poly, w in zip(polys, words):
@@ -203,7 +227,7 @@ def test_poly_overflow_is_loud():
 def test_float_pairing_overflow_is_loud():
     # sum_i p_i q_i runs in float64, exact while max|p| max|q| rows < 2^53
     p = np.array([[2**26], [1]], dtype=np.int64)
-    assert _sum_of_products(p, np.array([[2**26 - 1], [1]])) == [2**52 - 2**26 + 1]
+    assert _sum_of_products(p, np.array([[2**26 - 1], [1]])).tolist() == [2**52 - 2**26 + 1]
     with pytest.raises(OverflowError):
         _sum_of_products(p, np.array([[2**26], [1]]))
 
@@ -563,7 +587,7 @@ def test_reports_serialize_deterministically():
 def test_multiply_cap_error_is_loud():
     # w_4 at alpha = 0.9 on the float engine: w_4 w_4* needs 32768^2 pairs,
     # past the fixed cap; the float engine refuses instead of truncating
-    w4 = poly_element_at(commutator_polynomials()[3], 0.9)
+    w4 = poly_element_at(_exact_words()[3], 0.9)
     assert w4.support_size == 32768
     with pytest.raises(SupportCapExceeded) as err:
         oracles.multiply(w4, oracles.star(w4))

@@ -88,7 +88,7 @@ def _panel(k, seed):
     """A 32-column lower-trapezoidal complex-Gaussian panel of height k."""
     from freecomm.matrices import make_rng
 
-    rng = make_rng(seed, k)
+    rng = make_rng(subseed(seed, k))
     return np.tril(rng.standard_normal((k, 32)) + 1j * rng.standard_normal((k, 32)))
 
 
@@ -158,7 +158,7 @@ def test_orthonormalization_matches_lapack_span():
     from freecomm.matrices import make_rng
 
     for n, k in ((40, 40), (130, 130), (130, 45)):
-        rng = make_rng(77, n)
+        rng = make_rng(subseed(77, n))
         z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
         u = orthonormalize_haar(z)
         q, r = np.linalg.qr(z)
