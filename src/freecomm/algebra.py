@@ -170,12 +170,6 @@ def _lengths(rows: np.ndarray) -> np.ndarray:
     return np.argmax(rows == _PAD, axis=1)
 
 
-def _reversed(rows: np.ndarray) -> np.ndarray:
-    """Each row's syllables in reverse order, still ended by ``_PAD``."""
-    back = _lengths(rows)[:, None] - 1 - np.arange(rows.shape[1])
-    return np.where(back >= 0, np.take_along_axis(rows, np.maximum(back, 0), axis=1), _PAD)
-
-
 def _keys(rows: np.ndarray) -> np.ndarray:
     """One opaque key per row, its bytes: equal keys are equal words."""
     return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
@@ -190,8 +184,8 @@ def _row_products(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) ->
     Each step of the column loop gathers one column of the pairs still
     cancelling.  Output row r is a's surviving prefix, the merged syllable
     if any, then b's surviving suffix, which sits at a fixed offset from
-    b's own columns; grouped by that offset, the suffixes are one row
-    gather and one slice copy per group.
+    b's own columns: one gather of windows over b's rows padded with
+    ``_PAD`` places every suffix at once.
     """
     la, lb = _lengths(a)[i], _lengths(b)[j]
     a_flat, b_flat = a.ravel(), b.ravel()
@@ -215,13 +209,9 @@ def _row_products(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) ->
     keep = la - depth - m  # a's surviving prefix; the merged syllable sits at keep
     shift = keep - depth  # b's column c lands at c + shift
     width = int((keep + lb - depth).max(initial=0)) + 1
-    out = np.full((len(i), width), _PAD, dtype=np.int8)
-    order = np.argsort(shift, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(shift[order])) + 1):
-        if group.size:
-            s = int(shift[group[0]])
-            lo, hi = max(s, 0), min(width, b.shape[1] + s)
-            out[group, lo:hi] = b[:, lo - s : hi - s][j[group]]
+    lead = max(int(shift.max(initial=0)), 0)
+    padded = np.pad(b, ((0, 0), (lead, width)), constant_values=_PAD)
+    out = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)[j, lead - shift]
     cols = min(a.shape[1], width)
     prefix = np.arange(cols, dtype=np.int32) < keep[:, None].astype(np.int32)
     np.copyto(out[:, :cols], a[i, :cols], where=prefix)
@@ -232,18 +222,16 @@ def _row_products(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) ->
 
 def _lookup(w: PolyElement, *queries: np.ndarray) -> list[np.ndarray]:
     """For each array of query rows, the index of each row's word in w's
-    support, -1 where it is not there."""
+    support, -1 where it is not there; a sorted support is one merge-sort run."""
     width = w.rows.shape[1]
     own = _keys(w.rows)
-    order = np.argsort(own)
+    order = np.argsort(own, kind="stable")
     own = own[order]
     out = []
     for rows in queries:
-        if rows.shape[1] < width:
-            rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=_PAD)
         # a word longer than all of w's keeps no _PAD in its first width
         # columns, so it matches none of w's rows, which all end in _PAD
-        keys = _keys(rows[:, :width])
+        keys = _keys(_widen(rows, max(width, rows.shape[1]))[:, :width])
         pos = np.minimum(np.searchsorted(own, keys), len(own) - 1)
         out.append(np.where(own[pos] == keys, order[pos], -1))
     return out
@@ -297,36 +285,40 @@ def _max_abs(a: np.ndarray) -> int:
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Drop the trailing zero degrees of alpha and of beta, keeping one of each."""
-    alpha = np.flatnonzero(coeffs.any(axis=(0, 2)))
-    beta = np.flatnonzero(coeffs.any(axis=(0, 1)))
-    return coeffs[:, : alpha[-1] + 1 if alpha.size else 1, : beta[-1] + 1 if beta.size else 1]
+    while coeffs.shape[1] > 1 and not coeffs[:, -1].any():
+        coeffs = coeffs[:, :-1]
+    while coeffs.shape[2] > 1 and not coeffs[:, :, -1].any():
+        coeffs = coeffs[:, :, :-1]
+    return coeffs
 
 
 def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyElement:
     """Sum the coefficients of equal words and drop the words that sum to 0;
     the words come out sorted by their bytes.  A word met once is gathered
     straight into place, and only the words met more than once are summed.
-    Equal words carrying different parities raise ArithmeticError."""
+    Equal words carrying different parities raise ArithmeticError.  The merge
+    sort takes each run of rows already in order in one pass."""
     keys = _keys(rows)
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = keys[1:] != keys[:-1]
     group = np.cumsum(starts) - 1  # the word of each sorted row
     first = order[starts]
-    if (parity[order] != parity[first][group]).any():
-        raise ArithmeticError("equal words carry different parities")
     sums = coeffs[first]
     counts = np.diff(np.flatnonzero(np.append(starts, True)))
     repeated = np.flatnonzero(counts[group] > 1)  # sorted rows of words met more than once
+    if (parity[order[repeated]] != parity[first[group[repeated]]]).any():
+        raise ArithmeticError("equal words carry different parities")
     if repeated.size:
         heads = np.flatnonzero(starts[repeated])
         sums[counts > 1] = np.add.reduceat(coeffs[order[repeated]], heads, axis=0)
     nonzero = sums.any(axis=(1, 2))
     if not nonzero.all():  # only a sum of repeats, or a zero given as input, can vanish
         sums, first = sums[nonzero], first[nonzero]
-    rows = rows[first]
-    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim(sums), parity[first])
+    while rows.shape[1] > 1 and (rows[first, -2] == _PAD).all():  # no word left is that long
+        rows = rows[:, :-1]
+    return PolyElement(rows[first], _trim(sums), parity[first])
 
 
 def _sorted_words(rows: np.ndarray) -> bool:
@@ -399,43 +391,46 @@ def add(a: PolyElement, b: PolyElement) -> PolyElement:
 def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
     """Convolution product over the full grid of word pairs.
 
-    The pairs run word by word of the operand with more words, the tall
-    one.  One int64 product gives every pair's polynomial, one row per
-    pair: the tall operand's polynomials, flattened one row per word, times
-    the Toeplitz matrix of the short one, whose column block s multiplies
-    by its polynomial s.  Where both words are odd in a variable t,
-    gamma_t^2 = t^2 - 1: the pair's polynomial p becomes t^2 p - p, read
-    off two spare degrees of t that are allocated only when some pair
-    needs them.
+    The operand with fewer degree cells (d, e), the narrow one, indexes the
+    inner dimension of one int64 product: the other's polynomials are
+    shifted by each cell once, and a narrow word's polynomial weights the
+    shifts into its products with every word of the other.  The pairs run
+    major over the narrow operand, so where its word is the empty word the
+    other's words come out in their own sorted order.  Where both words
+    are odd in a variable t, gamma_t^2 = t^2 - 1: the pair's polynomial p
+    becomes t^2 p - p, read off two spare degrees of t that are allocated
+    only when some pair needs them.
     """
-    tall, short = (a, b) if a.support_size >= b.support_size else (b, a)
-    nt, ns = tall.support_size, short.support_size
-    _, dt, et = tall.coeffs.shape
-    _, ds, es = short.coeffs.shape
+    (na, da, ea), (nb, db, eb) = a.coeffs.shape, b.coeffs.shape
     # an entry sums min(da, db) min(ea, eb) products a pair, doubled by each gamma^2
-    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(dt, ds) * min(et, es), 4 * nt * ns)
-    by_tall, by_short = np.repeat(np.arange(nt), ns), np.tile(np.arange(ns), nt)
-    i, j = (by_tall, by_short) if tall is a else (by_short, by_tall)
-    odd = (a.parity[i] & b.parity[j]).astype(bool)
-    spare = 2 * odd.any(axis=0)
-    d_out, e_out = dt + ds - 1 + spare[0], et + es - 1 + spare[1]
-    toeplitz = np.zeros((dt, et, ns, d_out, e_out), dtype=np.int64)
-    for d, e in itertools.product(range(dt), range(et)):
-        toeplitz[d, e, :, d : d + ds, e : e + es] = short.coeffs
-    prod = tall.coeffs.reshape(nt, dt * et) @ toeplitz.reshape(dt * et, ns * d_out * e_out)
-    prod = prod.reshape(nt * ns, d_out, e_out)
+    _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db) * min(ea, eb), 4 * na * nb)
+    narrow, wide = (a, b) if da * ea <= db * eb else (b, a)
+    (nn, dn, en), (nw, dw, ew) = narrow.coeffs.shape, wide.coeffs.shape
+    pairs = np.repeat(np.arange(nn), nw), np.tile(np.arange(nw), nn)  # (narrow, wide) words
+    pn, pw = narrow.parity[:, None], wide.parity[None]
+    odd = (pn & pw).reshape(-1, 2).astype(bool)
+    spare = 2 * (narrow.parity.any(axis=0) & wide.parity.any(axis=0))  # where some pair is odd
+    d_out, e_out = da + db - 1 + spare[0], ea + eb - 1 + spare[1]
+    shifted = np.zeros((dn, en, nw, d_out, e_out), dtype=np.int64)
+    for d, e in itertools.product(range(dn), range(en)):
+        shifted[d, e, :, d : d + dw, e : e + ew] = wide.coeffs
+    prod = narrow.coeffs.reshape(nn, dn * en) @ shifted.reshape(dn * en, nw * d_out * e_out)
+    prod = prod.reshape(nn * nw, d_out, e_out)
+    del shifted  # before the gamma^2 rolls, which copy the odd pairs
     for axis in np.flatnonzero(spare):
         p = prod[odd[:, axis]]
         prod[odd[:, axis]] = np.roll(p, 2, axis=axis + 1) - p
-    return _collect(_row_products(a.rows, b.rows, i, j), prod, a.parity[i] ^ b.parity[j])
+    rows = _row_products(a.rows, b.rows, *(pairs if narrow is a else pairs[::-1]))
+    return _collect(rows, prod, (pn ^ pw).reshape(-1, 2))
 
 
 def star(a: PolyElement) -> PolyElement:
     """Adjoint: words reversed with v^k -> v^-k; conj(gamma_t) = -gamma_t
     flips the sign of every word odd in exactly one variable."""
-    rows = _reversed(a.rows)
+    back = _lengths(a.rows)[:, None] - 1 - np.arange(a.rows.shape[1])  # the column read backwards
+    rows = np.where(back >= 0, -np.take_along_axis(a.rows, np.maximum(back, 0), axis=1), _PAD)
     sign = 1 - 2 * (a.parity[:, 0] ^ a.parity[:, 1]).astype(np.int64)
-    return PolyElement(np.where(rows == _PAD, _PAD, -rows), a.coeffs * sign[:, None, None], a.parity)
+    return PolyElement(rows, a.coeffs * sign[:, None, None], a.parity)
 
 
 def is_unitary(a: PolyElement) -> bool:

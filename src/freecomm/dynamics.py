@@ -181,34 +181,39 @@ def _linear(k: int) -> PolyElement:
     return unitary(_conjugate(k))
 
 
-def _sum_of_products(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_i p_i * q_i over the rows, as one polynomial: its int64
-    coefficients of alpha, len(p[0]) + len(q[0]) - 1 of them even for no rows.
+def _sum_of_products(p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """sum_i p_i * q_i over the rows, q = p if omitted, as one polynomial: its
+    int64 coefficients of alpha, len(p[0]) + len(q[0]) - 1 of them even for no rows.
 
-    One float64 GEMM: every partial sum of the integer products is at most
-    rows * max|p| * max|q| in size, so below 2^53 each is exact, whatever
-    order BLAS sums in.
+    One float64 GEMM, a symmetric rank-k update for q = p: every partial sum
+    of the integer products is at most rows * max|p| * max|q| in size, so
+    below 2^53 each is exact, whatever order BLAS sums in.
     """
-    bound = _max_abs(p) * _max_abs(q) * len(p)
+    bound = _max_abs(p) * _max_abs(p if q is None else q) * len(p)
     if bound >= _FLOAT_EXACT:
         raise OverflowError(f"a float64 pairing may round (bound {bound} >= 2^53)")
-    m = (p.T.astype(np.float64) @ q.astype(np.float64)).astype(np.int64)  # alpha^(d + e)
+    f = p.astype(np.float64)
+    m = (f.T @ (f if q is None else q.astype(np.float64))).astype(np.int64)  # alpha^(d + e)
     _check_int64(bound, min(m.shape))  # each entry of out sums at most min(m.shape) of m's
-    out = np.zeros(p.shape[1] + q.shape[1] - 1, dtype=np.int64)
-    np.add.at(out, np.add.outer(np.arange(p.shape[1]), np.arange(q.shape[1])), m)
+    out = np.zeros(sum(m.shape) - 1, dtype=np.int64)
+    np.add.at(out, np.add.outer(*map(np.arange, m.shape)), m)
     return out
 
 
-def _pairing(w: PolyElement, images: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _pairing(w: PolyElement, images: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
     """sum of weight * P_g P_image(g) over the maps, one row of ``images``
     each (-1 where a word's image is not in the support), and over the even
-    and the odd words g, as int64 coefficients of alpha.  ``weights[map,
+    and the odd words g, as int64 coefficients of alpha.  ``images`` None is
+    the identity alone, each parity's rows gathered once.  ``weights[map,
     parity]`` holds a fixed polynomial in alpha, lowest degree first.  The
     decay words carry alpha alone: their beta degree and parity are 0.
     """
     parity, coeffs = w.parity[:, 0], w.coeffs[:, :, 0]
-    sums = [_sum_of_products(coeffs[rows], coeffs[image[rows]])
-            for image in images for rows in ((image >= 0) & (parity == p) for p in (0, 1))]
+    if images is None:
+        sums = [_sum_of_products(coeffs[parity == p]) for p in (0, 1)]
+    else:
+        sums = [_sum_of_products(coeffs[rows], coeffs[image[rows]])
+                for image in images for rows in ((image >= 0) & (parity == p) for p in (0, 1))]
     # an entry sums one product per weight coefficient and sum
     _check_int64(max(map(_max_abs, sums)), _max_abs(weights), weights.size)
     return sum(np.convolve(weight, s) for weight, s in zip(weights.reshape(len(sums), -1), sums))
@@ -228,7 +233,7 @@ _PAIRED_WEIGHTS = np.array([
 
 def _parseval(w: PolyElement) -> Grid:
     """tau(w* w) = sum over words of |gamma|^(2 parity) P^2."""
-    return _grid(_pairing(w, np.arange(w.support_size)[None], _PARSEVAL_WEIGHTS)[:, None])
+    return _grid(_pairing(w, None, _PARSEVAL_WEIGHTS)[:, None])
 
 
 def paired_trace(w: PolyElement, k: int) -> Grid:

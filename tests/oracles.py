@@ -821,3 +821,32 @@ def collect_add(a, b):
     coeffs = np.zeros((na + nb, max(da, db), max(ea, eb)), dtype=np.int64)
     coeffs[:na, :da, :ea], coeffs[na:, :db, :eb] = a.coeffs, b.coeffs
     return algebra._collect(rows, coeffs, np.concatenate([a.parity, b.parity]))
+
+
+def toeplitz_multiply(a, b):
+    """a b as ``algebra.multiply`` computed it before its convolution was
+    oriented by degree cells: the pairs run word by word of the operand
+    with more words, the tall one, and one int64 product gives every
+    pair's polynomial, the tall operand's polynomials times the Toeplitz
+    matrix of the short one, whose column block s multiplies by its
+    polynomial s.  Both odd in t: gamma_t^2 = t^2 - 1."""
+    tall, short = (a, b) if a.support_size >= b.support_size else (b, a)
+    nt, ns = tall.support_size, short.support_size
+    _, dt, et = tall.coeffs.shape
+    _, ds, es = short.coeffs.shape
+    algebra._check_int64(algebra._max_abs(a.coeffs), algebra._max_abs(b.coeffs),
+                         min(dt, ds) * min(et, es), 4 * nt * ns)
+    by_tall, by_short = np.repeat(np.arange(nt), ns), np.tile(np.arange(ns), nt)
+    i, j = (by_tall, by_short) if tall is a else (by_short, by_tall)
+    odd = (a.parity[i] & b.parity[j]).astype(bool)
+    spare = 2 * odd.any(axis=0)
+    d_out, e_out = dt + ds - 1 + spare[0], et + es - 1 + spare[1]
+    toeplitz = np.zeros((dt, et, ns, d_out, e_out), dtype=np.int64)
+    for d, e in itertools.product(range(dt), range(et)):
+        toeplitz[d, e, :, d : d + ds, e : e + es] = short.coeffs
+    prod = tall.coeffs.reshape(nt, dt * et) @ toeplitz.reshape(dt * et, ns * d_out * e_out)
+    prod = prod.reshape(nt * ns, d_out, e_out)
+    for axis in np.flatnonzero(spare):
+        p = prod[odd[:, axis]]
+        prod[odd[:, axis]] = np.roll(p, 2, axis=axis + 1) - p
+    return algebra._collect(algebra._row_products(a.rows, b.rows, i, j), prod, a.parity[i] ^ b.parity[j])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from freecomm.algebra import (
@@ -15,6 +15,8 @@ from freecomm.algebra import (
     Z,
     _collect,
     _encode,
+    _lookup,
+    _trim,
     add,
     ell_bar_from_trace,
     ell_from_trace,
@@ -41,6 +43,7 @@ from oracles import (
     evaluate_word,
     haar_generator,
     order_two_unitary,
+    toeplitz_multiply,
 )
 from oracles import multiply as float_multiply
 from oracles import trace as float_trace
@@ -288,6 +291,56 @@ def test_multiply_matches_dict_reference(pair):
         multiply(as_poly(a, shape_a, scale + 1), as_poly(b, shape_b, scale + 1))
 
 
+def scaled_to_the_edge(pair):
+    """The largest integer scale of both elements of ``pair`` at which
+    ``multiply``'s int64 guard still passes, as in the test above; None if
+    either is zero."""
+    (a, shape_a), (b, shape_b) = pair
+    largest = math.prod(max((abs(c) for g, _ in e.values() for c in g.flat), default=0) for e in (a, b))
+    if not largest:
+        return None
+    terms = min(shape_a[0], shape_b[0]) * min(shape_a[1], shape_b[1]) * 4 * len(a) * len(b)
+    return math.isqrt(_INT64_MAX // (largest * terms))
+
+
+@given(dict_pairs())
+@example([({}, (1, 1)), ({(): (np.ones((2, 1), dtype=object), (0, 0))}, (2, 1))])  # empty support
+@example([({X: (np.ones((1, 2), dtype=object), (1, 0))}, (1, 2)),  # one word each, 2 cells each
+          ({Y: (np.ones((2, 1), dtype=object), (1, 0))}, (2, 1))])
+def test_multiply_matches_toeplitz_oracle(pair):
+    # the product oriented by degree cells gives what the tall-major
+    # Toeplitz product gave, down to the dtypes, in either operand order;
+    # at the int64 edge too, and one step past it both raise
+    (a, shape_a), (b, shape_b) = pair
+    for scale in (1, scaled_to_the_edge(pair)):
+        if scale is None:
+            return
+        x, y = as_poly(a, shape_a, scale), as_poly(b, shape_b, scale)
+        for p, q in ((x, y), (y, x)):
+            assert exactly(multiply(p, q), toeplitz_multiply(p, q))
+    for product_of in (multiply, toeplitz_multiply):
+        with pytest.raises(OverflowError):
+            product_of(as_poly(a, shape_a, scale + 1), as_poly(b, shape_b, scale + 1))
+
+
+def test_multiply_matches_toeplitz_oracle_on_decay_shapes():
+    # many words by two: (alpha + w_3 (gamma y) w_3*) c_3*, 16,385 words
+    # of 22 alpha-degree cells by c_3*'s 2; w_3 w_3*, equal cell counts;
+    # u v, 2 cells each in different variables; and the empty element
+    traces = _ExactTraces()
+    traces[3]
+    w, c = traces.word, unitary((1, 3, 0, 1, 1, -3))
+    alpha, gamma_y = (PolyElement(c.rows[[r]], _trim(c.coeffs[[r]]), c.parity[[r]]) for r in (0, 1))
+    outer = add(alpha, multiply(multiply(w, gamma_y), star(w)))
+    assert outer.coeffs.shape[1:] == (22, 1) and c.coeffs.shape[1:] == (2, 1)
+    u, v = free_pair()
+    zero = add(u, negated(u))
+    assert zero.support_size == 0
+    for p, q in ((outer, star(c)), (star(c), outer), (w, star(w)), (u, v), (v, u),
+                 (zero, u), (u, zero), (zero, zero), (multiply(u, v), ONE)):
+        assert exactly(multiply(p, q), toeplitz_multiply(p, q))
+
+
 def exactly(a, b):
     """The same rows, coefficients and parities, as stored."""
     return all(np.array_equal(p, q) and p.dtype == q.dtype for p, q in
@@ -326,6 +379,64 @@ def test_add_guards_int64_and_parities():
         add(element((Y, [[2**62]], (0, 1))), edge)
     with pytest.raises(ArithmeticError):
         add(element((Y, [[1]], (0, 1))), element((Y, [[1]], (1, 0))))
+
+
+def word_parity(word, images):
+    """The image of a flat word of C2 * Z under the homomorphism to (Z/2)^2
+    that sends x and v to ``images``, as in ``dict_pairs``."""
+    (x_to, v_to), xs = images, word[0::2].count(0)
+    vs = sum(v for f, v in zip(word[0::2], word[1::2]) if f == 1)
+    return tuple((xs * x_to[t] + vs * v_to[t]) % 2 for t in (0, 1))
+
+
+@st.composite
+def collect_inputs(draw):
+    """Rows, coefficients and parities for ``_collect``, and a permutation of
+    the rows: words of C2 * Z with repeats, coefficients in -2..2 so that
+    zero grids and sums that vanish occur, parities a function of the word."""
+    images = draw(st.tuples(*[st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])] * 2))
+    words = draw(st.lists(normal_words(3, INVOLUTION_HAAR), min_size=1, max_size=6))
+    words += draw(st.lists(st.sampled_from(words), max_size=6))
+    shape = (len(words), *draw(st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    cells = draw(st.lists(st.integers(-2, 2), min_size=math.prod(shape), max_size=math.prod(shape)))
+    parity = np.array([word_parity(w, images) for w in words], dtype=np.int8)
+    perm = np.array(draw(st.permutations(range(len(words)))), dtype=np.intp)
+    return words, np.array(cells, dtype=np.int64).reshape(shape), parity, perm
+
+
+@given(collect_inputs())
+def test_collect_is_independent_of_row_order(inputs):
+    # any order of the rows collects to the same element: the sums of equal
+    # words in Python integers, the zero ones dropped
+    words, coeffs, parity, perm = inputs
+    rows = _encode(words)
+    got = _collect(rows, coeffs, parity)
+    assert exactly(_collect(rows[perm], coeffs[perm], parity[perm]), got)
+    sums = {}
+    for w, g, p in zip(words, coeffs.astype(object), map(tuple, parity.tolist())):
+        sums[w] = (sums[w][0] + g if w in sums else g, p)
+    assert canonical(got) == canonical({w: gp for w, gp in sums.items() if gp[0].any()})
+    # a repeated word whose copies disagree in parity raises in any order
+    repeated = [k for k, w in enumerate(words) if words.index(w) != k]
+    if repeated:
+        parity[repeated[0]] ^= 1
+        with pytest.raises(ArithmeticError):
+            _collect(rows[perm], coeffs[perm], parity[perm])
+
+
+def test_lookup_is_independent_of_support_order():
+    # a shuffled support resolves every query to the same word as its
+    # sorted form: the words themselves, their adjoints, words absent from
+    # the support, longer than all of its words, and the empty word
+    traces = _ExactTraces()
+    traces[3]
+    w = traces.word
+    perm = np.random.default_rng(7).permutation(w.support_size)
+    shuffled = PolyElement(w.rows[perm], w.coeffs[perm], w.parity[perm])
+    queries = (w.rows, star(w).rows, _encode([(), X, (1, 5), Y + X + Y + X + Y + X + Y + X]))
+    for got, expected in zip(_lookup(shuffled, *queries), _lookup(w, *queries)):
+        assert np.array_equal(np.where(got >= 0, perm[got], -1), expected)
+    assert _lookup(w, w.rows)[0].tolist() == list(range(w.support_size))
 
 
 def test_collect_rejects_parity_mismatch():

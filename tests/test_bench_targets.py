@@ -16,6 +16,8 @@ from freecomm.algebra import free_pair, multiply, star
 from freecomm.catalog import quaternion_generators
 from freecomm.discrete import group_closure
 
+from oracles import toeplitz_multiply
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -48,9 +50,18 @@ def test_closure_hook_reads_a_closed_group():
 def test_multiply_hook_reads_an_exact_product():
     hook = next(h for name, _m, _a, h in _tracing().TRACED if name == "algebra.multiply")
     counters = defaultdict(float)
-    u, _ = free_pair()
+    u, v = free_pair()
     one = multiply(u, star(u))  # 2 x 2 pairs collect into the empty word
     assert (u.support_size, one.support_size) == (2, 1) and one.is_one()
     hook(counters, (u, star(u)), {}, one)
     assert counters["algebra.multiply.pairs"] == 4
     assert counters["algebra.multiply.out_support"] == 1
+    # many words by 2, the 2-word operand the one the convolution runs
+    # over: the counters still read every pair and the collected support
+    counters.clear()
+    many = multiply(multiply(u, v), multiply(star(u), star(v)))
+    prod = multiply(many, v)
+    assert many.support_size > 2 and v.support_size == 2
+    hook(counters, (many, v), {}, prod)
+    assert counters["algebra.multiply.pairs"] == many.support_size * 2
+    assert counters["algebra.multiply.out_support"] == toeplitz_multiply(many, v).support_size

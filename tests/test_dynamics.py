@@ -146,6 +146,44 @@ def test_next_word_rejects_parseval_violation():
         traces[2]
 
 
+def _identity_pairing(w):
+    """tau(w* w) by the general pairing under the identity map, whose
+    gathers of the image rows repeat those of the rows themselves."""
+    images = np.arange(w.support_size)[None]
+    return dynamics._grid(dynamics._pairing(w, images, dynamics._PARSEVAL_WEIGHTS)[:, None])
+
+
+#: alpha + gamma v^k x v^-k for k < 3 and their adjoints: alpha-only unitaries
+_ALPHA_UNITARIES = [f(_linear(k)) for k in range(3) for f in (lambda x: x, star)]
+
+
+@st.composite
+def alpha_elements(draw):
+    """Sums of two scaled products of up to three ``_ALPHA_UNITARIES``: the
+    coefficients are polynomials in alpha alone, and tau(w* w) is not 1."""
+    out = []
+    for _ in range(2):
+        w = PolyElement(_encode([()]), np.array([[[draw(st.integers(-3, 3))]]]), np.zeros((1, 2), np.int8))
+        for k in draw(st.lists(st.integers(0, len(_ALPHA_UNITARIES) - 1), max_size=3)):
+            w = multiply(w, _ALPHA_UNITARIES[k])
+        out.append(w)
+    return add(*out)
+
+
+@given(alpha_elements())
+def test_parseval_matches_identity_pairing(w):
+    # each parity's rows gathered once and paired with themselves give the
+    # identity pairing's polynomial, on sums that are not unitary as well
+    assert dynamics._parseval(w) == _identity_pairing(w)
+
+
+def test_parseval_matches_identity_pairing_on_the_decay_words():
+    for w in _exact_words():
+        assert dynamics._parseval(w) == _identity_pairing(w) == ((1,),)
+    doubled = add(w, w)
+    assert dynamics._parseval(doubled) == _identity_pairing(doubled) == ((4,),)
+
+
 def test_next_word_pair_count(monkeypatch):
     # w_4 from w_3 takes |w| + |w|^2 + 2 (|w|^2 + 1) pairs; the plain
     # chain took 2|w| + 2|w|^2 + 2 (|w|^2 + 1) = 65794.  w_4 w_4* = 1 is
