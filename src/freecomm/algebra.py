@@ -44,6 +44,10 @@ _MAX_EXPONENT = 127
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: the most bytes ``multiply`` gives the int64 polynomials of one pair grid;
+#: X c_3* in the w_4 build, the largest grid of any CLI path, takes 13.1 MB
+_GRID_BUDGET = 2**30
+
 
 class FreeProductGroup:
     """Free product of cyclic/finite factors with normal-form word arithmetic.
@@ -321,21 +325,6 @@ def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyEl
     return PolyElement(rows[first], _trim(sums), parity[first])
 
 
-def _sorted_words(rows: np.ndarray) -> bool:
-    """True iff the rows strictly increase in their bytes read unsigned, the
-    order ``_collect`` leaves its words in: compared eight bytes at a time
-    as big-endian integers, from the last such column to the first."""
-    n, width = rows.shape
-    padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, :width] = rows.view(np.uint8)
-    words = padded.view(">u8")
-    later, earlier = words[1:], words[:-1]
-    increasing = np.zeros(len(later), dtype=bool)
-    for k in reversed(range(words.shape[1])):
-        increasing = (later[:, k] > earlier[:, k]) | ((later[:, k] == earlier[:, k]) & increasing)
-    return bool(increasing.all())
-
-
 def _widen(rows: np.ndarray, width: int) -> np.ndarray:
     if rows.shape[1] == width:
         return rows
@@ -345,47 +334,17 @@ def _widen(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def add(a: PolyElement, b: PolyElement) -> PolyElement:
-    """Sum of two elements.
-
-    Words sorted by their bytes with no repeats and no zero coefficients,
-    as ``_collect`` leaves them, are merged as they are: the smaller
-    support's words are placed among the larger's by binary search, only
-    the words both hold are summed, and those of them that sum to 0 are
-    dropped.  An operand in any other order goes through ``_collect`` first.
-    """
+    """Sum of two elements: both supports stacked, rows padded to one width
+    and coefficients to one degree shape, and equal words summed by
+    ``_collect``, which raises ArithmeticError where their parities differ."""
     # a word's sum holds at most one term per row of a and of b
     _check_int64(max(_max_abs(a.coeffs), _max_abs(b.coeffs)), a.support_size + b.support_size)
-    a, b = (x if _sorted_words(x.rows) and x.coeffs.any(axis=(1, 2)).all()
-            else _collect(x.rows, x.coeffs, x.parity) for x in (a, b))
-    big, small = (a, b) if a.support_size >= b.support_size else (b, a)
     width = max(a.rows.shape[1], b.rows.shape[1])
-    rows_big, rows_small = _widen(big.rows, width), _widen(small.rows, width)
-    # the row of big at or after each word of small
-    at = np.searchsorted(_keys(rows_big), _keys(rows_small))
-    shared = np.zeros(len(at), dtype=bool)
-    inside = np.flatnonzero(at < len(rows_big))
-    shared[inside] = (rows_big[at[inside]] == rows_small[inside]).all(axis=1)
-    if (big.parity[at[shared]] != small.parity[shared]).any():
-        raise ArithmeticError("equal words carry different parities")
-    new = np.flatnonzero(~shared)
-    from_small = at[new] + np.arange(len(new))  # the sum's rows that hold small's new words
-    from_big = np.ones(len(rows_big) + len(new), dtype=bool)
-    from_big[from_small] = False
-    from_big = np.flatnonzero(from_big)
-    rows = np.empty((len(from_big) + len(new), width), dtype=np.int8)
-    rows[from_big], rows[from_small] = rows_big, rows_small[new]
-    (_, db, eb), (_, ds, es) = big.coeffs.shape, small.coeffs.shape
-    coeffs = np.zeros((len(rows), max(db, ds), max(eb, es)), dtype=np.int64)
-    coeffs[from_big, :db, :eb] = big.coeffs
-    coeffs[from_small, :ds, :es] = small.coeffs[new]
-    summed = from_big[at[shared]]
-    coeffs[summed, :ds, :es] += small.coeffs[shared]
-    parity = np.empty((len(rows), 2), dtype=np.result_type(big.parity, small.parity))
-    parity[from_big], parity[from_small] = big.parity, small.parity[new]
-    vanished = summed[~coeffs[summed].any(axis=(1, 2))]
-    if vanished.size:
-        rows, coeffs, parity = (np.delete(x, vanished, axis=0) for x in (rows, coeffs, parity))
-    return PolyElement(rows[:, : _lengths(rows).max(initial=0) + 1], _trim(coeffs), parity)
+    (na, da, ea), (nb, db, eb) = a.coeffs.shape, b.coeffs.shape
+    coeffs = np.zeros((na + nb, max(da, db), max(ea, eb)), dtype=np.int64)
+    coeffs[:na, :da, :ea], coeffs[na:, :db, :eb] = a.coeffs, b.coeffs
+    return _collect(np.concatenate([_widen(a.rows, width), _widen(b.rows, width)]), coeffs,
+                    np.concatenate([a.parity, b.parity]))
 
 
 def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
@@ -400,17 +359,26 @@ def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
     are odd in a variable t, gamma_t^2 = t^2 - 1: the pair's polynomial p
     becomes t^2 p - p, read off two spare degrees of t that are allocated
     only when some pair needs them.
+
+    Raises MemoryError, before it allocates, when the int64 shifts and
+    products over the pair grid would exceed ``_GRID_BUDGET`` bytes; the
+    budget sits far above the largest grid any CLI path builds, X c_3* in
+    the w_4 build.
     """
     (na, da, ea), (nb, db, eb) = a.coeffs.shape, b.coeffs.shape
     # an entry sums min(da, db) min(ea, eb) products a pair, doubled by each gamma^2
     _check_int64(_max_abs(a.coeffs), _max_abs(b.coeffs), min(da, db) * min(ea, eb), 4 * na * nb)
     narrow, wide = (a, b) if da * ea <= db * eb else (b, a)
     (nn, dn, en), (nw, dw, ew) = narrow.coeffs.shape, wide.coeffs.shape
+    spare = 2 * (a.parity.any(axis=0) & b.parity.any(axis=0))  # where some pair is odd
+    d_out, e_out = da + db - 1 + int(spare[0]), ea + eb - 1 + int(spare[1])
+    grid = 8 * (dn * en + nn) * nw * d_out * e_out  # the shifts and the products, int64
+    if grid > _GRID_BUDGET:
+        raise MemoryError(f"{na * nb} word pairs need {grid} bytes of int64 polynomials; "
+                          f"the budget is {_GRID_BUDGET}")
     pairs = np.repeat(np.arange(nn), nw), np.tile(np.arange(nw), nn)  # (narrow, wide) words
     pn, pw = narrow.parity[:, None], wide.parity[None]
     odd = (pn & pw).reshape(-1, 2).astype(bool)
-    spare = 2 * (narrow.parity.any(axis=0) & wide.parity.any(axis=0))  # where some pair is odd
-    d_out, e_out = da + db - 1 + spare[0], ea + eb - 1 + spare[1]
     shifted = np.zeros((dn, en, nw, d_out, e_out), dtype=np.int64)
     for d, e in itertools.product(range(dn), range(en)):
         shifted[d, e, :, d : d + dw, e : e + ew] = wide.coeffs

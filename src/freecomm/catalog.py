@@ -1,8 +1,9 @@
 """Bundled test catalogs and their file formats.
 
-Matrix catalogs are JSON with named entries whose generator (or element)
-matrices are row-major arrays of (re, im) pairs; finite-group catalogs
-reuse the multiplication-table document from :mod:`freecomm.groups`.
+A matrix catalog file, read by ``load_unitary_catalog``, is JSON of the
+form {"entries": {name: {"generators": [matrix, ...]}}}, each matrix a
+row-major array of (re, im) pairs; finite-group catalogs reuse the
+multiplication-table document from :mod:`freecomm.groups`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from .groups import (
     quaternion_group,
     symmetric_group,
 )
-
-
-def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
 def matrix_from_pairs(rows) -> np.ndarray:
@@ -59,17 +55,6 @@ def unitary_group_catalog() -> dict[str, tuple[np.ndarray, ...]]:
         "binary_tetrahedral_su2": binary_tetrahedral_generators(),
         "cyclic13_u1": (np.array([[np.exp(2j * np.pi / 13)]]),),
     }
-
-
-def write_unitary_catalog(path: str | Path, catalog: dict[str, tuple] | None = None) -> None:
-    catalog = unitary_group_catalog() if catalog is None else catalog
-    doc = {
-        "entries": {
-            name: {"generators": [matrix_to_pairs(g) for g in gens]}
-            for name, gens in catalog.items()
-        }
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def load_unitary_catalog(path: str | Path) -> dict[str, tuple[np.ndarray, ...]]:

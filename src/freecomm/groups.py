@@ -205,21 +205,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"C{n}")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    def enc(a: int, b: int) -> int:
-        return a * h.order + b
-
-    n = g.order * h.order
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(g.order):
-        for b1 in range(h.order):
-            for a2 in range(g.order):
-                for b2 in range(h.order):
-                    table[enc(a1, b1)][enc(a2, b2)] = enc(g.mul(a1, a2), h.mul(b1, b2))
-    labels = [f"{g.labels[a]}|{h.labels[b]}" for a in range(g.order) for b in range(h.order)]
-    return FiniteGroup(table, labels=labels, name=name or f"{g.name}x{h.name}")
-
-
 def _cycle_notation(perm: tuple[int, ...]) -> str:
     seen = [False] * len(perm)
     parts = []
@@ -289,4 +274,6 @@ def quaternion_group() -> FiniteGroup:
 
 
 def klein_group() -> FiniteGroup:
-    return direct_product(cyclic_group(2), cyclic_group(2), name="Klein4")
+    """C2 x C2 with element 2a + b for (g^a, g^b): a product is the XOR."""
+    table = [[a ^ b for b in range(4)] for a in range(4)]
+    return FiniteGroup(table, labels=["e|e", "e|g", "g|e", "g|g"], name="Klein4")

@@ -73,9 +73,6 @@ class MixedWord:
     def t_power(cls, group: FiniteGroup, e: int) -> "MixedWord":
         return cls.from_tokens(group, [("t", e)])
 
-    def is_trivial(self) -> bool:
-        return not self.exps and self.coeffs[0] == self.group.identity
-
     def __mul__(self, other: "MixedWord") -> "MixedWord":
         if self.group is not other.group:
             raise ValueError("words over different coefficient groups")

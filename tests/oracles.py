@@ -271,28 +271,44 @@ def grid_sum(p, q):
     return out
 
 
-def dict_multiply(a, b, ambient=INVOLUTION_HAAR):
-    """The product of two {word: (grid, parity)} elements, pair by pair.
-
-    Words are reduced by ``FreeProductGroup.concat``, grids multiplied in
-    Python integers, and where both words are odd in t the pair's grid is
-    multiplied by gamma_t^2 = t^2 - 1.  Equal words must carry equal
-    parities (ArithmeticError otherwise); words whose grids sum to 0 are
-    dropped.
-    """
+def _dict_sum(terms):
+    """Sum (word, grid, parity) terms into a {word: (grid, parity)} element:
+    equal words must carry equal parities (ArithmeticError otherwise), and
+    words whose grids sum to 0 are dropped."""
     acc = {}
-    for (wa, (ga, pa)), (wb, (gb, pb)) in itertools.product(a.items(), b.items()):
-        grid = grid_product(ga, gb)
-        for t in (0, 1):
-            if pa[t] and pb[t]:
-                grid = grid_product(grid, GAMMA_SQUARED[t])
-        word, parity = ambient.concat(wa, wb), (pa[0] ^ pb[0], pa[1] ^ pb[1])
+    for word, grid, parity in terms:
         if word in acc:
             if acc[word][1] != parity:
                 raise ArithmeticError("equal words carry different parities")
             grid = grid_sum(acc[word][0], grid)
         acc[word] = (grid, parity)
     return {w: (g, p) for w, (g, p) in acc.items() if any(g.flat)}
+
+
+def dict_add(a, b):
+    """The sum of two {word: (grid, parity)} elements, grids summed in
+    Python integers word by word."""
+    return _dict_sum((w, g, p) for elem in (a, b) for w, (g, p) in elem.items())
+
+
+def dict_multiply(a, b, ambient=INVOLUTION_HAAR):
+    """The product of two {word: (grid, parity)} elements, pair by pair.
+
+    Words are reduced by ``FreeProductGroup.concat``, grids multiplied in
+    Python integers, and where both words are odd in t the pair's grid is
+    multiplied by gamma_t^2 = t^2 - 1; the pairs are summed as in
+    ``dict_add``.
+    """
+
+    def terms():
+        for (wa, (ga, pa)), (wb, (gb, pb)) in itertools.product(a.items(), b.items()):
+            grid = grid_product(ga, gb)
+            for t in (0, 1):
+                if pa[t] and pb[t]:
+                    grid = grid_product(grid, GAMMA_SQUARED[t])
+            yield ambient.concat(wa, wb), grid, (pa[0] ^ pb[0], pa[1] ^ pb[1])
+
+    return _dict_sum(terms())
 
 
 def two_norm_dist(a, b):
@@ -808,19 +824,6 @@ def eye_factor_lengths(sign, b, m):
         return math.sqrt(float((x.real**2 + x.imag**2).sum()) / dim)
 
     return tau, dist(1.0), dist(phase)
-
-
-def collect_add(a, b):
-    """a + b by stacking both supports and summing equal words through
-    ``algebra._collect``, which sorts all of them."""
-    (na, wa), (nb, wb) = a.rows.shape, b.rows.shape
-    _, da, ea = a.coeffs.shape
-    _, db, eb = b.coeffs.shape
-    rows = np.full((na + nb, max(wa, wb)), algebra._PAD, dtype=np.int8)
-    rows[:na, :wa], rows[na:, :wb] = a.rows, b.rows
-    coeffs = np.zeros((na + nb, max(da, db), max(ea, eb)), dtype=np.int64)
-    coeffs[:na, :da, :ea], coeffs[na:, :db, :eb] = a.coeffs, b.coeffs
-    return algebra._collect(rows, coeffs, np.concatenate([a.parity, b.parity]))
 
 
 def toeplitz_multiply(a, b):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from freecomm import algebra
 from freecomm.algebra import (
     _INT64_MAX,
     COMMUTATOR_CLOSED_FORM,
@@ -36,7 +37,7 @@ from oracles import (
     INVOLUTION_HAAR,
     TWO_INVOLUTIONS,
     AlgebraElement,
-    collect_add,
+    dict_add,
     dict_multiply,
     ell,
     ell_bar,
@@ -265,11 +266,15 @@ def as_poly(elem, shape, scale=1):
     return PolyElement(_encode(words), coeffs, parity)
 
 
+def as_dict(a):
+    """A ``PolyElement`` with no repeated word as a {word: (grid, parity)} element."""
+    return {w: (g, tuple(p)) for w, g, p in zip(a.words, a.coeffs.astype(object), a.parity.tolist())}
+
+
 def canonical(elem):
     """{word: (trimmed grid, parity)} of a dict element or a ``PolyElement``."""
     if isinstance(elem, PolyElement):
-        elem = {w: (g, tuple(p)) for w, g, p in
-                zip(elem.words, elem.coeffs.astype(object), elem.parity.tolist())}
+        elem = as_dict(elem)
     return {w: (as_grid(g), p) for w, (g, p) in elem.items()}
 
 
@@ -351,22 +356,29 @@ def negated(a):
     return PolyElement(a.rows, -a.coeffs, a.parity)
 
 
+def matches_dict_add(x, y):
+    """add(x, y) is collected, and its sums are those of ``dict_add``."""
+    got = add(x, y)
+    return (exactly(got, _collect(got.rows, got.coeffs, got.parity))
+            and canonical(got) == canonical(dict_add(as_dict(x), as_dict(y))))
+
+
 @given(elements, elements)
-def test_add_matches_collect_route(a, b):
-    # sorted operands merge; star's reversed words are out of order, and a
-    # sum with its own negation cancels every word
+def test_add_matches_dict_reference(a, b):
+    # collected operands; star's reversed words are out of order, and a sum
+    # with its own negation cancels every word
     for x, y in ((a, b), (b, a), (star(a), b), (a, star(b)), (a, negated(a)),
                  (add(a, b), negated(b)), (a, ONE)):
-        assert exactly(add(x, y), collect_add(x, y))
+        assert matches_dict_add(x, y)
 
 
 @given(dict_pairs())
-def test_add_matches_collect_route_on_unsorted_supports(pair):
+def test_add_matches_dict_reference_on_unsorted_supports(pair):
     # hand-built supports: any word order, zero coefficients left in
     (a, shape_a), (b, shape_b) = pair
     x, y = as_poly(a, shape_a), as_poly(b, shape_b)
-    assert exactly(add(x, y), collect_add(x, y))
-    assert exactly(add(y, y), collect_add(y, y))
+    assert matches_dict_add(x, y)
+    assert matches_dict_add(y, y)
 
 
 def test_add_guards_int64_and_parities():
@@ -446,6 +458,29 @@ def test_collect_rejects_parity_mismatch():
     assert _collect(rows, coeffs, np.array([[0, 1], [0, 1]], dtype=np.int8)).coeffs.tolist() == [[[2]]]
     with pytest.raises(ArithmeticError):
         _collect(rows, coeffs, np.array([[1, 0], [0, 1]], dtype=np.int8))
+
+
+def test_multiply_refuses_a_grid_over_its_budget(monkeypatch):
+    # u v: 2 by 2 words, 2 narrow cells, 2 x 2 cells out, so the int64 shifts
+    # and products take 8 (2 + 2) 2 (2 x 2) = 256 bytes; one byte less refuses
+    u, v = free_pair()
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 256)
+    assert trace(multiply(u, v)) == PRODUCT_RULE
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 255)
+    with pytest.raises(MemoryError, match="4 word pairs need 256 bytes"):
+        multiply(u, v)
+
+
+def test_exact_rows_fit_the_grid_budget(monkeypatch):
+    # the largest grid of the exact rows, X c_3* in the w_4 build (16,385 by
+    # 2 words, 2 narrow cells, 25 out), takes 13,108,000 bytes: the default
+    # budget holds it many times over, and a budget one byte smaller refuses it
+    assert algebra._GRID_BUDGET > 64 * 13_108_000
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 13_108_000)
+    assert _ExactTraces()[5]
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 13_107_999)
+    with pytest.raises(MemoryError, match="32770 word pairs need 13108000 bytes"):
+        _ExactTraces()[4]
 
 
 def test_beta_odd_product_overflow_is_loud():

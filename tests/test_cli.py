@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from freecomm.catalog import write_unitary_catalog
 from freecomm.cli import main
 from freecomm.groups import symmetric_group
 from freecomm.matrices import sample_cue, subseed, unitary_with_trace
@@ -185,10 +184,18 @@ def test_zassenhaus_unreadable_catalog(tmp_path, capsys):
 
 
 def test_zassenhaus_custom_catalog_roundtrip(tmp_path, capsys):
+    # the documented file format, written by hand: each generator a
+    # row-major matrix of (re, im) pairs; diag(i, -i) has order 4 and the
+    # swap [[0, 1], [1, 0]] order 2
     cat = tmp_path / "cat.json"
-    write_unitary_catalog(cat)
+    cat.write_text(json.dumps({"entries": {
+        "diag_i": {"generators": [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]]},
+        "swap": {"generators": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]},
+    }}))
     out = tmp_path / "reports"
     assert main(["zassenhaus", "--catalog", str(cat), "--out", str(out)]) == 0
+    orders = {p.stem: json.loads(p.read_text())["filter"]["group_order"] for p in out.iterdir()}
+    assert orders == {"diag_i": 4, "swap": 2}
 
 
 def test_mif_c2_square(capsys):

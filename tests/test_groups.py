@@ -6,7 +6,6 @@ import pytest
 from freecomm.groups import (
     FiniteGroup,
     cyclic_group,
-    direct_product,
     klein_group,
     load_finite_group,
     quaternion_group,
@@ -85,10 +84,12 @@ def test_klein_group():
     assert v.is_abelian()
 
 
-def test_direct_product_orders():
-    g = direct_product(cyclic_group(2), cyclic_group(3))
-    assert g.order == 6
-    assert g.exponent() == 6
+def test_klein_group_table_and_labels():
+    # C2 x C2 with element 2a + b for (g^a, g^b): the product is bitwise XOR
+    v = klein_group()
+    assert v.name == "Klein4"
+    assert list(v.labels) == ["e|e", "e|g", "g|e", "g|g"]
+    assert v.table == tuple(tuple(a ^ b for b in range(4)) for a in range(4))
 
 
 def test_json_roundtrip(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import freecomm
 
 
@@ -7,3 +12,20 @@ def test_public_names_are_sorted_unique_and_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(freecomm, name) is not None
+
+
+def test_cli_imports_no_optional_dependency():
+    # numpy is the one runtime dependency: importing the CLI, and with it the
+    # whole package, leaves no scipy, sympy or hypothesis module loaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(freecomm.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    script = (
+        "import sys\n"
+        "import freecomm.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy', 'hypothesis'}))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
