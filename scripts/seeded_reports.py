@@ -64,6 +64,11 @@ def cli_calls() -> list[tuple[str, list[str]]]:
                                        "--format", "json"]),
         ("freeness.json", ["freeness", "--n", "256", "--trials", "3", "--seed", "20220"]),
         ("freeness_n257.json", ["freeness", "--n", "257", "--trials", "2", "--seed", "20220"]),
+        # N = 130 ends in a ragged block of 2 columns
+        ("freeness_n130.json", ["freeness", "--n", "130", "--trials", "2", "--seed", "20220"]),
+        ("dynamics-matrix_n130.json", ["dynamics", "--model", "matrix", "--alpha", "0.9",
+                                       "--n", "130", "--seed", "7", "--n-max", "3",
+                                       "--format", "json"]),
         ("zassenhaus.txt", ["zassenhaus", "--out", "zassenhaus"]),
     ]
     groups = finite_group_catalog()

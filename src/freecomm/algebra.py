@@ -252,7 +252,8 @@ class PolyElement:
     gamma_alpha^parity[i, 0] gamma_beta^parity[i, 1] P_i(alpha, beta),
     and ``coeffs[i, d, e]`` is the integer coefficient of alpha^d beta^e
     in P_i.  The parities are a function of the word: products combine
-    them by XOR, and ``_collect`` checks that equal words agree.
+    them by XOR, and ``_collect`` checks that equal words agree.  The
+    words are distinct, as ``_collect`` leaves them; ``add`` relies on it.
     """
 
     __slots__ = ("rows", "coeffs", "parity")
@@ -296,17 +297,36 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyElement:
-    """Sum the coefficients of equal words and drop the words that sum to 0;
-    the words come out sorted by their bytes.  A word met once is gathered
-    straight into place, and only the words met more than once are summed.
-    Equal words carrying different parities raise ArithmeticError.  The merge
-    sort takes each run of rows already in order in one pass."""
+def _sort_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of the rows by their bytes, and which rows in that
+    order begin a new word.  The merge sort takes each run of rows already
+    in order in one pass."""
     keys = _keys(rows)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = keys[1:] != keys[:-1]
+    return order, starts
+
+
+def _element(rows: np.ndarray, first: np.ndarray, sums: np.ndarray,
+             parity: np.ndarray) -> PolyElement:
+    """The words ``rows[first]`` with the polynomials ``sums``, less those
+    that are 0, with the rows and degrees trimmed."""
+    nonzero = sums.any(axis=(1, 2))
+    if not nonzero.all():  # only a sum of repeats, or a zero given as input, can vanish
+        sums, first = sums[nonzero], first[nonzero]
+    while rows.shape[1] > 1 and (rows[first, -2] == _PAD).all():  # no word left is that long
+        rows = rows[:, :-1]
+    return PolyElement(rows[first], _trim(sums), parity[first])
+
+
+def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyElement:
+    """Sum the coefficients of equal words and drop the words that sum to 0;
+    the words come out sorted by their bytes.  A word met once is gathered
+    straight into place, and only the words met more than once are summed.
+    Equal words carrying different parities raise ArithmeticError."""
+    order, starts = _sort_words(rows)
     group = np.cumsum(starts) - 1  # the word of each sorted row
     first = order[starts]
     sums = coeffs[first]
@@ -317,12 +337,7 @@ def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyEl
     if repeated.size:
         heads = np.flatnonzero(starts[repeated])
         sums[counts > 1] = np.add.reduceat(coeffs[order[repeated]], heads, axis=0)
-    nonzero = sums.any(axis=(1, 2))
-    if not nonzero.all():  # only a sum of repeats, or a zero given as input, can vanish
-        sums, first = sums[nonzero], first[nonzero]
-    while rows.shape[1] > 1 and (rows[first, -2] == _PAD).all():  # no word left is that long
-        rows = rows[:, :-1]
-    return PolyElement(rows[first], _trim(sums), parity[first])
+    return _element(rows, first, sums, parity)
 
 
 def _widen(rows: np.ndarray, width: int) -> np.ndarray:
@@ -334,17 +349,32 @@ def _widen(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def add(a: PolyElement, b: PolyElement) -> PolyElement:
-    """Sum of two elements: both supports stacked, rows padded to one width
-    and coefficients to one degree shape, and equal words summed by
-    ``_collect``, which raises ArithmeticError where their parities differ."""
+    """Sum of two elements: both supports stacked, rows padded to one width,
+    and each operand's polynomials written straight into the sum's words,
+    padded to one degree shape, with no stacked copy of them.  Equal words
+    carrying different parities raise ArithmeticError."""
     # a word's sum holds at most one term per row of a and of b
     _check_int64(max(_max_abs(a.coeffs), _max_abs(b.coeffs)), a.support_size + b.support_size)
     width = max(a.rows.shape[1], b.rows.shape[1])
+    rows = np.concatenate([_widen(a.rows, width), _widen(b.rows, width)])
+    parity = np.concatenate([a.parity, b.parity])
+    order, starts = _sort_words(rows)
+    word = np.empty(len(rows), dtype=np.intp)
+    word[order] = np.cumsum(starts) - 1  # the sum's word of each stacked row
+    first = order[starts]
+    if (parity != parity[first][word]).any():
+        raise ArithmeticError("equal words carry different parities")
     (na, da, ea), (nb, db, eb) = a.coeffs.shape, b.coeffs.shape
-    coeffs = np.zeros((na + nb, max(da, db), max(ea, eb)), dtype=np.int64)
-    coeffs[:na, :da, :ea], coeffs[na:, :db, :eb] = a.coeffs, b.coeffs
-    return _collect(np.concatenate([_widen(a.rows, width), _widen(b.rows, width)]), coeffs,
-                    np.concatenate([a.parity, b.parity]))
+    sums = np.zeros((len(first), max(da, db), max(ea, eb)), dtype=np.int64)
+    # the larger operand is written in place and the smaller added through
+    # a gathered copy of its words, which are distinct
+    parts = [(word[:na], a.coeffs), (word[na:], b.coeffs)]
+    if na < nb:
+        parts.reverse()
+    (at, big), (at_small, small) = parts
+    sums[at, : big.shape[1], : big.shape[2]] = big
+    sums[at_small, : small.shape[1], : small.shape[2]] += small
+    return _element(rows, first, sums, parity)
 
 
 def multiply(a: PolyElement, b: PolyElement) -> PolyElement:

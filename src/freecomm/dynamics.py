@@ -72,7 +72,7 @@ from .algebra import (
     trace,
     unitary,
 )
-from .matrices import CMVMatrix, Reflection, as_array
+from .matrices import _DEFECT_BLOCK, CMVMatrix, Reflection, as_array
 
 #: slack for the exact-model bound chain
 EXACT_SLACK = 1e-10
@@ -392,9 +392,10 @@ def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, f
     scalar c is ||(1 - sign c) I + S||_F / sqrt(N).  S is formed from the
     factor in O(N^2 r), and (1 - sign c) I + S is small wherever w is near
     c, so neither length cancels as tau nears 1.  The squared moduli of S
-    are formed once; each c rewrites only their diagonal, to
-    |s_ii + 1 - sign c|^2, and sums the same array in the same order as
-    the sum over (1 - sign c) I + S would.
+    are formed once, in chunks of ``_DEFECT_BLOCK`` rows into one float
+    array, and S is dropped once its diagonal is copied; each c rewrites
+    only their diagonal, to |s_ii + 1 - sign c|^2, and sums the same array
+    in the same order as the sum over (1 - sign c) I + S would.
     """
     dim = b.shape[0]
     s = b @ m @ b.conj().T
@@ -403,8 +404,13 @@ def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, f
         trace = trace.real
     tau = sign * (1.0 + trace / dim)
     phase = tau / abs(tau) if tau else 1.0
-    diag = s.diagonal()
-    sq = s.real**2 + s.imag**2
+    diag = s.diagonal().copy()
+    sq = np.empty(s.shape)
+    for i in range(0, dim, _DEFECT_BLOCK):
+        rows = slice(i, i + _DEFECT_BLOCK)
+        np.square(s.real[rows], out=sq[rows])
+        sq[rows] += s.imag[rows] ** 2
+    del s
 
     def dist(c: complex) -> float:
         x = diag + (1.0 - sign * c)

@@ -27,7 +27,10 @@ _PANEL_WIDTH = 32
 #: OpenBLAS's threading cut-off
 _GRAM_CHUNK = 128
 
-#: column width of the blocks of U*U - I that ``unitarity_defect`` sums
+#: width of the blocks the matrix layer works in: the column blocks of
+#: U*U - I that ``unitarity_defect`` sums, of a ``CMVMatrix`` product and of
+#: UV in ``freeness_report``, and the row blocks of |S|^2 in
+#: ``dynamics._factor_lengths``
 _DEFECT_BLOCK = 64
 
 #: the strict upper triangle of a panel's top square, zeroed in each draw
@@ -184,18 +187,23 @@ class CMVMatrix:
     def _factor(self, start: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = L x (start 0) or M x (start 1), elementwise: Theta_k on rows
         k, k + 1 for k = start, start + 2, ..., and conj alpha_{N-1} on a
-        lone last row.  ``out`` may be ``x`` itself."""
+        lone last row.  ``out`` may be ``x`` itself.  The columns go in
+        chunks of ``_DEFECT_BLOCK``, so the two products that still need x
+        are N/2 x 64 temporaries; every entry is computed as in one pass."""
         n = len(self.alpha)
         if x.ndim != 2 or x.shape[0] != n:
             raise ValueError("dimension mismatch")
         a, r = self.alpha[start : n - 1 : 2, None], self._rho[start : n - 1 : 2, None]
-        top, bottom = x[start : n - 1 : 2], x[start + 1 : n : 2]
-        out_top, out_bottom = out[start : n - 1 : 2], out[start + 1 : n : 2]
-        a_bottom, r_top = a * bottom, r * top  # the products still needing x
-        np.multiply(a.conj(), top, out=out_top)
-        np.multiply(r, bottom, out=out_bottom)
-        np.add(out_top, out_bottom, out=out_top)
-        np.subtract(r_top, a_bottom, out=out_bottom)
+        a_conj = a.conj()
+        for j in range(0, x.shape[1], _DEFECT_BLOCK):
+            cols = slice(j, j + _DEFECT_BLOCK)
+            top, bottom = x[start : n - 1 : 2, cols], x[start + 1 : n : 2, cols]
+            out_top, out_bottom = out[start : n - 1 : 2, cols], out[start + 1 : n : 2, cols]
+            a_bottom, r_top = a * bottom, r * top  # the products still needing x
+            np.multiply(a_conj, top, out=out_top)
+            np.multiply(r, bottom, out=out_bottom)
+            np.add(out_top, out_bottom, out=out_top)
+            np.subtract(r_top, a_bottom, out=out_bottom)
         out[:start] = x[:start]
         if (n - 1 - start) % 2 == 0:
             np.multiply(x[n - 1], self.alpha[n - 1].conj(), out=out[n - 1])
@@ -207,7 +215,8 @@ class CMVMatrix:
         return self._factor(0, y, y)
 
     def __rmatmul__(self, x) -> np.ndarray:
-        # each Theta_k is symmetric, so X L M = (M (L X^T))^T
+        # each Theta_k is symmetric, so X L M = (M (L X^T))^T; a chunk of
+        # columns of X^T is a contiguous block of rows of X
         x = as_array(x).T
         y = self._factor(0, x, np.empty_like(x, dtype=complex))
         return self._factor(1, y, y).T
@@ -377,17 +386,34 @@ class FreenessReport:
 
 
 def freeness_report(u, v) -> FreenessReport:
-    a, b = (x if isinstance(x, CMVMatrix) else as_array(x) for x in (u, v))  # O(N^2) products
+    """tau(U), tau(V), tau(UV) and tau(UVU*V*) of a pair, and the deviations
+    d1 and d2 from the free product rule and commutator law.
+
+    tau(UVU*V*) = tr(UV (VU)*) / N pairs the two products entrywise.  VU is
+    formed whole and conjugated in place; UV comes in blocks of
+    ``_DEFECT_BLOCK`` columns, each multiplied into its columns of (VU)*
+    in place, with its diagonal kept for tr(UV).  So the working set is V
+    and one N x N product, and each sum is numpy's own fixed-order sum,
+    not a BLAS dot, over the same array as the whole products give, which
+    keeps the bytes thread-invariant.  A ``CMVMatrix`` factor is applied
+    through its 2 x 2 blocks, in O(N^2).
+    """
+    a, b = (x if isinstance(x, CMVMatrix) else as_array(x) for x in (u, v))
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     n = a.shape[0]
     tu, tv = normalized_trace(a), normalized_trace(b)
-    uv, vu = a @ b, b @ a
-    tuv = normalized_trace(uv)
-    # tau(UVU*V*) = tr(UV (VU)*) / N, paired entrywise in place; numpy's
-    # own fixed-order sum, not a BLAS dot, keeps the bytes thread-invariant
+    vu = b @ a
     np.conjugate(vu, out=vu)
-    tcomm = complex(np.multiply(uv, vu, out=vu).sum()) / n
+    b = as_array(b)  # the columns of V; a CMV v is formed whole
+    diag = np.empty(n, dtype=complex)
+    for j in range(0, n, _DEFECT_BLOCK):
+        cols = slice(j, j + _DEFECT_BLOCK)
+        uv = a @ b[:, cols]
+        diag[cols] = uv[cols].diagonal()
+        np.multiply(uv, vu[:, cols], out=vu[:, cols])
+    tuv = complex(diag.sum()) / n
+    tcomm = complex(vu.sum()) / n
     d1 = abs(tuv - tu * tv)
     rhs = 1.0 - (1.0 - abs(tu) ** 2) * (1.0 - abs(tv) ** 2)
     d2 = abs(tcomm - rhs)

@@ -790,6 +790,20 @@ def subgroup_verdicts(group, members):
 # -- the matrix layer's dense forms ------------------------------------------------
 
 
+def traced_peak(f, *args):
+    """Peak bytes ``tracemalloc`` sees above the start while f(*args) runs;
+    numpy reports its array buffers to it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def dense_unitarity_defect(u):
     """||U*U - I|| from the whole m x m error E = U*U - I: its Frobenius
     norm, or, when that exceeds ``UNITARY_OP_TOL``, the op norm of E."""
@@ -806,6 +820,54 @@ def dense_unitarity_defect(u):
 def einsum_panel_gram(v):
     """V* V for a Householder panel V, as one einsum."""
     return np.einsum("ij,ik->jk", v.conj(), v)
+
+
+def whole_freeness_report(u, v):
+    """``freeness_report`` from the whole products UV and VU: tr(UV) off the
+    diagonal of UV, and tr(UV (VU)*) as one entrywise pairing in place."""
+    from freecomm.matrices import CMVMatrix, FreenessReport, as_array, normalized_trace
+
+    a, b = (x if isinstance(x, CMVMatrix) else as_array(x) for x in (u, v))
+    n = a.shape[0]
+    tu, tv = normalized_trace(a), normalized_trace(b)
+    uv, vu = a @ b, b @ a
+    tuv = normalized_trace(uv)
+    np.conjugate(vu, out=vu)
+    tcomm = complex(np.multiply(uv, vu, out=vu).sum()) / n
+    d1 = abs(tuv - tu * tv)
+    rhs = 1.0 - (1.0 - abs(tu) ** 2) * (1.0 - abs(tv) ** 2)
+    return FreenessReport(n, tu, tv, tuv, tcomm, d1, abs(tcomm - rhs))
+
+
+def _whole_cmv_factor(c, start, x, out):
+    """out = L x (start 0) or M x (start 1) for a ``CMVMatrix`` c, over all
+    columns of x at once."""
+    n = len(c.alpha)
+    a, r = c.alpha[start : n - 1 : 2, None], c._rho[start : n - 1 : 2, None]
+    top, bottom = x[start : n - 1 : 2], x[start + 1 : n : 2]
+    out_top, out_bottom = out[start : n - 1 : 2], out[start + 1 : n : 2]
+    a_bottom, r_top = a * bottom, r * top
+    np.multiply(a.conj(), top, out=out_top)
+    np.multiply(r, bottom, out=out_bottom)
+    np.add(out_top, out_bottom, out=out_top)
+    np.subtract(r_top, a_bottom, out=out_bottom)
+    out[:start] = x[:start]
+    if (n - 1 - start) % 2 == 0:
+        np.multiply(x[n - 1], c.alpha[n - 1].conj(), out=out[n - 1])
+    return out
+
+
+def whole_cmv_matmul(c, x):
+    """C X with each of C's factors applied to all columns of X at once."""
+    y = _whole_cmv_factor(c, 1, x, np.empty_like(x, dtype=complex))
+    return _whole_cmv_factor(c, 0, y, y)
+
+
+def whole_cmv_rmatmul(x, c):
+    """X C as (M (L X^T))^T over the transposed view of X, in its layout."""
+    xt = x.T
+    y = _whole_cmv_factor(c, 0, xt, np.empty_like(xt, dtype=complex))
+    return _whole_cmv_factor(c, 1, y, y).T
 
 
 def eye_factor_lengths(sign, b, m):

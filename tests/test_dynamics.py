@@ -34,6 +34,7 @@ from freecomm.dynamics import (
 )
 from freecomm.matrices import (
     Reflection,
+    _haar_frame,
     as_array,
     sample_cue,
     sample_haar,
@@ -55,6 +56,7 @@ from oracles import (
     norm2,
     order_two_unitary,
     poly_element_at,
+    traced_peak,
 )
 
 ALPHAS = (0.76, 0.8, 0.9, 0.95)
@@ -524,7 +526,7 @@ def _bits(tau, ell, ell_bar):
     return np.array([tau.real, tau.imag, ell, ell_bar]).tobytes(), type(tau)
 
 
-@pytest.mark.parametrize("dim", [255, 256])
+@pytest.mark.parametrize("dim", [130, 255, 256])
 def test_factor_lengths_bitwise_match_eye_oracle(dim, monkeypatch):
     # the factor of u with sign 1 (alpha > 0) and sign -1 (alpha < 0), then
     # the 2k-wide factors of rows 2-4 of a decay curve
@@ -545,6 +547,15 @@ def test_factor_lengths_bitwise_match_eye_oracle(dim, monkeypatch):
     assert [b.shape[1] for _, b, _ in seen[1:]] == [2 * u.basis.shape[1]] * 3
     for args in seen:
         assert _bits(*lengths(*args)) == _bits(*eye_factor_lengths(*args))
+
+
+def test_factor_lengths_hold_s_and_its_squared_moduli():
+    # above its N x k factor, S = B M B* and |S|^2 (24 N^2 bytes) and one
+    # chunk of rows; squaring S whole holds S and two N x N float arrays
+    # (32 N^2 bytes)
+    n, k = 512, 26
+    b = _haar_frame(n, k, subseed(4430, 0))
+    assert traced_peak(dynamics._factor_lengths, 1, b, -2.0 * np.eye(k)) <= 28 * n * n
 
 
 @pytest.mark.parametrize("dim", [2, 63, 64])

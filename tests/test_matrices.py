@@ -27,8 +27,12 @@ from oracles import (
     einsum_panel_gram,
     ks_uniform,
     orthonormalize_haar,
+    traced_peak,
     two_norm_dist,
     unblocked_haar,
+    whole_cmv_matmul,
+    whole_cmv_rmatmul,
+    whole_freeness_report,
 )
 
 
@@ -388,6 +392,26 @@ def test_freeness_report_self_pair_is_not_free():
     assert rep.d2 >= 0.5
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 130, 257, 513])
+def test_freeness_report_bitwise_matches_whole_products(n):
+    # a CMV u with a Haar v, as a trial draws them; UV in blocks of 64
+    # columns against the whole UV and VU, ragged last blocks included
+    u = sample_cue(n, subseed(4420, n))
+    v = sample_haar(n, subseed(4421, n))
+    got, want = freeness_report(u, v), whole_freeness_report(u, v)
+    for field in ("dim", "tau_u", "tau_v", "tau_uv", "tau_commutator", "d1", "d2"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_freeness_report_holds_one_product():
+    # above its inputs, a trial at N = 512 holds VU and blocks of UV: at
+    # most two N x N complex arrays, where the whole UV and VU and the
+    # N/2 x N temporaries of one CMV product take three
+    n = 512
+    u, v = sample_cue(n, subseed(4422, 0)), sample_haar(n, subseed(4422, 1))
+    assert traced_peak(freeness_report, u, v) <= 2 * 16 * n * n
+
+
 def test_freeness_trial_determinism():
     a = freeness_trial(64, 2026, 0)
     b = freeness_trial(64, 2026, 0)
@@ -457,7 +481,7 @@ def test_cue_commutator_trace_matches_haar_pair():
     assert abs(cmv - haar) <= 0.06
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 255])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 130, 200, 255])
 def test_cmv_products_match_dense(n):
     c = sample_cue(n, subseed(4410, n))
     dense = dense_cmv(c.alpha)
@@ -465,6 +489,11 @@ def test_cmv_products_match_dense(n):
     assert unitarity_defect(dense) <= 1e-13
     x = sample_haar(n, subseed(4411, n)).array
     thin = x[:, : (n + 2) // 3]
+    # the factors go over 64 columns at a time, entry by entry as over all
+    # columns at once
+    for y in (x, thin):
+        assert np.array_equal(c @ y, whole_cmv_matmul(c, y))
+        assert np.array_equal(y.T @ c, whole_cmv_rmatmul(y.T, c))
     assert np.abs(c @ x - dense @ x).max() <= 1e-13
     assert np.abs(c @ thin - dense @ thin).max() <= 1e-13
     assert np.abs(x @ c - x @ dense).max() <= 1e-13
