@@ -69,6 +69,10 @@ def cli_calls() -> list[tuple[str, list[str]]]:
         ("dynamics-matrix_n130.json", ["dynamics", "--model", "matrix", "--alpha", "0.9",
                                        "--n", "130", "--seed", "7", "--n-max", "3",
                                        "--format", "json"]),
+        # eight rows read off the QR of a 102-column factor
+        ("dynamics-matrix_n1024.json", ["dynamics", "--model", "matrix", "--alpha", "0.9",
+                                        "--n", "1024", "--seed", "7", "--n-max", "8",
+                                        "--format", "json"]),
         ("zassenhaus.txt", ["zassenhaus", "--out", "zassenhaus"]),
     ]
     groups = finite_group_catalog()

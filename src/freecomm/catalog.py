@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .discrete import check_generators
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -58,10 +59,19 @@ def unitary_group_catalog() -> dict[str, tuple[np.ndarray, ...]]:
 
 
 def load_unitary_catalog(path: str | Path) -> dict[str, tuple[np.ndarray, ...]]:
-    doc = json.loads(Path(path).read_text())
+    """The catalog file's entries, each checked as ``group_closure`` checks
+    its generators; a malformed file raises KeyError, TypeError or
+    ValueError."""
+    entries = json.loads(Path(path).read_text())["entries"]
+    if not isinstance(entries, dict):
+        raise ValueError("entries must be a JSON object")
     out = {}
-    for name, entry in doc["entries"].items():
-        out[name] = tuple(matrix_from_pairs(g) for g in entry["generators"])
+    for name, entry in entries.items():
+        try:
+            gens = check_generators([matrix_from_pairs(g) for g in entry["generators"]])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {name!r}: {exc}") from exc
+        out[name] = tuple(gens)
     return out
 
 

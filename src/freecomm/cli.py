@@ -135,7 +135,7 @@ def cmd_zassenhaus(args) -> int:
     else:
         try:
             catalog = load_unitary_catalog(args.catalog)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"unreadable catalog {args.catalog}: {exc}") from exc
     too_many = sorted(name for name, gens in catalog.items() if len(gens) > args.cap)
     if too_many:
@@ -179,7 +179,7 @@ def cmd_mif(args) -> int:
     if args.group is not None:
         try:
             group = load_finite_group(args.group)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"unreadable group file {args.group}: {exc}") from exc
     else:
         stock = finite_group_catalog()

@@ -126,6 +126,21 @@ def _close_pairs(known: np.ndarray, queries: np.ndarray, limit: float) -> dict[i
     return out
 
 
+def check_generators(generators: Sequence) -> list[np.ndarray]:
+    """The generators as arrays; ValueError unless there is at least one
+    and all are unitary matrices of one dimension."""
+    gens = [as_array(g) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    dim = gens[0].shape[0]
+    for g in gens:
+        if g.shape != (dim, dim):
+            raise ValueError("generators must share a dimension")
+        if unitarity_defect(g) > UNITARY_OP_TOL:
+            raise ValueError("generators must be unitary")
+    return gens
+
+
 def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonClosure:
     """Breadth-first closure of unitary generators under products.
 
@@ -158,15 +173,8 @@ def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonC
     float merging made inconsistent fails the ``FiniteGroup`` checks with
     ValueError.
     """
-    gens = [as_array(g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
+    gens = check_generators(generators)
     dim = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (dim, dim):
-            raise ValueError("generators must share a dimension")
-        if unitarity_defect(g) > UNITARY_OP_TOL:
-            raise ValueError("generators must be unitary")
     if cap < len(gens):
         raise ValueError("cap smaller than the generating set")
 

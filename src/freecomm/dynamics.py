@@ -29,9 +29,10 @@ and are flagged ``source="recursion"``.  A recursion row carries the gap
 The matrix route (``decay_curve_matrix``, ``source="matrix"``) checks the
 same curve at finite N.  u = sign (I - 2 Q Q*) comes as a ``Reflection``
 with Q the N x k basis of its smaller eigenspace, so every w_n - I has
-rank at most 2k and is carried as a factor B M B*, B of size N x 2k: a
-row costs O(N^2 k), not N^3.  Trace, ell and ell_bar are read off
-w_n - I = B M B*, multiplied out.  The CLI draws v as a CUE-law
+rank at most 2k and is carried as a factor B M B*, B of size N x 2k.
+Trace, ell and ell_bar are read off the 2k x 2k compression R M R* of
+w_n - I, R the triangular factor of B, so a row costs O(N k^2) plus v
+applied to the factor, not N^3.  The CLI draws v as a CUE-law
 ``CMVMatrix``, applied to the factor in O(N k); u's ``Reflection`` carries
 the Haar frame.  The dense loop it replaces is the tests' reference.
 """
@@ -72,7 +73,7 @@ from .algebra import (
     trace,
     unitary,
 )
-from .matrices import _DEFECT_BLOCK, CMVMatrix, Reflection, as_array
+from .matrices import CMVMatrix, Reflection, as_array
 
 #: slack for the exact-model bound chain
 EXACT_SLACK = 1e-10
@@ -159,8 +160,12 @@ def trace_recursion(alpha: float, n_max: int) -> list[float]:
     return [t for t, _ in itertools.islice(_recursion_traces(alpha), max(n_max, 1))]
 
 
-def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
-    """(ell_bar_u / sqrt 2)^(n-1) ell_bar_u and (sqrt 2 ell_u)^(n-1) ell_u.
+def _step(
+    n: int, ell_u: float, ell_bar_u: float, slack: float, *,
+    ell: float, ell_bar: float, trace: float, recursion_trace: float, source: str,
+) -> DecayStep:
+    """Row n of a decay curve, with its bounds (ell_bar_u / sqrt 2)^(n-1)
+    ell_bar_u and (sqrt 2 ell_u)^(n-1) ell_u, widened by slack for in_bounds.
 
     The trailing factor is at most 2, so the power leaves the float range
     at most a factor 2 before the bound does.
@@ -168,7 +173,9 @@ def _bounds(n: int, ell_u: float, ell_bar_u: float) -> tuple[float, float]:
     r = math.sqrt(2.0)
     with np.errstate(over="ignore", under="ignore"):
         lower, upper = np.array([ell_bar_u / r, r * ell_u]) ** (n - 1) * (ell_bar_u, ell_u)
-    return _flush(float(lower)), _flush(float(upper))
+    lower, upper = _flush(float(lower)), _flush(float(upper))
+    in_bounds = lower - slack <= ell <= upper + slack
+    return DecayStep(n, ell, ell_bar, lower, upper, in_bounds, trace, recursion_trace, source)
 
 
 def _conjugate(k: int) -> tuple:
@@ -344,18 +351,8 @@ def iter_exact_steps(alpha: float, slack: float = EXACT_SLACK) -> Iterator[Decay
             # tau_n >= alpha^2 >= 0 from n = 2 on, so |tau| = tau
             tau_n, source = tau_rec, "recursion"
             ell_n = ell_bar_n = ell_rec
-        lower, upper = _bounds(n, ell_u, ell_bar_u)
-        yield DecayStep(
-            n=n,
-            ell=ell_n,
-            ell_bar=ell_bar_n,
-            lower=lower,
-            upper=upper,
-            in_bounds=lower - slack <= ell_n <= upper + slack,
-            trace=tau_n,
-            recursion_trace=tau_rec,
-            source=source,
-        )
+        yield _step(n, ell_u, ell_bar_u, slack, ell=ell_n, ell_bar=ell_bar_n, trace=tau_n,
+                    recursion_trace=tau_rec, source=source)
 
 
 def decay_curve_exact(alpha: float, n_max: int, slack: float = EXACT_SLACK) -> DecayReport:
@@ -388,34 +385,27 @@ def _factor(u) -> tuple[int, np.ndarray, np.ndarray]:
 def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, float, float]:
     """Trace, ell and ell_bar of w = sign (I + S), S = B M B*.
 
-    tau = sign (1 + tr S / N), and the 2-norm distance of w to a unit
-    scalar c is ||(1 - sign c) I + S||_F / sqrt(N).  S is formed from the
-    factor in O(N^2 r), and (1 - sign c) I + S is small wherever w is near
-    c, so neither length cancels as tau nears 1.  The squared moduli of S
-    are formed once, in chunks of ``_DEFECT_BLOCK`` rows into one float
-    array, and S is dropped once its diagonal is copied; each c rewrites
-    only their diagonal, to |s_ii + 1 - sign c|^2, and sums the same array
-    in the same order as the sum over (1 - sign c) I + S would.
+    With B = Q R (Householder QR, Q of r orthonormal columns), S = Q K Q*
+    for the r x r compression K = R M R*, and S vanishes off range(Q).  So
+    tau = sign (1 + tr K / N), and the 2-norm distance of w to a unit
+    scalar c is sqrt((||x I + K||_F^2 + (N - r) |x|^2) / N), x = 1 - sign c.
+    x I + K is small wherever w is near c, so neither length cancels as
+    tau nears 1.  This costs O(N r^2) and forms no N x N array.
     """
     dim = b.shape[0]
-    s = b @ m @ b.conj().T
-    trace = complex(np.trace(s))
+    r = np.linalg.qr(b, mode="r")
+    k = r @ m @ r.conj().T
+    trace = complex(np.trace(k))
     if np.array_equal(m, m.conj().T):  # w is Hermitian: its trace is real
         trace = trace.real
     tau = sign * (1.0 + trace / dim)
     phase = tau / abs(tau) if tau else 1.0
-    diag = s.diagonal().copy()
-    sq = np.empty(s.shape)
-    for i in range(0, dim, _DEFECT_BLOCK):
-        rows = slice(i, i + _DEFECT_BLOCK)
-        np.square(s.real[rows], out=sq[rows])
-        sq[rows] += s.imag[rows] ** 2
-    del s
 
     def dist(c: complex) -> float:
-        x = diag + (1.0 - sign * c)
-        np.fill_diagonal(sq, x.real**2 + x.imag**2)
-        return math.sqrt(float(sq.sum()) / dim)
+        x = 1.0 - sign * c
+        y = k + x * np.eye(len(k))
+        inside = float((y.real**2 + y.imag**2).sum())
+        return math.sqrt((inside + (dim - len(k)) * abs(x) ** 2) / dim)
 
     return tau, dist(1.0), dist(phase)
 
@@ -428,7 +418,8 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     w_{n+1} = (w_n c_n w_n*) c_n* = I + [A P_n] M' [A P_n]*, where
     M' = [[M_u, M_u (A* P_n) M_u*], [0, M_u*]].  u must be a
     ``Reflection`` (TypeError otherwise); it enters as B = Q, M = -2 I,
-    so r stays 2k and a row costs O(N^2 k).  The reflection's sign
+    so r stays 2k and a row costs O(N k^2) plus v @ P_n: O(N k) for a
+    ``CMVMatrix`` v, which leaves no N x N array.  The reflection's sign
     matters for row 1 only: each commutator holds c_n once and c_n* once.
     Bounds only hold up to the freeness error of the model, hence the
     wide slack envelope.
@@ -447,20 +438,8 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     b, m, p = b_u, m_u, b_u
     tau, ell_n, ell_bar_n = tau_u, ell_u, ell_bar_u
     for n, (tau_rec, _) in zip(range(1, n_max + 1), _recursion_traces(tau_u.real)):
-        lower, upper = _bounds(n, ell_u, ell_bar_u)
-        steps.append(
-            DecayStep(
-                n=n,
-                ell=ell_n,
-                ell_bar=ell_bar_n,
-                lower=lower,
-                upper=upper,
-                in_bounds=lower - slack <= ell_n <= upper + slack,
-                trace=tau.real,
-                recursion_trace=tau_rec,
-                source="matrix",
-            )
-        )
+        steps.append(_step(n, ell_u, ell_bar_u, slack, ell=ell_n, ell_bar=ell_bar_n,
+                           trace=tau.real, recursion_trace=tau_rec, source="matrix"))
         if n < n_max:
             p = vb @ p
             a = p + b @ (m @ (b.conj().T @ p))

@@ -29,8 +29,7 @@ _GRAM_CHUNK = 128
 
 #: width of the blocks the matrix layer works in: the column blocks of
 #: U*U - I that ``unitarity_defect`` sums, of a ``CMVMatrix`` product and of
-#: UV in ``freeness_report``, and the row blocks of |S|^2 in
-#: ``dynamics._factor_lengths``
+#: UV in ``freeness_report``
 _DEFECT_BLOCK = 64
 
 #: the strict upper triangle of a panel's top square, zeroed in each draw

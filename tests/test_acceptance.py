@@ -217,6 +217,11 @@ _CLI_CASES = [
     ["freeness", "--n", "257", "--seed", "20220"],
     ["dynamics", "--alpha", "0.9", "--model", "matrix", "--n", "255", "--seed", "7",
      "--n-max", "3", "--format", "json"],
+    # lengths read off LAPACK's QR of the N x 2k factor
+    ["dynamics", "--model", "matrix", "--alpha", "0.9", "--n", "1024", "--seed", "0",
+     "--n-max", "6", "--format", "json"],
+    ["dynamics", "--model", "matrix", "--alpha", "0.9", "--n", "513", "--seed", "0",
+     "--n-max", "6", "--format", "json"],
     ["mif", "--group-name", "sym3", "--depth", "2",
      "--word", "e . t^1 . (12) . t^1 . (12) . t^-1 . (12) . t^-1 . (12)"],
 ]

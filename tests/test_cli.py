@@ -183,6 +183,39 @@ def test_zassenhaus_unreadable_catalog(tmp_path, capsys):
     assert main(["zassenhaus", "--catalog", str(tmp_path / "nope.json")]) == 2
 
 
+_ONE = [[1, 0]]  # the row of a 1 x 1 identity, one (re, im) pair
+_EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"entries": {"a": {"generators": [[1, 0]]}}},  # rows are numbers, not pairs
+    {"entries": {"a": {"generators": [[[[1, 0], [0, 0]]]]}}},  # 1 x 2
+    {"entries": {"a": {"generators": [_EYE2, [_ONE]]}}},  # 2 x 2 and 1 x 1
+    {"entries": {"a": {"generators": [[[[2, 0]]]]}}},  # [[2]] is not unitary
+    {"entries": {"a": {"generators": []}}},
+    {"entries": []},
+    [],
+], ids=["numbers", "one-by-two", "mixed-dims", "not-unitary", "no-generators", "entries-list",
+        "list"])
+def test_zassenhaus_malformed_catalog_is_usage_error(doc, tmp_path, capsys):
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(doc))
+    assert main(["zassenhaus", "--catalog", str(cat), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable catalog {cat}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [{"order": 1, "table": [0], "labels": 5}, []],
+                         ids=["labels-number", "list"])
+def test_mif_malformed_group_file_is_usage_error(doc, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mif", "--group", str(path), "--depth", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable group file {path}: ") and err.count("\n") == 1
+
+
 def test_zassenhaus_custom_catalog_roundtrip(tmp_path, capsys):
     # the documented file format, written by hand: each generator a
     # row-major matrix of (re, im) pairs; diag(i, -i) has order 4 and the

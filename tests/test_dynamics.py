@@ -521,20 +521,16 @@ def test_matrix_curve_matches_dense_oracle(alpha, dim):
         assert abs(step.ell_bar - ell_bar) <= 1e-13
 
 
-def _bits(tau, ell, ell_bar):
-    tau = complex(tau)
-    return np.array([tau.real, tau.imag, ell, ell_bar]).tobytes(), type(tau)
+def _assert_close_to_eye_oracle(args):
+    tau, ell, ell_bar = dynamics._factor_lengths(*args)
+    want_tau, want_ell, want_ell_bar = eye_factor_lengths(*args)
+    assert type(tau) is type(want_tau)
+    assert abs(tau - want_tau) <= 1e-14
+    assert abs(ell - want_ell) <= 1e-14 and abs(ell_bar - want_ell_bar) <= 1e-14
 
 
-@pytest.mark.parametrize("dim", [130, 255, 256])
-def test_factor_lengths_bitwise_match_eye_oracle(dim, monkeypatch):
-    # the factor of u with sign 1 (alpha > 0) and sign -1 (alpha < 0), then
-    # the 2k-wide factors of rows 2-4 of a decay curve
-    for alpha in (0.8, -0.8):
-        u, _ = unitary_with_trace(alpha, dim, subseed(17, dim))
-        assert u.sign == (1 if alpha > 0 else -1)
-        args = dynamics._factor(u)
-        assert _bits(*dynamics._factor_lengths(*args)) == _bits(*eye_factor_lengths(*args))
+def _recorded_factors(u, v, n_max, monkeypatch):
+    """The (sign, B, M) of every row that ``decay_curve_matrix`` reads."""
     seen = []
     lengths = dynamics._factor_lengths
 
@@ -542,20 +538,56 @@ def test_factor_lengths_bitwise_match_eye_oracle(dim, monkeypatch):
         seen.append(args)
         return lengths(*args)
 
-    monkeypatch.setattr(dynamics, "_factor_lengths", recorded)
-    decay_curve_matrix(u, sample_cue(dim, subseed(17, dim, 1)), 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_factor_lengths", recorded)
+        decay_curve_matrix(u, v, n_max)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [130, 255, 256])
+def test_factor_lengths_match_eye_oracle(dim, monkeypatch):
+    # the factor of u with sign 1 (alpha > 0) and sign -1 (alpha < 0), then
+    # the 2k-wide factors of rows 2-4 of a decay curve, against the whole
+    # array (1 - sign c) I + B M B*
+    for alpha in (0.8, -0.8):
+        u, _ = unitary_with_trace(alpha, dim, subseed(17, dim))
+        assert u.sign == (1 if alpha > 0 else -1)
+        _assert_close_to_eye_oracle(dynamics._factor(u))
+    seen = _recorded_factors(u, sample_cue(dim, subseed(17, dim, 1)), 4, monkeypatch)
     assert [b.shape[1] for _, b, _ in seen[1:]] == [2 * u.basis.shape[1]] * 3
     for args in seen:
-        assert _bits(*lengths(*args)) == _bits(*eye_factor_lengths(*args))
+        _assert_close_to_eye_oracle(args)
 
 
-def test_factor_lengths_hold_s_and_its_squared_moduli():
-    # above its N x k factor, S = B M B* and |S|^2 (24 N^2 bytes) and one
-    # chunk of rows; squaring S whole holds S and two N x N float arrays
-    # (32 N^2 bytes)
+def test_factor_lengths_match_eye_oracle_without_full_rank(monkeypatch):
+    # v = I gives B = [P P] of rank k from row 2 on; an empty factor (k = 0)
+    # gives B of size N x 0
+    u, _ = unitary_with_trace(0.3, 64, subseed(17, 1))
+    k = u.basis.shape[1]
+    seen = _recorded_factors(u, np.eye(64), 3, monkeypatch)
+    assert np.linalg.matrix_rank(seen[1][1]) == k < seen[1][1].shape[1]
+    for args in seen:
+        _assert_close_to_eye_oracle(args)
+    for sign in (1, -1):
+        _assert_close_to_eye_oracle((sign, np.zeros((8, 0), complex), np.zeros((0, 0))))
+
+
+def test_factor_lengths_hold_only_the_factor():
+    # above its N x r factor, the QR's copy of B and the r x r
+    # compression; multiplying S = B M B* out alone would take 16 N^2 bytes
     n, k = 512, 26
-    b = _haar_frame(n, k, subseed(4430, 0))
-    assert traced_peak(dynamics._factor_lengths, 1, b, -2.0 * np.eye(k)) <= 28 * n * n
+    for r, m in ((k, -2.0 * np.eye(k)), (2 * k, np.diag(np.arange(2.0 * k)))):
+        b = _haar_frame(n, r, subseed(4430, 0))
+        assert traced_peak(dynamics._factor_lengths, 1, b, m) <= 2 * 16 * n * r
+
+
+def test_matrix_curve_with_cmv_partner_forms_no_square_array():
+    # a few N x 2k arrays at once (~3.9 of them measured); one N x N
+    # complex array alone would take 16 N^2 = 9.8 of them
+    n = 512
+    u, _ = unitary_with_trace(0.9, n, subseed(4430, 1))
+    r = 2 * u.basis.shape[1]
+    assert traced_peak(decay_curve_matrix, u, sample_cue(n, subseed(4430, 2)), 4) <= 6 * 16 * n * r
 
 
 @pytest.mark.parametrize("dim", [2, 63, 64])
