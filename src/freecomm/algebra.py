@@ -17,7 +17,11 @@ Nothing is rounded: an identity in the algebra is an identity of integer
 polynomials for every alpha and beta.  The trace is the coefficient of the
 empty word, and freeness of the factor subalgebras is structural, so
 products are expanded word by word and no trace formula is assumed.
-C2 * C2 sits inside as <x, v x v^-1>, where
+
+This module alone reads the rows and coefficient arrays, and it guards
+every int64 product and float64 pairing against overflow.  The decay words
+are built from ``conjugate_word``, ``unitary_commutator``, ``parseval`` and
+``paired_trace``.  C2 * C2 sits inside as <x, v x v^-1>, where
 ``verify_free_commutator_identity`` proves the commutator trace identity.
 """
 
@@ -43,6 +47,9 @@ _PAD = -128
 _MAX_EXPONENT = 127
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: float64 holds every integer below this exactly
+_FLOAT_EXACT = 2**53
 
 #: the most bytes ``multiply`` gives the int64 polynomials of one pair grid;
 #: X c_3* in the w_4 build, the largest grid of any CLI path, takes 13.1 MB
@@ -472,10 +479,115 @@ def unitary(word: Word, variable: int = 0) -> PolyElement:
     return PolyElement(_encode([(), word]), _trim(coeffs), parity)
 
 
-# -- the commutator trace identity over C2 * C2 ------------------------------------
+def conjugate_word(k: int) -> Word:
+    """y = v^k x v^-k as a flat word of C2 * Z; k = 0 is x itself."""
+    return (1, k, 0, 1, 1, -k) if k else (0, 1)
 
-#: y = v x v^-1, the second involution of C2 * C2 = <x, y> inside C2 * Z
-_Y = (1, 1, 0, 1, 1, -1)
+
+def unitary_commutator(w: PolyElement, c: PolyElement) -> PolyElement:
+    """w c w* c* for a w with w w* = 1, which the caller checks, as
+    (t + w (c - t) w*) c*, t the coefficient of c's empty word.  For
+    c = t + gamma_t g, as ``unitary`` builds it, w c w* then takes
+    |w| + |w|^2 pairs instead of the 2|w| + 2|w|^2 of (w c) w*."""
+    empty = c.rows[:, 0] == _PAD
+    t, rest = (PolyElement(c.rows[r], _trim(c.coeffs[r]), c.parity[r]) for r in (empty, ~empty))
+    return multiply(add(t, multiply(multiply(w, rest), star(w))), star(c))
+
+
+# -- exact pairings of alpha-only words ---------------------------------------------
+
+
+def _sum_of_products(p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """sum_i p_i * q_i over the rows, q = p if omitted, as one polynomial: its
+    int64 coefficients of alpha, len(p[0]) + len(q[0]) - 1 of them even for no rows.
+
+    One float64 GEMM, a symmetric rank-k update for q = p: every partial sum
+    of the integer products is at most rows * max|p| * max|q| in size, so
+    below 2^53 each is exact, whatever order BLAS sums in.
+    """
+    bound = _max_abs(p) * _max_abs(p if q is None else q) * len(p)
+    if bound >= _FLOAT_EXACT:
+        raise OverflowError(f"a float64 pairing may round (bound {bound} >= 2^53)")
+    f = p.astype(np.float64)
+    m = (f.T @ (f if q is None else q.astype(np.float64))).astype(np.int64)  # alpha^(d + e)
+    _check_int64(bound, min(m.shape))  # each entry of out sums at most min(m.shape) of m's
+    out = np.zeros(sum(m.shape) - 1, dtype=np.int64)
+    np.add.at(out, np.add.outer(*map(np.arange, m.shape)), m)
+    return out
+
+
+def _pairing(w: PolyElement, images: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
+    """sum of weight * P_g P_image(g) over the maps, one row of ``images``
+    each (-1 where a word's image is not in the support), and over the even
+    and the odd words g, as int64 coefficients of alpha.  ``images`` None is
+    the identity alone, each parity's rows gathered once.  ``weights[map,
+    parity]`` holds a fixed polynomial in alpha, lowest degree first.  The
+    decay words carry alpha alone: their beta degree and parity are 0.
+    """
+    parity, coeffs = w.parity[:, 0], w.coeffs[:, :, 0]
+    if images is None:
+        sums = [_sum_of_products(coeffs[parity == p]) for p in (0, 1)]
+    else:
+        sums = [_sum_of_products(coeffs[rows], coeffs[image[rows]])
+                for image in images for rows in ((image >= 0) & (parity == p) for p in (0, 1))]
+    # an entry sums one product per weight coefficient and sum
+    _check_int64(max(map(_max_abs, sums)), _max_abs(weights), weights.size)
+    return sum(np.convolve(weight, s) for weight, s in zip(weights.reshape(len(sums), -1), sums))
+
+
+#: <w, w> = E + (1 - alpha^2) O, with |gamma|^2 = 1 - alpha^2 on the odd words
+_PARSEVAL_WEIGHTS = np.array([[[1, 0, 0], [1, 0, -1]]])
+
+#: alpha (1 - alpha^2) (S(y g) - S(g y)) with S = O - E, and (1 - alpha^2)
+#: T(y g y) with T = E + (1 - alpha^2) O (see ``paired_trace``)
+_PAIRED_WEIGHTS = np.array([
+    [[0, -1, 0, 1, 0], [0, 1, 0, -1, 0]],  # y g
+    [[0, 1, 0, -1, 0], [0, -1, 0, 1, 0]],  # g y
+    [[1, 0, -1, 0, 0], [1, 0, -2, 0, 1]],  # y g y
+])
+
+
+def parseval(w: PolyElement) -> Grid:
+    """tau(w* w) = sum over words of |gamma|^(2 parity) P^2."""
+    return _grid(_pairing(w, None, _PARSEVAL_WEIGHTS)[:, None])
+
+
+def paired_trace(w: PolyElement, k: int) -> Grid:
+    """tau(w c w* c*) with c = alpha + gamma y, y = v^k x v^-k, as <w c, c w>,
+    for a w with <w, w> = tau(w* w) = 1, as ``parseval`` checks.
+
+    Neither w c nor c w is formed: (w c)(g) = alpha w(g) + gamma w(g y) and
+    (c w)(g) = alpha w(g) + gamma w(y g), so, with conj(gamma) = -gamma,
+
+        <w c, c w> = alpha^2 <w, w> + alpha (1 - alpha^2) (S(y g) - S(g y))
+                     + (1 - alpha^2) T(y g y),
+
+    sums over the words g of w whose image under the map lies in w's support.
+    y g and g y flip the parity p of g, so w(g) conj(w(image)) carries one
+    gamma and the sign (-1)^(1 - p): S = odd - even.  y g y keeps the
+    parity: T = even + (1 - alpha^2) odd, as in <w, w>.
+    """
+    y = _encode([conjugate_word(k)])
+    if k > int(np.abs(w.rows, dtype=np.int16).max(where=w.rows != _PAD, initial=0)):
+        # y's outer syllables v^k and v^-k lie outside the support, so no
+        # word keeping one lies in it.  No g holds v^k or v^-k to cancel
+        # them: y g keeps the v^k, g y the v^-k, and y g y both unless g
+        # has at most one syllable.  Only those g are looked up.
+        rows = np.flatnonzero(_lengths(w.rows) <= 1)
+    else:
+        rows = np.arange(w.support_size)
+    once = np.zeros_like(rows)
+    yg = _row_products(y, w.rows, once, rows)
+    gy = _row_products(w.rows, y, rows, once)
+    ygy = _row_products(yg, y, np.arange(len(rows)), once)
+    images = np.full((3, w.support_size), -1)
+    images[:, rows] = _lookup(w, yg, gy, ygy)
+    tau = _pairing(w, images, _PAIRED_WEIGHTS)
+    tau[2] += 1  # alpha^2 <w, w>
+    return _grid(tau[:, None])
+
+
+# -- the commutator trace identity over C2 * C2 ------------------------------------
 
 #: tau(uv) = alpha beta, as a ``trace`` grid
 PRODUCT_RULE = ((0, 0), (0, 1))
@@ -485,23 +597,25 @@ COMMUTATOR_CLOSED_FORM = ((0, 0, 1), (0, 0, 0), (1, 0, -1))
 
 
 def free_pair() -> tuple[PolyElement, PolyElement]:
-    """u = alpha + gamma_alpha x and beta + gamma_beta y, free unitaries with
-    traces alpha and beta on the two factors of C2 * C2."""
-    return unitary((0, 1), 0), unitary(_Y, 1)
+    """u = alpha + gamma_alpha x and beta + gamma_beta y, y = v x v^-1:
+    free unitaries with traces alpha and beta on the two factors of C2 * C2."""
+    return unitary(conjugate_word(0), 0), unitary(conjugate_word(1), 1)
 
 
 @functools.cache
 def _free_pair_traces() -> tuple[Grid, Grid]:
     """tau(uv) and tau(u v u* v*) of the free pair, expanded once per process.
 
-    Raises ArithmeticError unless u v u* v* is unitary word by word.
+    Raises ArithmeticError unless u u* = 1, the premise of
+    ``unitary_commutator``, and u v u* v* is unitary, both word by word.
     """
     u, v = free_pair()
-    uv = multiply(u, v)
-    comm = multiply(multiply(uv, star(u)), star(v))
+    if not is_unitary(star(u)):
+        raise ArithmeticError("u is not unitary: u u* != 1")
+    comm = unitary_commutator(u, v)
     if not is_unitary(comm):
         raise ArithmeticError("u v u* v* is not unitary")
-    return trace(uv), trace(comm)
+    return trace(multiply(u, v)), trace(comm)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,12 @@ Two evaluation routes are kept deliberately separate:
   gamma^(x-count mod 2) times an integer polynomial in alpha, so w_1 .. w_4
   are expanded word by word at most once per process, for every alpha at
   once, and only as far as the rows asked for need; their traces are read
-  off the identity coefficient.  With c_n = alpha + gamma y_n and
-  w_n w_n* = 1 checked word by word, w_{n+1} = (alpha + w_n (gamma y_n)
-  w_n*) c_n*.  tau_5 is the pairing <w_4 c_4, c_4 w_4> of w_4 with
-  itself; w_5 is never formed.  Each row is evaluated in rational
-  arithmetic at alpha and rounded once.  Products and adjoints are
-  ``algebra.multiply`` and ``algebra.star``, on int8 word rows a whole
-  support at a time; the pairings are float64 GEMMs, exact below 2^53 and
-  checked to stay there;
+  off the identity coefficient.  This module keeps the schedule: which
+  word is built, checked or paired at which row.  The arithmetic is
+  ``algebra``'s public API: ``unitary_commutator`` forms w_{n+1} =
+  w_n c_n w_n* c_n*, ``parseval`` checks tau(w_n* w_n) = 1, and
+  ``paired_trace`` reads tau_5 off w_4, so w_5 is never formed.  Each row
+  is evaluated in rational arithmetic at alpha and rounded once;
 * the scalar recursion tau_{n+1} = 1 - (1 - tau_n^2)(1 - alpha^2)
   predicts the same traces from freeness.
 
@@ -49,29 +47,22 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import (
-    _PAD,
     FreeProductGroup,
     Grid,
     PolyElement,
     Word,
     Z,
-    _check_int64,
-    _encode,
-    _grid,
-    _lengths,
-    _lookup,
-    _max_abs,
-    _row_products,
-    _trim,
-    add,
+    conjugate_word,
     ell_bar_from_trace,
     ell_from_trace,
     evaluate,
     is_unitary,
-    multiply,
+    paired_trace,
+    parseval,
     star,
     trace,
     unitary,
+    unitary_commutator,
 )
 from .matrices import CMVMatrix, Reflection, as_array
 
@@ -86,9 +77,6 @@ EXPANDED_WORDS = 4
 
 #: rows 1 .. 5 have exact trace polynomials
 EXACT_ROWS = EXPANDED_WORDS + 1
-
-#: float64 holds every integer below this exactly
-_FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -178,115 +166,9 @@ def _step(
     return DecayStep(n, ell, ell_bar, lower, upper, in_bounds, trace, recursion_trace, source)
 
 
-def _conjugate(k: int) -> tuple:
-    """y = v^k x v^-k as a flat word of C2 * Z; k = 0 is x itself."""
-    return (1, k, 0, 1, 1, -k) if k else (0, 1)
-
-
 def _linear(k: int) -> PolyElement:
     """alpha + gamma v^k x v^-k: u itself for k = 0, else its conjugate c_k."""
-    return unitary(_conjugate(k))
-
-
-def _sum_of_products(p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
-    """sum_i p_i * q_i over the rows, q = p if omitted, as one polynomial: its
-    int64 coefficients of alpha, len(p[0]) + len(q[0]) - 1 of them even for no rows.
-
-    One float64 GEMM, a symmetric rank-k update for q = p: every partial sum
-    of the integer products is at most rows * max|p| * max|q| in size, so
-    below 2^53 each is exact, whatever order BLAS sums in.
-    """
-    bound = _max_abs(p) * _max_abs(p if q is None else q) * len(p)
-    if bound >= _FLOAT_EXACT:
-        raise OverflowError(f"a float64 pairing may round (bound {bound} >= 2^53)")
-    f = p.astype(np.float64)
-    m = (f.T @ (f if q is None else q.astype(np.float64))).astype(np.int64)  # alpha^(d + e)
-    _check_int64(bound, min(m.shape))  # each entry of out sums at most min(m.shape) of m's
-    out = np.zeros(sum(m.shape) - 1, dtype=np.int64)
-    np.add.at(out, np.add.outer(*map(np.arange, m.shape)), m)
-    return out
-
-
-def _pairing(w: PolyElement, images: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
-    """sum of weight * P_g P_image(g) over the maps, one row of ``images``
-    each (-1 where a word's image is not in the support), and over the even
-    and the odd words g, as int64 coefficients of alpha.  ``images`` None is
-    the identity alone, each parity's rows gathered once.  ``weights[map,
-    parity]`` holds a fixed polynomial in alpha, lowest degree first.  The
-    decay words carry alpha alone: their beta degree and parity are 0.
-    """
-    parity, coeffs = w.parity[:, 0], w.coeffs[:, :, 0]
-    if images is None:
-        sums = [_sum_of_products(coeffs[parity == p]) for p in (0, 1)]
-    else:
-        sums = [_sum_of_products(coeffs[rows], coeffs[image[rows]])
-                for image in images for rows in ((image >= 0) & (parity == p) for p in (0, 1))]
-    # an entry sums one product per weight coefficient and sum
-    _check_int64(max(map(_max_abs, sums)), _max_abs(weights), weights.size)
-    return sum(np.convolve(weight, s) for weight, s in zip(weights.reshape(len(sums), -1), sums))
-
-
-#: <w, w> = E + (1 - alpha^2) O, with |gamma|^2 = 1 - alpha^2 on the odd words
-_PARSEVAL_WEIGHTS = np.array([[[1, 0, 0], [1, 0, -1]]])
-
-#: alpha (1 - alpha^2) (S(y g) - S(g y)) with S = O - E, and (1 - alpha^2)
-#: T(y g y) with T = E + (1 - alpha^2) O (see ``paired_trace``)
-_PAIRED_WEIGHTS = np.array([
-    [[0, -1, 0, 1, 0], [0, 1, 0, -1, 0]],  # y g
-    [[0, 1, 0, -1, 0], [0, -1, 0, 1, 0]],  # g y
-    [[1, 0, -1, 0, 0], [1, 0, -2, 0, 1]],  # y g y
-])
-
-
-def _parseval(w: PolyElement) -> Grid:
-    """tau(w* w) = sum over words of |gamma|^(2 parity) P^2."""
-    return _grid(_pairing(w, None, _PARSEVAL_WEIGHTS)[:, None])
-
-
-def paired_trace(w: PolyElement, k: int) -> Grid:
-    """tau(w c w* c*) with c = alpha + gamma y, y = v^k x v^-k, as <w c, c w>,
-    for a w with <w, w> = tau(w* w) = 1, as ``_parseval`` checks.
-
-    Neither w c nor c w is formed: (w c)(g) = alpha w(g) + gamma w(g y) and
-    (c w)(g) = alpha w(g) + gamma w(y g), so, with conj(gamma) = -gamma,
-
-        <w c, c w> = alpha^2 <w, w> + alpha (1 - alpha^2) (S(y g) - S(g y))
-                     + (1 - alpha^2) T(y g y),
-
-    sums over the words g of w whose image under the map lies in w's support.
-    y g and g y flip the parity p of g, so w(g) conj(w(image)) carries one
-    gamma and the sign (-1)^(1 - p): S = odd - even.  y g y keeps the
-    parity: T = even + (1 - alpha^2) odd, as in <w, w>.
-    """
-    y = _encode([_conjugate(k)])
-    if k > int(np.abs(w.rows, dtype=np.int16).max(where=w.rows != _PAD, initial=0)):
-        # y's outer syllables v^k and v^-k lie outside the support, so no
-        # word keeping one lies in it.  No g holds v^k or v^-k to cancel
-        # them: y g keeps the v^k, g y the v^-k, and y g y both unless g
-        # has at most one syllable.  Only those g are looked up.
-        rows = np.flatnonzero(_lengths(w.rows) <= 1)
-    else:
-        rows = np.arange(w.support_size)
-    once = np.zeros_like(rows)
-    yg = _row_products(y, w.rows, once, rows)
-    gy = _row_products(w.rows, y, rows, once)
-    ygy = _row_products(yg, y, np.arange(len(rows)), once)
-    images = np.full((3, w.support_size), -1)
-    images[:, rows] = _lookup(w, yg, gy, ygy)
-    tau = _pairing(w, images, _PAIRED_WEIGHTS)
-    tau[2] += 1  # alpha^2 <w, w>
-    return _grid(tau[:, None])
-
-
-def _commutator(w: PolyElement, k: int) -> PolyElement:
-    """w c w* c* with c = c_k = alpha + gamma y, for a w with w w* = 1.
-
-    Then w c w* = alpha w w* + w (gamma y) w* = alpha + w (gamma y) w*:
-    |w| + |w|^2 pairs instead of the 2|w| + 2|w|^2 of (w c) w*.
-    """
-    c = _linear(k)
-    alpha, gamma_y = (PolyElement(c.rows[[r]], _trim(c.coeffs[[r]]), c.parity[[r]]) for r in (0, 1))
-    return multiply(add(alpha, multiply(multiply(w, gamma_y), star(w))), star(c))
+    return unitary(conjugate_word(k))
 
 
 class _ExactTraces:
@@ -296,9 +178,9 @@ class _ExactTraces:
     Only the traces and the last word still needed are kept.  tau_n for
     n <= 4 is read off w_n, which is checked exactly first: Parseval
     (tau(w* w) = 1 as a polynomial) for every w_n and w_n w_n* = 1 word by
-    word for n <= 3, the identity that forms w_{n+1} as
-    (alpha + w_n (gamma y) w_n*) c_n* (``_commutator``).  tau_5 pairs w_4
-    with itself, and w_4 is dropped.
+    word for n <= 3, the premise of ``algebra.unitary_commutator``, which
+    forms w_{n+1} = w_n c_n w_n* c_n*.  tau_5 is ``algebra.paired_trace``
+    of w_4, and w_4 is dropped.
     """
 
     def __init__(self):
@@ -314,8 +196,8 @@ class _ExactTraces:
         if n > EXPANDED_WORDS:
             tau, self.word = paired_trace(self.word, EXPANDED_WORDS), None
             return tau
-        w = _linear(0) if n == 1 else _commutator(self.word, n - 1)
-        if _parseval(w) != ((1,),):
+        w = _linear(0) if n == 1 else unitary_commutator(self.word, _linear(n - 1))
+        if parseval(w) != ((1,),):
             raise ArithmeticError(f"w_{n} violates Parseval: tau(w* w) != 1")
         if n < EXPANDED_WORDS and not is_unitary(star(w)):
             raise ArithmeticError(f"w_{n} is not unitary: w w* != 1")
@@ -359,11 +241,7 @@ def decay_curve_exact(alpha: float, n_max: int, slack: float = EXACT_SLACK) -> D
     """Exact decay curve; rows past n = 5 are recursion rows."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    steps = []
-    for step in iter_exact_steps(alpha, slack):
-        steps.append(step)
-        if step.n >= n_max:
-            break
+    steps = list(itertools.islice(iter_exact_steps(alpha, slack), n_max))
     return DecayReport(
         model="exact",
         descriptor={"carrier": "C2 * Z", "alpha": float(alpha)},
@@ -372,14 +250,6 @@ def decay_curve_exact(alpha: float, n_max: int, slack: float = EXACT_SLACK) -> D
         ell_bar_u=ell_bar_from_trace(complex(alpha)),
         steps=steps,
     )
-
-
-def _factor(u) -> tuple[int, np.ndarray, np.ndarray]:
-    """(sign, B, M) with u = sign (I + B M B*) for a ``Reflection``:
-    B = Q, M = -2 I.  Raises TypeError for any other u."""
-    if not isinstance(u, Reflection):
-        raise TypeError(f"u must be a Reflection, got {type(u).__name__}")
-    return u.sign, u.basis, -2.0 * np.eye(u.basis.shape[1])
 
 
 def _factor_lengths(sign: int, b: np.ndarray, m: np.ndarray) -> tuple[complex, float, float]:
@@ -416,9 +286,9 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     Every word is carried as w_n = I + B M B*, B of size N x r.  With
     P_n = v^n B_u and A = w_n P_n, the next word is
     w_{n+1} = (w_n c_n w_n*) c_n* = I + [A P_n] M' [A P_n]*, where
-    M' = [[M_u, M_u (A* P_n) M_u*], [0, M_u*]].  u must be a
-    ``Reflection`` (TypeError otherwise); it enters as B = Q, M = -2 I,
-    so r stays 2k and a row costs O(N k^2) plus v @ P_n: O(N k) for a
+    M' = [[-2 I, 4 A* P_n], [0, -2 I]].  u must be a ``Reflection``
+    (TypeError otherwise); it enters as B = Q, M = -2 I, so r stays 2k
+    and a row costs O(N k^2) plus v @ P_n: O(N k) for a
     ``CMVMatrix`` v, which leaves no N x N array.  The reflection's sign
     matters for row 1 only: each commutator holds c_n once and c_n* once.
     Bounds only hold up to the freeness error of the model, hence the
@@ -426,13 +296,13 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sign, b_u, m_u = _factor(u)
+    if not isinstance(u, Reflection):
+        raise TypeError(f"u must be a Reflection, got {type(u).__name__}")
+    b_u, m_u = u.basis, -2.0 * np.eye(u.basis.shape[1])
     vb = v if isinstance(v, CMVMatrix) else as_array(v)  # a CMV v stays O(N k)
     if vb.shape != (b_u.shape[0],) * 2:
         raise ValueError("dimension mismatch")
-    tau_u, ell_u, ell_bar_u = _factor_lengths(sign, b_u, m_u)
-    m_u_star = m_u.conj().T
-    zero = np.zeros_like(m_u)
+    tau_u, ell_u, ell_bar_u = _factor_lengths(u.sign, b_u, m_u)
 
     steps = []
     b, m, p = b_u, m_u, b_u
@@ -444,7 +314,7 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
             p = vb @ p
             a = p + b @ (m @ (b.conj().T @ p))
             b = np.hstack([a, p])
-            m = np.block([[m_u, m_u @ (a.conj().T @ p) @ m_u_star], [zero, m_u_star]])
+            m = np.block([[m_u, 4.0 * (a.conj().T @ p)], [np.zeros_like(m_u), m_u]])
             tau, ell_n, ell_bar_n = _factor_lengths(1, b, m)
     return DecayReport(
         model="matrix",

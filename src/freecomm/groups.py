@@ -179,12 +179,24 @@ class FiniteGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroup":
-        n = int(data["order"])
-        flat = [int(x) for x in data["table"]]
+        """Read ``to_json_dict``'s format strictly, with a ValueError that
+        names the field; ``labels`` and ``name`` may be left out."""
+        if not isinstance(data, dict):
+            raise ValueError(f"the top level must be a JSON object, not {type(data).__name__}")
+        n, flat, labels = data.get("order"), data.get("table"), data.get("labels")
+        name = data.get("name", "group")
+        if type(n) is not int:  # nor a bool, a float or missing
+            raise ValueError("field 'order' must be an integer")
+        if not (isinstance(flat, list) and all(type(x) is int for x in flat)):
+            raise ValueError("field 'table' must be a list of integers")
+        if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValueError("field 'labels' must be a list of strings")
+        if not isinstance(name, str):
+            raise ValueError("field 'name' must be a string")
         if len(flat) != n * n:
             raise ValueError(f"flattened table has {len(flat)} entries, expected {n * n}")
         table = [flat[i * n : (i + 1) * n] for i in range(n)]
-        return cls(table, labels=data.get("labels"), name=data.get("name", "group"))
+        return cls(table, labels=labels, name=name)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))

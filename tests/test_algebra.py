@@ -28,6 +28,7 @@ from freecomm.algebra import (
     star,
     trace,
     unitary,
+    unitary_commutator,
     verify_free_commutator_identity,
 )
 from freecomm.groups import cyclic_group
@@ -42,6 +43,7 @@ from oracles import (
     ell,
     ell_bar,
     evaluate_word,
+    exact_commutator,
     haar_generator,
     order_two_unitary,
     toeplitz_multiply,
@@ -504,6 +506,29 @@ def test_free_commutator_identity_examples():
     assert trace(comm) == COMMUTATOR_CLOSED_FORM
     with pytest.raises(ValueError):
         verify_free_commutator_identity(1.0, 0.5)
+
+
+def test_unitary_commutator_matches_product_chain():
+    # the conjugation form (t + w (c - t) w*) c* against the three plain
+    # products ((w c) w*) c*, word for word, on words in alpha and beta:
+    # u v u* v*, which verify-identity reads, then u* and v, then v and u
+    u, v = free_pair()
+    for w, c in ((u, v), (star(u), v), (v, u)):
+        got, expected = unitary_commutator(w, c), exact_commutator(w, c)
+        assert got.parity.any(axis=0).all()  # odd in both variables
+        for p, q in ((got.rows, expected.rows), (got.coeffs, expected.coeffs),
+                     (got.parity, expected.parity)):
+            assert p.dtype == q.dtype and np.array_equal(p, q)
+
+
+def test_free_pair_traces_check_the_premise(monkeypatch):
+    # the conjugation form needs u u* = 1, checked word by word: a doubled
+    # u fails it.  The traces are cached per process, so the cache is cleared
+    u, v = free_pair()
+    monkeypatch.setattr(algebra, "free_pair", lambda: (add(u, u), v))
+    algebra._free_pair_traces.cache_clear()
+    with pytest.raises(ArithmeticError, match=r"u u\* != 1"):
+        algebra._free_pair_traces()
 
 
 def test_two_sided_bound_and_projective_equality():

@@ -216,6 +216,37 @@ def test_mif_malformed_group_file_is_usage_error(doc, tmp_path, capsys):
     assert err.startswith(f"error: unreadable group file {path}: ") and err.count("\n") == 1
 
 
+_C2 = {"order": 2, "table": [0, 1, 1, 0]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({**_C2, "table": [0, 1, 1, 0.5]}, "'table'"),  # int() would truncate it to C2
+    ({**_C2, "order": 2.7}, "'order'"),
+    ({**_C2, "order": True}, "'order'"),
+    ({**_C2, "labels": "ab"}, "'labels'"),  # a string is not a list of two labels
+    ({**_C2, "name": ["q"]}, "'name'"),
+    ({**_C2, "labels": 5}, "'labels'"),
+    ([], "JSON object"),
+    ({"order": 2}, "'table'"),
+], ids=["table-float", "order-float", "order-bool", "labels-string", "name-list",
+        "labels-number", "list", "no-table"])
+def test_mif_group_file_error_names_the_field(doc, field, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mif", "--group", str(path), "--depth", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable group file {path}: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_mif_group_file_without_labels_or_name(tmp_path, capsys):
+    # the probes' base document is a group: labels and name may be left out
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(_C2))
+    assert main(["mif", "--group", str(path), "--depth", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_zassenhaus_custom_catalog_roundtrip(tmp_path, capsys):
     # the documented file format, written by hand: each generator a
     # row-major matrix of (re, im) pairs; diag(i, -i) has order 4 and the

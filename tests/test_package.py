@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,15 @@ def test_cli_imports_no_optional_dependency():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_modules_import_no_private_name_of_another():
+    # each module's underscore names are its own: a relative import may
+    # bring in a dunder such as ``__version__``, never a name such as ``_PAD``
+    found = []
+    for path in sorted(Path(freecomm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [(path.name, node.module, a.name) for a in node.names
+                          if a.name.startswith("_") and not a.name.endswith("__")]
+    assert found == []
