@@ -32,10 +32,11 @@ class CheckFailed(Exception):
     pass
 
 
-def _config(args: argparse.Namespace, keys: list[str]) -> dict:
+def _config(args: argparse.Namespace) -> dict:
+    """Every parsed option but ``--out``, in the parser's order: rerunning
+    this configuration reproduces the report."""
     cfg = {"subcommand": args.command, "version": __version__}
-    for k in keys:
-        cfg[k] = getattr(args, k.replace("-", "_"))
+    cfg.update((k, v) for k, v in vars(args).items() if k not in ("command", "func", "out"))
     return cfg
 
 
@@ -83,7 +84,7 @@ def cmd_verify_identity(args) -> int:
     checks = [verify_free_commutator_identity(a, b) for a in alphas for b in betas]
     passed = all(chk.proved for chk in checks)
     payload = {
-        "config": _config(args, ["alpha_grid", "beta_grid", "format"]),
+        "config": _config(args),
         # the exact trace is real; lhs keeps the report's (re, im) pair
         "results": [
             {"alpha": chk.alpha, "beta": chk.beta, "lhs": [chk.lhs, 0.0], "rhs": chk.rhs,
@@ -114,9 +115,7 @@ def cmd_dynamics(args) -> int:
         report = decay_curve_matrix(u, v, args.n_max, slack=slack)
         report.descriptor["seed"] = args.seed
     payload = {
-        "config": _config(
-            args, ["alpha", "n_max", "model", "n", "seed", "tol", "format", "require_contraction"]
-        ),
+        "config": _config(args),
         "report": report.to_json_dict(),
     }
     if args.format == "csv":
@@ -145,10 +144,9 @@ def cmd_zassenhaus(args) -> int:
     for name in sorted(catalog):
         gens = catalog[name]
         closed = group_closure(list(gens), cap=args.cap)
-        entry_cfg = _config(args, ["t", "catalog", "cap", "format"])
         if not isinstance(closed, MatrixGroup):
             payload = {
-                "config": entry_cfg,
+                "config": _config(args),
                 "entry": name,
                 "closed": False,
                 "non_closure": {
@@ -161,7 +159,7 @@ def cmd_zassenhaus(args) -> int:
         else:
             rep = gamma_filter(closed, args.t)
             payload = {
-                "config": entry_cfg,
+                "config": _config(args),
                 "entry": name,
                 "closed": True,
                 "filter": rep.to_json_dict(),
@@ -210,7 +208,7 @@ def cmd_mif(args) -> int:
         word_checks.append(entry)
 
     payload = {
-        "config": _config(args, ["group", "group_name", "depth", "exp_bound", "word", "format"]),
+        "config": _config(args),
         "group": {"name": group.name, "order": group.order, "exponent": exp},
         "exponent_word": {"word": str(exp_word), "is_identity": True},
         "scan": scan,
@@ -229,7 +227,7 @@ def cmd_freeness(args) -> int:
         worst = max(worst, rep.d1, rep.d2)
         results.append({"trial": trial, **rep.to_json_dict()})
     payload = {
-        "config": _config(args, ["n", "trials", "seed", "tol", "format"]),
+        "config": _config(args),
         "results": results,
         "max_deviation": worst,
         "pass": worst <= args.tol,
@@ -266,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension (matrix model)")
     p.add_argument("--seed", type=int, default=0, help="master seed (matrix model)")
     p.add_argument("--tol", type=_nonnegative_float, default=None, help="bound slack override")
-    p.add_argument("--require-contraction", action="store_true",
-                   help="reject alpha <= 3/4 (no contraction guarantee)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--require-contraction", action="store_true",
+                   help="reject alpha <= 3/4 (no contraction guarantee)")
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("zassenhaus", help="closure + short-element filtration per catalog entry")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FiniteGroup
-from .matrices import as_array, op_norm, unitarity_defect, UNITARY_OP_TOL
+from .matrices import check_unitary, op_norm
 
 #: two elements within this op-norm distance are identified
 DEFAULT_MERGE_EPS = 1e-8
@@ -26,12 +26,10 @@ DEFAULT_MERGE_EPS = 1e-8
 NEAR_IDENTITY_BAND = 0.01
 
 
-def ell_op(u, check: bool = True) -> float:
-    """Operator-norm length ||1 - U||; for unitary U this is
-    max over eigenvalues of |1 - lambda|."""
-    a = as_array(u)
-    if check and unitarity_defect(a) > 1e-8:
-        raise ValueError("ell_op expects a unitary matrix")
+def ell_op(u) -> float:
+    """Operator-norm length ||1 - U|| of a unitary U, the largest
+    |1 - lambda| over its eigenvalues; ValueError if U is not unitary."""
+    a = check_unitary(u)
     return op_norm(np.eye(a.shape[0]) - a)
 
 
@@ -43,13 +41,15 @@ class CommutatorBound:
 
 
 def commutator_ineq_check(u, v) -> CommutatorBound:
-    """ell([U,V]) against 2 ell(U) ell(V); the margin is rhs - lhs."""
-    a, b = as_array(u), as_array(v)
+    """ell([U,V]) against 2 ell(U) ell(V); the margin is rhs - lhs.
+    ValueError unless U and V are unitaries of one dimension."""
+    a, b = check_unitary(u), check_unitary(v)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     comm = a @ b @ a.conj().T @ b.conj().T
-    lhs = ell_op(comm, check=False)
-    rhs = 2.0 * ell_op(a, check=False) * ell_op(b, check=False)
+    eye = np.eye(a.shape[0])
+    lhs = op_norm(eye - comm)
+    rhs = 2.0 * op_norm(eye - a) * op_norm(eye - b)
     return CommutatorBound(lhs=lhs, rhs=rhs, margin=rhs - lhs)
 
 
@@ -129,15 +129,11 @@ def _close_pairs(known: np.ndarray, queries: np.ndarray, limit: float) -> dict[i
 def check_generators(generators: Sequence) -> list[np.ndarray]:
     """The generators as arrays; ValueError unless there is at least one
     and all are unitary matrices of one dimension."""
-    gens = [as_array(g) for g in generators]
+    gens = [check_unitary(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    dim = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (dim, dim):
-            raise ValueError("generators must share a dimension")
-        if unitarity_defect(g) > UNITARY_OP_TOL:
-            raise ValueError("generators must be unitary")
+    if any(g.shape != gens[0].shape for g in gens):
+        raise ValueError("generators must share a dimension")
     return gens
 
 

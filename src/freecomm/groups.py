@@ -18,7 +18,8 @@ import numpy as np
 
 
 class FiniteGroup:
-    """A finite group given by an ``n x n`` multiplication table of indices."""
+    """A finite group given by an ``n x n`` multiplication table of indices:
+    integer entries, ``labels`` a list or tuple of strings, ``name`` a str."""
 
     def __init__(
         self,
@@ -31,13 +32,9 @@ class FiniteGroup:
             raise ValueError("group must have at least one element")
         # rows are checked in order, so the array stops at a ragged row
         ragged = next((i for i, row in enumerate(table) if len(row) != n), n)
-        t = np.asarray(table[:ragged])
-        if t.dtype.kind not in "iu":
-            # int() each entry (floats, ints beyond int64), clamped to
-            # -1..n: an entry outside 0..n-1 stays outside
-            t = np.array([[min(max(int(x), -1), n) for x in row] for row in table[:ragged]],
-                         dtype=np.int64)
-        t = t.reshape(ragged, n)
+        t = np.asarray(table[:ragged]).reshape(ragged, n)
+        if t.size and t.dtype.kind not in "iu":  # floats, strings, ints beyond int64
+            raise ValueError("table entries must be integers")
         everyone = np.arange(n)
         bad = np.flatnonzero((np.sort(t, axis=1) != everyone).any(axis=1))
         if bad.size:
@@ -51,10 +48,14 @@ class FiniteGroup:
 
         self.order = n
         self.table = tuple(map(tuple, t.tolist()))
-        self.name = str(name)
+        if not isinstance(name, str):
+            raise ValueError("'name' must be a string")
+        self.name = name
         if labels is None:
-            labels = tuple(f"g{i}" for i in range(n))
-        labels = tuple(str(x) for x in labels)
+            labels = [f"g{i}" for i in range(n)]
+        if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
+            raise ValueError("'labels' must be a list or tuple of strings")
+        labels = tuple(labels)
         if len(labels) != n:
             raise ValueError("labels length does not match group order")
         if len(set(labels)) != n:
@@ -183,20 +184,15 @@ class FiniteGroup:
         names the field; ``labels`` and ``name`` may be left out."""
         if not isinstance(data, dict):
             raise ValueError(f"the top level must be a JSON object, not {type(data).__name__}")
-        n, flat, labels = data.get("order"), data.get("table"), data.get("labels")
-        name = data.get("name", "group")
+        n, flat = data.get("order"), data.get("table")
         if type(n) is not int:  # nor a bool, a float or missing
             raise ValueError("field 'order' must be an integer")
         if not (isinstance(flat, list) and all(type(x) is int for x in flat)):
             raise ValueError("field 'table' must be a list of integers")
-        if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-            raise ValueError("field 'labels' must be a list of strings")
-        if not isinstance(name, str):
-            raise ValueError("field 'name' must be a string")
         if len(flat) != n * n:
             raise ValueError(f"flattened table has {len(flat)} entries, expected {n * n}")
         table = [flat[i * n : (i + 1) * n] for i in range(n)]
-        return cls(table, labels=labels, name=name)
+        return cls(table, labels=data.get("labels"), name=data.get("name", "group"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))

@@ -98,6 +98,19 @@ def unitarity_defect(u) -> float:
     return op_norm(a.conj().T @ a - np.eye(m))
 
 
+def check_unitary(u) -> np.ndarray:
+    """The package's one test of a dense unitary: ``u`` as a complex array,
+    or ValueError unless it is square with ``unitarity_defect`` at most
+    ``UNITARY_OP_TOL``."""
+    a = as_array(u)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("unitary must be square")
+    defect = unitarity_defect(a)
+    if defect > UNITARY_OP_TOL:
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
+    return a
+
+
 @dataclass(frozen=True)
 class UnitaryMatrix:
     """An N x N unitary, checked on construction and stored read-only."""
@@ -105,13 +118,7 @@ class UnitaryMatrix:
     array: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.array, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("unitary must be square")
-        defect = unitarity_defect(a)
-        if defect > UNITARY_OP_TOL:
-            raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-        a = a.copy()
+        a = check_unitary(self.array).copy()
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
 

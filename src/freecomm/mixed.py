@@ -38,11 +38,7 @@ class MixedWord:
     def __post_init__(self):
         if len(self.coeffs) != len(self.exps) + 1:
             raise ValueError("coefficient/exponent lengths are inconsistent")
-        if any(e == 0 for e in self.exps):
-            raise ValueError("exponents must be nonzero")
-        for g in self.coeffs[1:-1]:
-            if g == self.group.identity:
-                raise ValueError("interior coefficients must be nontrivial")
+        self._word()
 
     @classmethod
     def from_tokens(cls, group: FiniteGroup, tokens: Iterable[tuple[str, int]]) -> "MixedWord":
@@ -62,12 +58,13 @@ class MixedWord:
         return cls(group, tuple(coeffs), tuple(exps))
 
     def _word(self) -> Word:
-        """This word in Z * G, where trivial constants are omitted."""
-        one = self.group.identity
-        out = [] if self.coeffs[0] == one else ["g", self.coeffs[0]]
+        """This word in Z * G, where trivial constants are omitted; ValueError
+        unless ``FreeProductGroup.word`` finds it in normal form."""
+        syllables = [("g", self.coeffs[0])]
         for e, g in zip(self.exps, self.coeffs[1:]):
-            out += ("t", e) if g == one else ("t", e, "g", g)
-        return tuple(out)
+            syllables += [("t", e), ("g", g)]
+        one = ("g", self.group.identity)
+        return _free_product(self.group).word(s for s in syllables if s != one)
 
     @classmethod
     def t_power(cls, group: FiniteGroup, e: int) -> "MixedWord":

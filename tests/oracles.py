@@ -494,12 +494,16 @@ def sequential_closure(generators, cap=10_000):
 def table_check_error(table):
     """The first defect of a multiplication table, as the ``ValueError``
     message ``FiniteGroup`` gives for it, found by plain loops in the same
-    order (rows, columns, identity, inverses, Light's associativity test
-    over a greedy generating set); None for a group table."""
-    rows = [[int(x) for x in row] for row in table]
+    order (integer entries in the rows before the first ragged one, rows,
+    columns, identity, inverses, Light's associativity test over a greedy
+    generating set); None for a group table."""
+    rows = [list(row) for row in table]
     n = len(rows)
     if n == 0:
         return "group must have at least one element"
+    for row in itertools.takewhile(lambda row: len(row) == n, rows):
+        if not all(isinstance(x, (int, np.integer)) and -2**63 <= x < 2**63 for x in row):
+            return "table entries must be integers"
     for i, row in enumerate(rows):
         if len(row) != n:
             return f"table row {i} has length {len(row)}, expected {n}"

@@ -1,9 +1,11 @@
+import argparse
+import ast
 import json
 import math
 
 import pytest
 
-from freecomm.cli import main
+from freecomm.cli import build_parser, main
 from freecomm.groups import symmetric_group
 from freecomm.matrices import sample_cue, subseed, unitary_with_trace
 
@@ -138,6 +140,13 @@ def test_dynamics_long_curve_reports_past_float_range(tmp_path, alpha):
             assert float(row[4]) == pytest.approx(math.exp(log_upper), rel=1e-9)
 
 
+def test_dynamics_exact_rows_default_slack(capsys):
+    # the report prints the slack its exact rows were judged with
+    code, doc = run_json(capsys, ["dynamics", "--alpha", "0.9", "--n-max", "1", "--format", "json"])
+    assert code == 0
+    assert doc["report"]["slack"] == 1e-10
+
+
 def test_dynamics_require_contraction(capsys):
     assert main(["dynamics", "--alpha", "0.5", "--require-contraction"]) == 2
     assert main(["dynamics", "--alpha", "1.5"]) == 2
@@ -177,6 +186,22 @@ def test_zassenhaus_threshold_zero(tmp_path, capsys):
     for p in out.iterdir():
         doc = json.loads(p.read_text())
         assert doc["filter"]["subgroup_order"] == 1
+
+
+def test_zassenhaus_irrational_rotation_does_not_close(tmp_path, capsys):
+    # a rotation by 1 rad has infinite order: a power lands inside the
+    # near-identity band without merging with the identity
+    c, s = math.cos(1.0), math.sin(1.0)
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"entries": {"rot1": {"generators": [
+        [[[c, 0], [-s, 0]], [[s, 0], [c, 0]]]]}}}))
+    out = tmp_path / "reports"
+    assert main(["zassenhaus", "--catalog", str(cat), "--out", str(out)]) == 1
+    doc = json.loads((out / "rot1.json").read_text())
+    assert doc["closed"] is False and "filter" not in doc
+    assert doc["non_closure"]["reason"] == "near_identity"
+    assert 0.0 < doc["non_closure"]["ell"] <= 0.01
+    assert doc["non_closure"]["elements_found"] > 1
 
 
 def test_zassenhaus_unreadable_catalog(tmp_path, capsys):
@@ -349,3 +374,27 @@ def test_bad_numeric_argument_is_usage_error(argv, capsys):
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+_CONFIG_ARGV = {
+    "verify-identity": ["--alpha-grid", "0", "--beta-grid", "0"],
+    "dynamics": ["--alpha", "0.9", "--n-max", "1"],
+    "zassenhaus": [],
+    "mif": ["--depth", "1"],
+    "freeness": ["--n", "2", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_ARGV))
+def test_config_embeds_every_option_but_out(command, tmp_path, capsys):
+    # rerunning the embedded configuration reproduces the report only if
+    # it holds every option the parser knows, --out aside
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
+    out = tmp_path / "out"
+    main([command, *_CONFIG_ARGV[command], "--out", str(out)])
+    report = next(out.iterdir()) if out.is_dir() else out
+    config = (json.loads(report.read_text())["config"] if command != "dynamics" else
+              ast.literal_eval(report.read_text().splitlines()[0].removeprefix("# config: ")))
+    assert set(config) - {"subcommand", "version"} == dests

@@ -41,6 +41,27 @@ def test_ell_op_rejects_non_unitary():
         ell_op(2 * np.eye(2))
 
 
+def test_ell_op_and_closure_share_one_unitarity_gate():
+    # U*U - I = diag(2d + d^2, 0): a defect of 5e-9 fails both, 5e-11 passes both
+    near = np.diag([1.0 + 2.5e-9, 1.0])
+    with pytest.raises(ValueError, match="not unitary"):
+        ell_op(near)
+    with pytest.raises(ValueError, match="not unitary"):
+        group_closure([near])
+    nearer = np.diag([1.0 + 2.5e-11, 1.0])
+    assert ell_op(nearer) <= 1e-10
+    assert group_closure([nearer]).order == 1
+
+
+@pytest.mark.parametrize("u, v", [
+    (2 * np.eye(2), np.diag([1.0, -1.0])),  # margin 1.0 if unchecked
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])),  # margin -3.24
+], ids=["scalar-two", "shears"])
+def test_commutator_check_rejects_non_unitary_pairs(u, v):
+    with pytest.raises(ValueError, match="not unitary"):
+        commutator_ineq_check(u, v)
+
+
 def test_commutator_inequality_examples():
     u = np.diag([1.0, -1.0]).astype(complex)
     v = np.diag([np.exp(1j), np.exp(-1j)])
@@ -177,6 +198,16 @@ def test_filter_threshold_zero():
     mg = group_closure(list(pauli_generators()))
     rep = gamma_filter(mg, 0.0)
     assert rep.subgroup_indices == (mg.identity,)
+
+
+def test_filter_threshold_is_strict():
+    # an element whose length equals the threshold is not short
+    mg = group_closure(list(binary_tetrahedral_generators()))
+    ells = mg.element_ells()
+    t = min(l for l in ells if l > 1e-9)
+    rep = gamma_filter(mg, t)
+    assert rep.generator_indices == tuple(i for i, l in enumerate(ells) if l < t)
+    assert ells.index(t) not in rep.generator_indices
 
 
 def test_filter_monotone_in_threshold():

@@ -31,6 +31,17 @@ def test_bad_row_rejected():
         FiniteGroup([[0, 0], [1, 1]])
 
 
+@pytest.mark.parametrize("table, kwargs, field", [
+    ([[0, 1], [1, 0.5]], {}, "table entries"),  # no int() truncation to C2
+    ([[0, 1], [1, 0]], {"labels": "ab"}, "'labels'"),  # a string is not two labels
+    ([[0, 1], [1, 0]], {"labels": ["e", 1]}, "'labels'"),
+    ([[0, 1], [1, 0]], {"name": ["q"]}, "'name'"),
+], ids=["float-entry", "labels-string", "labels-int", "name-list"])
+def test_constructor_rejects_loose_arguments(table, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        FiniteGroup(table, **kwargs)
+
+
 def test_no_identity_rejected():
     # a * b = b - a mod 3: a left identity but no two-sided one
     with pytest.raises(ValueError):
@@ -200,8 +211,10 @@ def test_array_checks_match_loop_checks():
         [[0, 1, 2], [1, 1, 0], [2, 0]],  # a bad row before a ragged one
         [[0, 1], [1, 2]],  # an entry out of range
         [[0, 1], [1, -1]],
-        [[0, 1], [1, 2**70]],  # beyond int64
-        [[0.0, 1.0], [1.0, 0.0]],
+        [[0, 1], [1, 2**70]],  # beyond int64: no integer dtype
+        [[0.0, 1.0], [1.0, 0.0]],  # floats, even whole ones, are not entries
+        [[0, 1, 2], [1, 2], [0.5, 0, 1]],  # a ragged row before a float
+        [[0], [1, 0]],  # a ragged first row: no entry is read
     ]
     kinds = set()
     for table in tables:
@@ -210,6 +223,7 @@ def test_array_checks_match_loop_checks():
         kinds.add(re.sub(r"-?\d+", "#", want) if want else None)
     assert kinds == {
         None,
+        "table entries must be integers",
         "table row # has length #, expected #",
         "table row # is not a permutation of #..#",
         "table column # is not a permutation of #..#",

@@ -64,6 +64,13 @@ def test_invalid_normal_form_rejected():
         MixedWord(g, (0, 0, 0), (1, 1))  # interior identity
     with pytest.raises(ValueError):
         MixedWord(g, (0, 1, 0), (1, 0))  # zero exponent
+    for coeffs, exps in [
+        ((0, -1), (1,)),  # table[-1] would read the last row
+        ((7,), ()),  # outside C3
+        ((0, 0), (1.5,)),  # not an integer exponent
+    ]:
+        with pytest.raises(ValueError, match="invalid syllable"):
+            MixedWord(g, coeffs, exps)
 
 
 def test_literal_roundtrip():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -42,3 +43,21 @@ def test_modules_import_no_private_name_of_another():
                 found += [(path.name, node.module, a.name) for a in node.names
                           if a.name.startswith("_") and not a.name.endswith("__")]
     assert found == []
+
+
+def test_matrices_owns_the_unitarity_gate():
+    # ``matrices.check_unitary`` is the one test of a dense unitary: no other
+    # module reads the defect or its tolerance, and ``ell_op`` has no knob
+    owned = {"unitarity_defect", "UNITARY_OP_TOL"}
+    found = []
+    for path in sorted(Path(freecomm.__file__).parent.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in owned:
+                found.append((path.name, name))
+    assert found == []
+    assert list(inspect.signature(freecomm.discrete.ell_op).parameters) == ["u"]
