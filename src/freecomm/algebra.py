@@ -51,9 +51,13 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 #: float64 holds every integer below this exactly
 _FLOAT_EXACT = 2**53
 
-#: the most bytes ``multiply`` gives the int64 polynomials of one pair grid;
-#: X c_3* in the w_4 build, the largest grid of any CLI path, takes 13.1 MB
+#: the most bytes ``multiply`` gives int64 polynomials: its sums, counted at
+#: one word per pair, and one block's shifts and products.  X c_3* in the
+#: w_4 build, the largest product of any CLI path, counts 7.1 MB
 _GRID_BUDGET = 2**30
+
+#: the bytes of int64 shifts and products ``multiply`` aims one block at
+_BLOCK_BYTES = 2**19
 
 
 class FreeProductGroup:
@@ -75,9 +79,11 @@ class FreeProductGroup:
         if f not in self.factors:
             return False
         fac = self.factors[f]
+        if not isinstance(v, int) or isinstance(v, bool):
+            return False
         if fac is Z:
-            return isinstance(v, int) and v != 0
-        return isinstance(v, int) and 0 <= v < fac.order and v != fac.identity
+            return v != 0
+        return 0 <= v < fac.order and v != fac.identity
 
     def word(self, syllables: Iterable[tuple]) -> Word:
         """Build a word from (factor, value) pairs, validating normal form."""
@@ -259,8 +265,8 @@ class PolyElement:
     gamma_alpha^parity[i, 0] gamma_beta^parity[i, 1] P_i(alpha, beta),
     and ``coeffs[i, d, e]`` is the integer coefficient of alpha^d beta^e
     in P_i.  The parities are a function of the word: products combine
-    them by XOR, and ``_collect`` checks that equal words agree.  The
-    words are distinct, as ``_collect`` leaves them; ``add`` relies on it.
+    them by XOR, and ``_words`` checks that equal words agree.  The words
+    are distinct, as ``add`` and ``multiply`` leave them; both rely on it.
     """
 
     __slots__ = ("rows", "coeffs", "parity")
@@ -292,7 +298,8 @@ def _check_int64(*factors: int) -> None:
 
 
 def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
+    """The largest |entry| as a Python int: np.abs would wrap at -2^63."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -316,35 +323,40 @@ def _sort_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _element(rows: np.ndarray, first: np.ndarray, sums: np.ndarray,
-             parity: np.ndarray) -> PolyElement:
-    """The words ``rows[first]`` with the polynomials ``sums``, less those
-    that are 0, with the rows and degrees trimmed."""
-    nonzero = sums.any(axis=(1, 2))
-    if not nonzero.all():  # only a sum of repeats, or a zero given as input, can vanish
-        sums, first = sums[nonzero], first[nonzero]
-    while rows.shape[1] > 1 and (rows[first, -2] == _PAD).all():  # no word left is that long
-        rows = rows[:, :-1]
-    return PolyElement(rows[first], _trim(sums), parity[first])
-
-
-def _collect(rows: np.ndarray, coeffs: np.ndarray, parity: np.ndarray) -> PolyElement:
-    """Sum the coefficients of equal words and drop the words that sum to 0;
-    the words come out sorted by their bytes.  A word met once is gathered
-    straight into place, and only the words met more than once are summed.
-    Equal words carrying different parities raise ArithmeticError."""
+def _words(rows: np.ndarray, parity: np.ndarray, a: PolyElement,
+           b: PolyElement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words of the rows of a sum or a product of a and b, sorted by
+    their bytes: the word of each row, the first row of each word, and
+    which words can sum to 0.  A word met once carries one polynomial of an
+    operand, or the product of one of each times gamma_t^2 = t^2 - 1 where
+    both are odd in t, so unless an operand holds a zero polynomial only
+    the words met more than once can vanish.  Equal words carrying
+    different parities raise ArithmeticError."""
     order, starts = _sort_words(rows)
-    group = np.cumsum(starts) - 1  # the word of each sorted row
+    word = np.empty(len(rows), dtype=np.intp)
+    word[order] = np.cumsum(starts) - 1
     first = order[starts]
-    sums = coeffs[first]
-    counts = np.diff(np.flatnonzero(np.append(starts, True)))
-    repeated = np.flatnonzero(counts[group] > 1)  # sorted rows of words met more than once
-    if (parity[order[repeated]] != parity[first[group[repeated]]]).any():
+    if (parity != parity[first][word]).any():
         raise ArithmeticError("equal words carry different parities")
-    if repeated.size:
-        heads = np.flatnonzero(starts[repeated])
-        sums[counts > 1] = np.add.reduceat(coeffs[order[repeated]], heads, axis=0)
-    return _element(rows, first, sums, parity)
+    if a.coeffs.any(axis=(1, 2)).all() and b.coeffs.any(axis=(1, 2)).all():
+        suspect = np.diff(np.flatnonzero(np.append(starts, True))) > 1
+    else:
+        suspect = np.ones(len(first), dtype=bool)
+    return word, first, suspect
+
+
+def _element(rows: np.ndarray, sums: np.ndarray, parity: np.ndarray,
+             suspect: np.ndarray) -> PolyElement:
+    """The words ``rows`` with the polynomials ``sums``, less those of the
+    ``suspect`` words that are 0, with the rows and degrees trimmed."""
+    zero = np.flatnonzero(suspect)
+    zero = zero[~sums[zero].any(axis=(1, 2))]
+    if zero.size:
+        rows, sums, parity = (np.delete(x, zero, axis=0) for x in (rows, sums, parity))
+    while rows.shape[1] > 1 and (rows[:, -2] == _PAD).all():  # no word left is that long
+        rows = rows[:, :-1]
+    # a trimmed view would be copied again by each product's ravel
+    return PolyElement(np.ascontiguousarray(rows), _trim(sums), parity)
 
 
 def _widen(rows: np.ndarray, width: int) -> np.ndarray:
@@ -365,12 +377,7 @@ def add(a: PolyElement, b: PolyElement) -> PolyElement:
     width = max(a.rows.shape[1], b.rows.shape[1])
     rows = np.concatenate([_widen(a.rows, width), _widen(b.rows, width)])
     parity = np.concatenate([a.parity, b.parity])
-    order, starts = _sort_words(rows)
-    word = np.empty(len(rows), dtype=np.intp)
-    word[order] = np.cumsum(starts) - 1  # the sum's word of each stacked row
-    first = order[starts]
-    if (parity != parity[first][word]).any():
-        raise ArithmeticError("equal words carry different parities")
+    word, first, suspect = _words(rows, parity, a, b)
     (na, da, ea), (nb, db, eb) = a.coeffs.shape, b.coeffs.shape
     sums = np.zeros((len(first), max(da, db), max(ea, eb)), dtype=np.int64)
     # the larger operand is written in place and the smaller added through
@@ -381,26 +388,34 @@ def add(a: PolyElement, b: PolyElement) -> PolyElement:
     (at, big), (at_small, small) = parts
     sums[at, : big.shape[1], : big.shape[2]] = big
     sums[at_small, : small.shape[1], : small.shape[2]] += small
-    return _element(rows, first, sums, parity)
+    return _element(rows[first], sums, parity[first], suspect)
 
 
 def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
-    """Convolution product over the full grid of word pairs.
+    """Convolution product: the product's words first, then each block of
+    polynomials added straight into its words' sums.
 
-    The operand with fewer degree cells (d, e), the narrow one, indexes the
-    inner dimension of one int64 product: the other's polynomials are
-    shifted by each cell once, and a narrow word's polynomial weights the
-    shifts into its products with every word of the other.  The pairs run
-    major over the narrow operand, so where its word is the empty word the
-    other's words come out in their own sorted order.  Where both words
-    are odd in a variable t, gamma_t^2 = t^2 - 1: the pair's polynomial p
-    becomes t^2 p - p, read off two spare degrees of t that are allocated
-    only when some pair needs them.
+    Every pair of words is spelled by ``_row_products`` and the rows are
+    sorted once, which gives each pair its word and sizes the sorted int64
+    sums.  The operand with fewer degree cells (d, e), the narrow one,
+    indexes the inner dimension of one int64 product per block of the other
+    operand's words: the block's polynomials are shifted by each cell once,
+    and a narrow word's polynomial weights the shifts into its products
+    with the block.  Where both words are odd in a variable t,
+    gamma_t^2 = t^2 - 1: the pair's polynomial p becomes t^2 p - p, read
+    off two spare degrees of t that are allocated only when some pair needs
+    them.  The block's products are then added into their sums by one
+    indexed add per narrow word, or per word of the block where those are
+    fewer.  The adds need no care for collisions: the products of one word
+    with distinct words are distinct, since multiplying by a fixed group
+    element is injective and an operand's words are distinct.  The pairs
+    run major over the narrow operand, so where its word is the empty word
+    the other operand's words come out in their own sorted order.
 
-    Raises MemoryError, before it allocates, when the int64 shifts and
-    products over the pair grid would exceed ``_GRID_BUDGET`` bytes; the
-    budget sits far above the largest grid any CLI path builds, X c_3* in
-    the w_4 build.
+    Raises MemoryError, before it allocates, when the int64 sums, counted
+    at one word per pair, and one block's shifts and products would exceed
+    ``_GRID_BUDGET`` bytes; the budget sits far above the largest product
+    any CLI path builds, X c_3* in the w_4 build.
     """
     (na, da, ea), (nb, db, eb) = a.coeffs.shape, b.coeffs.shape
     # an entry sums min(da, db) min(ea, eb) products a pair, doubled by each gamma^2
@@ -409,24 +424,38 @@ def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
     (nn, dn, en), (nw, dw, ew) = narrow.coeffs.shape, wide.coeffs.shape
     spare = 2 * (a.parity.any(axis=0) & b.parity.any(axis=0))  # where some pair is odd
     d_out, e_out = da + db - 1 + int(spare[0]), ea + eb - 1 + int(spare[1])
-    grid = 8 * (dn * en + nn) * nw * d_out * e_out  # the shifts and the products, int64
-    if grid > _GRID_BUDGET:
-        raise MemoryError(f"{na * nb} word pairs need {grid} bytes of int64 polynomials; "
+    poly = 8 * d_out * e_out  # the bytes of one int64 polynomial of the product
+    block = max(min(_BLOCK_BYTES // ((dn * en + nn) * poly), nw), 1)  # wide words a block
+    need = (na * nb + (dn * en + nn) * block) * poly
+    if need > _GRID_BUDGET:
+        raise MemoryError(f"{na * nb} word pairs need {need} bytes of int64 polynomials; "
                           f"the budget is {_GRID_BUDGET}")
     pairs = np.repeat(np.arange(nn), nw), np.tile(np.arange(nw), nn)  # (narrow, wide) words
-    pn, pw = narrow.parity[:, None], wide.parity[None]
-    odd = (pn & pw).reshape(-1, 2).astype(bool)
-    shifted = np.zeros((dn, en, nw, d_out, e_out), dtype=np.int64)
-    for d, e in itertools.product(range(dn), range(en)):
-        shifted[d, e, :, d : d + dw, e : e + ew] = wide.coeffs
-    prod = narrow.coeffs.reshape(nn, dn * en) @ shifted.reshape(dn * en, nw * d_out * e_out)
-    prod = prod.reshape(nn * nw, d_out, e_out)
-    del shifted  # before the gamma^2 rolls, which copy the odd pairs
-    for axis in np.flatnonzero(spare):
-        p = prod[odd[:, axis]]
-        prod[odd[:, axis]] = np.roll(p, 2, axis=axis + 1) - p
     rows = _row_products(a.rows, b.rows, *(pairs if narrow is a else pairs[::-1]))
-    return _collect(rows, prod, (pn ^ pw).reshape(-1, 2))
+    del pairs
+    parity = (narrow.parity[:, None] ^ wide.parity[None]).reshape(-1, 2)
+    word, first, suspect = _words(rows, parity, a, b)
+    rows, parity, word = rows[first], parity[first], word.reshape(nn, nw)
+    odd = (narrow.parity[:, None] & wide.parity[None]).astype(bool)
+    sums = np.zeros((len(first), d_out, e_out), dtype=np.int64)
+    for start in range(0, nw, block):
+        stop = min(start + block, nw)
+        shifted = np.zeros((dn, en, stop - start, d_out, e_out), dtype=np.int64)
+        for d, e in itertools.product(range(dn), range(en)):
+            shifted[d, e, :, d : d + dw, e : e + ew] = wide.coeffs[start:stop]
+        prod = narrow.coeffs.reshape(nn, dn * en) @ shifted.reshape(dn * en, -1)
+        prod = prod.reshape(nn, stop - start, d_out, e_out)
+        del shifted  # before the gamma^2 rolls, which copy the odd pairs
+        for axis in np.flatnonzero(spare):
+            hit = odd[:, start:stop, axis]
+            p = prod[hit]
+            prod[hit] = np.roll(p, 2, axis=axis + 1) - p
+        at = word[:, start:stop]
+        if nn > stop - start:
+            prod, at = prod.swapaxes(0, 1), at.T
+        for polys, words in zip(prod, at):
+            sums[words] += polys
+    return _element(rows, sums, parity, suspect)
 
 
 def star(a: PolyElement) -> PolyElement:

@@ -892,6 +892,27 @@ def eye_factor_lengths(sign, b, m):
     return tau, dist(1.0), dist(phase)
 
 
+def collect(rows, coeffs, parity):
+    """The element of the words ``rows`` with the polynomials ``coeffs``, as
+    ``algebra.multiply`` collected its whole pair grid: equal words summed
+    and every word tested for 0, the words sorted by their bytes.  A word
+    met once is gathered straight into place, and only the words met more
+    than once are summed.  Equal words carrying different parities raise
+    ArithmeticError."""
+    order, starts = algebra._sort_words(rows)
+    group = np.cumsum(starts) - 1  # the word of each sorted row
+    first = order[starts]
+    sums = coeffs[first]
+    counts = np.diff(np.flatnonzero(np.append(starts, True)))
+    repeated = np.flatnonzero(counts[group] > 1)  # sorted rows of words met more than once
+    if (parity[order[repeated]] != parity[first[group[repeated]]]).any():
+        raise ArithmeticError("equal words carry different parities")
+    if repeated.size:
+        heads = np.flatnonzero(starts[repeated])
+        sums[counts > 1] = np.add.reduceat(coeffs[order[repeated]], heads, axis=0)
+    return algebra._element(rows[first], sums, parity[first], np.ones(len(first), dtype=bool))
+
+
 def toeplitz_multiply(a, b):
     """a b as ``algebra.multiply`` computed it before its convolution was
     oriented by degree cells: the pairs run word by word of the operand
@@ -918,4 +939,4 @@ def toeplitz_multiply(a, b):
     for axis in np.flatnonzero(spare):
         p = prod[odd[:, axis]]
         prod[odd[:, axis]] = np.roll(p, 2, axis=axis + 1) - p
-    return algebra._collect(algebra._row_products(a.rows, b.rows, i, j), prod, a.parity[i] ^ b.parity[j])
+    return collect(algebra._row_products(a.rows, b.rows, i, j), prod, a.parity[i] ^ b.parity[j])

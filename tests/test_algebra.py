@@ -14,7 +14,6 @@ from freecomm.algebra import (
     FreeProductGroup,
     PolyElement,
     Z,
-    _collect,
     _encode,
     _lookup,
     _trim,
@@ -38,6 +37,7 @@ from oracles import (
     INVOLUTION_HAAR,
     TWO_INVOLUTIONS,
     AlgebraElement,
+    collect,
     dict_add,
     dict_multiply,
     ell,
@@ -47,6 +47,7 @@ from oracles import (
     haar_generator,
     order_two_unitary,
     toeplitz_multiply,
+    traced_peak,
 )
 from oracles import multiply as float_multiply
 from oracles import trace as float_trace
@@ -87,7 +88,7 @@ def element(*terms):
                       dtype=np.int64)
     for k, g in enumerate(grids):
         coeffs[k, : len(g), : len(g[0])] = g
-    return _collect(_encode(words), coeffs, np.array(parities, dtype=np.int8))
+    return collect(_encode(words), coeffs, np.array(parities, dtype=np.int8))
 
 
 ONE = element(((), [[1]], (0, 0)))
@@ -95,7 +96,7 @@ ONE = element(((), [[1]], (0, 0)))
 
 def same(a, b):
     """Equal elements: the same words, coefficients and parities once collected."""
-    a, b = _collect(a.rows, a.coeffs, a.parity), _collect(b.rows, b.coeffs, b.parity)
+    a, b = collect(a.rows, a.coeffs, a.parity), collect(b.rows, b.coeffs, b.parity)
     return all(np.array_equal(p, q) for p, q in
                ((a.rows, b.rows), (a.coeffs, b.coeffs), (a.parity, b.parity)))
 
@@ -310,42 +311,70 @@ def scaled_to_the_edge(pair):
     return math.isqrt(_INT64_MAX // (largest * terms))
 
 
+#: block byte targets under which every product crosses several blocks: one
+#: wide word a block, and blocks whose last one is ragged (X c_3* below, 800
+#: bytes a wide word, in 81-word blocks, the last of 23 words)
+SMALL_BLOCKS = (1, 2**12 + 1, 2**16 + 1)
+
+
 @given(dict_pairs())
 @example([({}, (1, 1)), ({(): (np.ones((2, 1), dtype=object), (0, 0))}, (2, 1))])  # empty support
 @example([({X: (np.ones((1, 2), dtype=object), (1, 0))}, (1, 2)),  # one word each, 2 cells each
           ({Y: (np.ones((2, 1), dtype=object), (1, 0))}, (2, 1))])
+@example([({X: (np.zeros((1, 1), dtype=object), (0, 0))}, (1, 1)),  # a zero polynomial, met once
+          ({(): (np.ones((1, 1), dtype=object), (0, 0)), Y: (np.ones((1, 1), dtype=object), (0, 0))},
+           (1, 1))])
 def test_multiply_matches_toeplitz_oracle(pair):
-    # the product oriented by degree cells gives what the tall-major
-    # Toeplitz product gave, down to the dtypes, in either operand order;
-    # at the int64 edge too, and one step past it both raise
+    # the blocked product oriented by degree cells gives what the tall-major
+    # Toeplitz product over the whole pair grid gave, down to the dtypes, in
+    # either operand order, at the default block size and at small ones; at
+    # the int64 edge too, and one step past it both raise
     (a, shape_a), (b, shape_b) = pair
     for scale in (1, scaled_to_the_edge(pair)):
         if scale is None:
             return
         x, y = as_poly(a, shape_a, scale), as_poly(b, shape_b, scale)
         for p, q in ((x, y), (y, x)):
-            assert exactly(multiply(p, q), toeplitz_multiply(p, q))
+            assert all(exactly(got, toeplitz_multiply(p, q)) for got in blocked_products(p, q))
     for product_of in (multiply, toeplitz_multiply):
         with pytest.raises(OverflowError):
             product_of(as_poly(a, shape_a, scale + 1), as_poly(b, shape_b, scale + 1))
 
 
-def test_multiply_matches_toeplitz_oracle_on_decay_shapes():
-    # many words by two: (alpha + w_3 (gamma y) w_3*) c_3*, 16,385 words
-    # of 22 alpha-degree cells by c_3*'s 2; w_3 w_3*, equal cell counts;
-    # u v, 2 cells each in different variables; and the empty element
+def blocked_products(p, q):
+    """p q at the default block size and at each of ``SMALL_BLOCKS``."""
+    default = algebra._BLOCK_BYTES
+    try:
+        for block_bytes in (default, *SMALL_BLOCKS):
+            algebra._BLOCK_BYTES = block_bytes
+            yield multiply(p, q)
+    finally:
+        algebra._BLOCK_BYTES = default
+
+
+def outer_factor():
+    """w_3, c_3 and (alpha + w_3 (gamma y) w_3*), whose product with c_3* is
+    X c_3*, the largest product of the w_4 build: 16,385 words of 22
+    alpha-degree cells by c_3*'s 2 words of 2."""
     traces = _ExactTraces()
     traces[3]
     w, c = traces.word, unitary((1, 3, 0, 1, 1, -3))
     alpha, gamma_y = (PolyElement(c.rows[[r]], _trim(c.coeffs[[r]]), c.parity[[r]]) for r in (0, 1))
-    outer = add(alpha, multiply(multiply(w, gamma_y), star(w)))
+    return w, c, add(alpha, multiply(multiply(w, gamma_y), star(w)))
+
+
+def test_multiply_matches_toeplitz_oracle_on_decay_shapes():
+    # many words by two: (alpha + w_3 (gamma y) w_3*) c_3*; w_3 w_3*, equal
+    # cell counts; u v, 2 cells each in different variables; and the empty
+    # element; at the default block size and at small ones
+    w, c, outer = outer_factor()
     assert outer.coeffs.shape[1:] == (22, 1) and c.coeffs.shape[1:] == (2, 1)
     u, v = free_pair()
     zero = add(u, negated(u))
     assert zero.support_size == 0
     for p, q in ((outer, star(c)), (star(c), outer), (w, star(w)), (u, v), (v, u),
                  (zero, u), (u, zero), (zero, zero), (multiply(u, v), ONE)):
-        assert exactly(multiply(p, q), toeplitz_multiply(p, q))
+        assert all(exactly(got, toeplitz_multiply(p, q)) for got in blocked_products(p, q))
 
 
 def exactly(a, b):
@@ -361,7 +390,7 @@ def negated(a):
 def matches_dict_add(x, y):
     """add(x, y) is collected, and its sums are those of ``dict_add``."""
     got = add(x, y)
-    return (exactly(got, _collect(got.rows, got.coeffs, got.parity))
+    return (exactly(got, collect(got.rows, got.coeffs, got.parity))
             and canonical(got) == canonical(dict_add(as_dict(x), as_dict(y))))
 
 
@@ -405,7 +434,7 @@ def word_parity(word, images):
 
 @st.composite
 def collect_inputs(draw):
-    """Rows, coefficients and parities for ``_collect``, and a permutation of
+    """Rows, coefficients and parities for ``collect``, and a permutation of
     the rows: words of C2 * Z with repeats, coefficients in -2..2 so that
     zero grids and sums that vanish occur, parities a function of the word."""
     images = draw(st.tuples(*[st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])] * 2))
@@ -424,8 +453,8 @@ def test_collect_is_independent_of_row_order(inputs):
     # words in Python integers, the zero ones dropped
     words, coeffs, parity, perm = inputs
     rows = _encode(words)
-    got = _collect(rows, coeffs, parity)
-    assert exactly(_collect(rows[perm], coeffs[perm], parity[perm]), got)
+    got = collect(rows, coeffs, parity)
+    assert exactly(collect(rows[perm], coeffs[perm], parity[perm]), got)
     sums = {}
     for w, g, p in zip(words, coeffs.astype(object), map(tuple, parity.tolist())):
         sums[w] = (sums[w][0] + g if w in sums else g, p)
@@ -435,7 +464,7 @@ def test_collect_is_independent_of_row_order(inputs):
     if repeated:
         parity[repeated[0]] ^= 1
         with pytest.raises(ArithmeticError):
-            _collect(rows[perm], coeffs[perm], parity[perm])
+            collect(rows[perm], coeffs[perm], parity[perm])
 
 
 def test_lookup_is_independent_of_support_order():
@@ -453,36 +482,64 @@ def test_lookup_is_independent_of_support_order():
     assert _lookup(w, w.rows)[0].tolist() == list(range(w.support_size))
 
 
-def test_collect_rejects_parity_mismatch():
-    # one word, two parities: the parity would no longer be a function of the word
-    rows = _encode([Y, Y])
-    coeffs = np.ones((2, 1, 1), dtype=np.int64)
-    assert _collect(rows, coeffs, np.array([[0, 1], [0, 1]], dtype=np.int8)).coeffs.tolist() == [[[2]]]
+def test_multiply_rejects_parity_mismatch():
+    # (1 + x)(1 + x) meets x twice, as 1 x and as x 1: with one parity for x
+    # it sums them, and with two the parity would no longer be a function of
+    # the word
+    def one_plus_x(parity):
+        return PolyElement(_encode([(), X]), np.ones((2, 1, 1), dtype=np.int64),
+                           np.array([[0, 0], parity], dtype=np.int8))
+
+    # 2 gamma_beta at x, and gamma_beta^2 = beta^2 - 1 at the empty word
+    square = multiply(one_plus_x([0, 1]), one_plus_x([0, 1]))
+    assert square.words == [X, ()] and square.coeffs.tolist() == [[[2, 0, 0]], [[0, 0, 1]]]
     with pytest.raises(ArithmeticError):
-        _collect(rows, coeffs, np.array([[1, 0], [0, 1]], dtype=np.int8))
+        multiply(one_plus_x([0, 1]), one_plus_x([1, 0]))
 
 
 def test_multiply_refuses_a_grid_over_its_budget(monkeypatch):
-    # u v: 2 by 2 words, 2 narrow cells, 2 x 2 cells out, so the int64 shifts
-    # and products take 8 (2 + 2) 2 (2 x 2) = 256 bytes; one byte less refuses
+    # u v: 2 by 2 words, 2 narrow cells, 2 x 2 cells out (32 bytes a
+    # polynomial), so the sums at one word per pair and one block of both
+    # wide words, 2 shifts and 2 products each, take (4 + 4 x 2) 32 = 384
+    # bytes; one byte less refuses
     u, v = free_pair()
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 256)
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 384)
     assert trace(multiply(u, v)) == PRODUCT_RULE
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 255)
-    with pytest.raises(MemoryError, match="4 word pairs need 256 bytes"):
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 383)
+    with pytest.raises(MemoryError, match="4 word pairs need 384 bytes"):
         multiply(u, v)
 
 
 def test_exact_rows_fit_the_grid_budget(monkeypatch):
-    # the largest grid of the exact rows, X c_3* in the w_4 build (16,385 by
-    # 2 words, 2 narrow cells, 25 out), takes 13,108,000 bytes: the default
-    # budget holds it many times over, and a budget one byte smaller refuses it
-    assert algebra._GRID_BUDGET > 64 * 13_108_000
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 13_108_000)
+    # the largest product of the exact rows, X c_3* in the w_4 build (16,385
+    # by 2 words, 2 narrow cells, 25 out: 200 bytes a polynomial), counts
+    # 32,770 sums and 655 wide words a block of 4 polynomials each,
+    # (32,770 + 2,620) 200 = 7,078,000 bytes: the default budget holds it
+    # many times over, and a budget one byte smaller refuses it
+    assert algebra._GRID_BUDGET > 64 * 7_078_000
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 7_078_000)
     assert _ExactTraces()[5]
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 13_107_999)
-    with pytest.raises(MemoryError, match="32770 word pairs need 13108000 bytes"):
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 7_077_999)
+    with pytest.raises(MemoryError, match="32770 word pairs need 7078000 bytes"):
         _ExactTraces()[4]
+
+
+def test_product_scratch_is_below_the_pair_grid():
+    # X c_3* in the w_4 build: its 32,768 words of 25 cells are 6.25 MiB of
+    # sums; the whole int64 pair grid, its shifts and a sorted copy of it
+    # took 18.6 MiB of traced scratch, the blocked product takes under 11
+    _, c, outer = outer_factor()
+    assert traced_peak(multiply, outer, star(c)) < 11 * 2**20
+
+
+def test_int64_guards_see_minus_two_to_the_63():
+    # |-2^63| = 2^63 is one past int64, so both guards refuse it: a sum
+    # with -1, and a product with 2
+    low = element((Y, [[-(2**63)]], (0, 1)))
+    with pytest.raises(OverflowError):
+        add(low, element((Y, [[-1]], (0, 1))))
+    with pytest.raises(OverflowError):
+        multiply(low, element(((), [[2]], (0, 0))))
 
 
 def test_beta_odd_product_overflow_is_loud():

@@ -68,6 +68,8 @@ def test_invalid_normal_form_rejected():
         ((0, -1), (1,)),  # table[-1] would read the last row
         ((7,), ()),  # outside C3
         ((0, 0), (1.5,)),  # not an integer exponent
+        ((0, 1), (True,)),  # a bool is no exponent: t^True cannot be read back
+        ((0, True), (1,)),  # nor an element of the finite factor
     ]:
         with pytest.raises(ValueError, match="invalid syllable"):
             MixedWord(g, coeffs, exps)

@@ -61,3 +61,25 @@ def test_matrices_owns_the_unitarity_gate():
                 found.append((path.name, name))
     assert found == []
     assert list(inspect.signature(freecomm.discrete.ell_op).parameters) == ["u"]
+
+
+def test_mutant_ledger_texts_occur_once():
+    # scripts/mutants.py patches each mutant's old text; a text that is gone
+    # or doubled under src/ would leave its mutant unapplied or ambiguous
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("mutants", root / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    sys.modules["mutants"] = mutants
+    try:
+        spec.loader.exec_module(mutants)
+    finally:
+        del sys.modules["mutants"]
+    sources = {p: p.read_text() for p in (root / "src").rglob("*.py")}
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (root / m.path) in sources, m.name
+        assert sum(text.count(m.old) for text in sources.values()) == 1, m.name
+        assert sources[root / m.path].count(m.old) == 1, m.name
+        assert m.new != m.old and m.tests, m.name
