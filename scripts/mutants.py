@@ -82,9 +82,15 @@ MUTANTS = (
     ),
     Mutant(
         "grid-budget-sums-only", "src/freecomm/algebra.py",
-        "need = (na * nb + (dn * en + nn) * block) * poly", "need = na * nb * poly",
+        "need = na * nb * (poly + row) + (dn * en + nn) * block * poly", "need = na * nb * poly",
         ("tests/test_algebra.py::test_multiply_refuses_a_grid_over_its_budget",
          "tests/test_algebra.py::test_exact_rows_fit_the_grid_budget"),
+    ),
+    Mutant(
+        "grid-budget-drops-rows", "src/freecomm/algebra.py",
+        "need = na * nb * (poly + row) + (dn * en + nn) * block * poly",
+        "need = na * nb * poly + (dn * en + nn) * block * poly",
+        ("tests/test_algebra.py::test_budget_counts_the_rows_before_spelling_them",),
     ),
     Mutant(
         "recursion-factor", "src/freecomm/dynamics.py",
@@ -100,6 +106,21 @@ MUTANTS = (
         "product-skips-zero-rows", "src/freecomm/algebra.py",
         "if a.coeffs.any(axis=(1, 2)).all() and b.coeffs.any(axis=(1, 2)).all():", "if True:",
         ("tests/test_algebra.py::test_multiply_matches_toeplitz_oracle",),
+    ),
+    Mutant(
+        "power-modulus", "src/freecomm/groups.py",
+        "e %= self.order  # a^|G| = 1", "e %= self.order + 1",
+        ("tests/test_groups.py::test_power_reduces_the_exponent_by_the_order",),
+    ),
+    Mutant(
+        "subgroup-order-gens", "src/freecomm/discrete.py",
+        '"subgroup_order": len(self.subgroup_indices)', '"subgroup_order": len(self.generator_indices)',
+        ("tests/test_cli.py::test_zassenhaus_threshold_zero",),
+    ),
+    Mutant(
+        "q8-sign-flipped", "src/freecomm/groups.py",
+        "flip = u and v and (v - u) % 3 != 1", "flip = u and v and (v - u) % 3 != 2",
+        ("tests/test_groups.py::test_quaternion_table_matches_its_matrices",),
     ),
 )
 

@@ -51,10 +51,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 #: float64 holds every integer below this exactly
 _FLOAT_EXACT = 2**53
 
-#: the most bytes ``multiply`` gives int64 polynomials: its sums, counted at
-#: one word per pair, and one block's shifts and products.  X c_3* in the
-#: w_4 build, the largest product of any CLI path, counts 7.1 MB
+#: the most bytes ``multiply`` may hold: a word pair's int8 row and index
+#: arrays and its int64 sum, and one block's shifts and products.  X c_3* in
+#: the w_4 build, the largest product of any CLI path, counts 14.5 MB
 _GRID_BUDGET = 2**30
+
+#: the intp arrays ``_row_products`` holds a pair: its two indices, both
+#: lengths and flat offsets, the cancelled depth, the live list, the merge
+#: flag, a's kept prefix and b's shift, and one for the narrower temporaries
+_PAIR_INDEX_BYTES = 12 * 8
 
 #: the bytes of int64 shifts and products ``multiply`` aims one block at
 _BLOCK_BYTES = 2**19
@@ -412,10 +417,11 @@ def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
     run major over the narrow operand, so where its word is the empty word
     the other operand's words come out in their own sorted order.
 
-    Raises MemoryError, before it allocates, when the int64 sums, counted
-    at one word per pair, and one block's shifts and products would exceed
-    ``_GRID_BUDGET`` bytes; the budget sits far above the largest product
-    any CLI path builds, X c_3* in the w_4 build.
+    Raises MemoryError, before it allocates, when the pairs' rows and
+    index arrays, the int64 sums, counted at one word per pair, and one
+    block's shifts and products would exceed ``_GRID_BUDGET`` bytes; the
+    budget sits far above the largest product any CLI path builds, X c_3*
+    in the w_4 build.
     """
     (na, da, ea), (nb, db, eb) = a.coeffs.shape, b.coeffs.shape
     # an entry sums min(da, db) min(ea, eb) products a pair, doubled by each gamma^2
@@ -426,10 +432,13 @@ def multiply(a: PolyElement, b: PolyElement) -> PolyElement:
     d_out, e_out = da + db - 1 + int(spare[0]), ea + eb - 1 + int(spare[1])
     poly = 8 * d_out * e_out  # the bytes of one int64 polynomial of the product
     block = max(min(_BLOCK_BYTES // ((dn * en + nn) * poly), nw), 1)  # wide words a block
-    need = (na * nb + (dn * en + nn) * block) * poly
+    # a pair's row has at most wa + wb - 1 codes, spelled beside a gathered
+    # copy of a's row and its prefix mask
+    row = 3 * a.rows.shape[1] + b.rows.shape[1] + _PAIR_INDEX_BYTES
+    need = na * nb * (poly + row) + (dn * en + nn) * block * poly
     if need > _GRID_BUDGET:
-        raise MemoryError(f"{na * nb} word pairs need {need} bytes of int64 polynomials; "
-                          f"the budget is {_GRID_BUDGET}")
+        raise MemoryError(f"{na * nb} word pairs need {need} bytes of rows and int64 "
+                          f"polynomials; the budget is {_GRID_BUDGET}")
     pairs = np.repeat(np.arange(nn), nw), np.tile(np.arange(nw), nn)  # (narrow, wide) words
     rows = _row_products(a.rows, b.rows, *(pairs if narrow is a else pairs[::-1]))
     del pairs

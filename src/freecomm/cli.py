@@ -51,6 +51,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     """argparse type for tolerances and thresholds: a number >= 0, not NaN."""
     try:
@@ -144,26 +155,15 @@ def cmd_zassenhaus(args) -> int:
     for name in sorted(catalog):
         gens = catalog[name]
         closed = group_closure(list(gens), cap=args.cap)
-        if not isinstance(closed, MatrixGroup):
-            payload = {
-                "config": _config(args),
-                "entry": name,
-                "closed": False,
-                "non_closure": {
-                    "reason": closed.reason,
-                    "ell": closed.ell,
-                    "elements_found": closed.elements_found,
-                },
-            }
+        payload = {"config": _config(args), "entry": name,
+                   "closed": isinstance(closed, MatrixGroup)}
+        if not payload["closed"]:
+            # the witness element is a matrix and stays out of the report
+            payload["non_closure"] = {k: v for k, v in vars(closed).items() if k != "element"}
             failed.append(name)
         else:
             rep = gamma_filter(closed, args.t)
-            payload = {
-                "config": _config(args),
-                "entry": name,
-                "closed": True,
-                "filter": rep.to_json_dict(),
-            }
+            payload["filter"] = rep.to_json_dict()
             if args.t == 0.5 and not (rep.is_abelian and rep.is_normal):
                 failed.append(name)
         emit_json(payload, out_dir / f"{name}.json")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_positive_int, default=6, help="last word index")
     p.add_argument("--model", choices=["exact", "matrix"], default="exact")
     p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension (matrix model)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (matrix model)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed (matrix model)")
     p.add_argument("--tol", type=_nonnegative_float, default=None, help="bound slack override")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freeness", help="trace deviations of CUE-law CMV x Haar pairs")
     p.add_argument("--n", type=_positive_int, default=256, help="matrix dimension")
     p.add_argument("--trials", type=_positive_int, default=10, help="number of seeded pairs")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed")
     p.add_argument("--tol", type=_nonnegative_float, default=0.05, help="max allowed deviation")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json"], default="json")

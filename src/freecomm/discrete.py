@@ -257,16 +257,7 @@ class FilterReport:
     is_normal: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "group_order": self.group_order,
-            "element_ells": list(self.element_ells),
-            "generator_indices": list(self.generator_indices),
-            "subgroup_indices": list(self.subgroup_indices),
-            "subgroup_order": len(self.subgroup_indices),
-            "is_abelian": self.is_abelian,
-            "is_normal": self.is_normal,
-        }
+        return {**vars(self), "subgroup_order": len(self.subgroup_indices)}
 
 
 def gamma_filter(group: MatrixGroup, threshold: float) -> FilterReport:

@@ -64,7 +64,7 @@ from .algebra import (
     unitary,
     unitary_commutator,
 )
-from .matrices import CMVMatrix, Reflection, as_array
+from .matrices import Reflection, unitary_operand
 
 #: slack for the exact-model bound chain
 EXACT_SLACK = 1e-10
@@ -289,17 +289,17 @@ def decay_curve_matrix(u, v, n_max: int, slack: float = MATRIX_SLACK) -> DecayRe
     M' = [[-2 I, 4 A* P_n], [0, -2 I]].  u must be a ``Reflection``
     (TypeError otherwise); it enters as B = Q, M = -2 I, so r stays 2k
     and a row costs O(N k^2) plus v @ P_n: O(N k) for a
-    ``CMVMatrix`` v, which leaves no N x N array.  The reflection's sign
-    matters for row 1 only: each commutator holds c_n once and c_n* once.
-    Bounds only hold up to the freeness error of the model, hence the
-    wide slack envelope.
+    ``CMVMatrix`` v, which leaves no N x N array; a raw array v must pass
+    ``check_unitary``.  The reflection's sign matters for row 1 only: each
+    commutator holds c_n once and c_n* once.  Bounds only hold up to the
+    freeness error of the model, hence the wide slack envelope.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not isinstance(u, Reflection):
         raise TypeError(f"u must be a Reflection, got {type(u).__name__}")
     b_u, m_u = u.basis, -2.0 * np.eye(u.basis.shape[1])
-    vb = v if isinstance(v, CMVMatrix) else as_array(v)  # a CMV v stays O(N k)
+    vb = unitary_operand(v)  # a CMV v stays O(N k)
     if vb.shape != (b_u.shape[0],) * 2:
         raise ValueError("dimension mismatch")
     tau_u, ell_u, ell_bar_u = _factor_lengths(u.sign, b_u, m_u)

@@ -130,6 +130,7 @@ class FiniteGroup:
     def power(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inverse[a], -e
+        e %= self.order  # a^|G| = 1
         out = self.identity
         for _ in range(e):
             out = self.table[out][a]
@@ -254,30 +255,18 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """Q8 = {1, -1, i, -i, j, -j, k, -k}."""
+    """Q8 = {1, -1, i, -i, j, -j, k, -k}: element 2u + s is (-1)^s times
+    unit u of 1, i, j, k.  Units multiply as in C2 x C2, so the unit of a
+    product is u XOR v; its sign is flipped by i^2 = j^2 = k^2 = -1 (u = v
+    != 0) and against the cycle ij = k, jk = i, ki = j (v - u = 2 mod 3)."""
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
-    def unit_mul(a: str, b: str) -> str:
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        rules = {
-            ("1", "1"): (1, "1"),
-            ("1", "i"): (1, "i"), ("i", "1"): (1, "i"),
-            ("1", "j"): (1, "j"), ("j", "1"): (1, "j"),
-            ("1", "k"): (1, "k"), ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-        }
-        s, unit = rules[(a, b)]
-        sign *= s
-        return unit if sign > 0 else "-" + unit
+    def mul(a: int, b: int) -> int:
+        (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+        flip = u and v and (v - u) % 3 != 1
+        return 2 * (u ^ v) + (s ^ t ^ bool(flip))
 
-    table = [[names.index(unit_mul(a, b)) for b in names] for a in names]
+    table = [[mul(a, b) for b in range(8)] for a in range(8)]
     return FiniteGroup(table, labels=names, name="Q8")
 
 

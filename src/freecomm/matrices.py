@@ -111,6 +111,14 @@ def check_unitary(u) -> np.ndarray:
     return a
 
 
+def unitary_operand(u):
+    """``u`` ready for products: a ``CMVMatrix`` as it is, a ``UnitaryMatrix``
+    or ``Reflection`` as its array, and a raw array through ``check_unitary``."""
+    if isinstance(u, (UnitaryMatrix, Reflection)):
+        return u.array
+    return u if isinstance(u, CMVMatrix) else check_unitary(u)
+
+
 @dataclass(frozen=True)
 class UnitaryMatrix:
     """An N x N unitary, checked on construction and stored read-only."""
@@ -387,8 +395,7 @@ class FreenessReport:
     d2: float  # |tau(UVU*V*) - (1 - (1-|tau U|^2)(1-|tau V|^2))|
 
     def to_json_dict(self) -> dict:
-        return {k: [v.real, v.imag] if isinstance(v, complex) else v
-                for k, v in vars(self).items()}
+        return dict(vars(self))
 
 
 def freeness_report(u, v) -> FreenessReport:
@@ -402,9 +409,9 @@ def freeness_report(u, v) -> FreenessReport:
     and one N x N product, and each sum is numpy's own fixed-order sum,
     not a BLAS dot, over the same array as the whole products give, which
     keeps the bytes thread-invariant.  A ``CMVMatrix`` factor is applied
-    through its 2 x 2 blocks, in O(N^2).
+    through its 2 x 2 blocks, in O(N^2); a raw array must pass ``check_unitary``.
     """
-    a, b = (x if isinstance(x, CMVMatrix) else as_array(x) for x in (u, v))
+    a, b = unitary_operand(u), unitary_operand(v)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     n = a.shape[0]

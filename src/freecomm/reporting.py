@@ -52,12 +52,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 
 def emit_json(payload: dict, out: str | Path | None) -> bytes:
-    data = canonical_json_bytes(payload)
-    if out is None:
-        sys.stdout.write(data.decode())
-    else:
-        atomic_write_bytes(out, data)
-    return data
+    return emit_text(canonical_json_bytes(payload).decode(), out)
 
 
 def emit_text(text: str, out: str | Path | None) -> bytes:

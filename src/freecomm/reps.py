@@ -45,13 +45,7 @@ class CriterionVerdict:
     guarantee: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "irreducible": self.irreducible,
-            "commutant_dim": self.commutant_dim,
-            "fixed_space_dim": self.fixed_space_dim,
-            "least_dimension": self.least_dimension,
-            "guarantee": self.guarantee,
-        }
+        return dict(vars(self))
 
 
 def least_dimension_criterion(

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -499,29 +500,61 @@ def test_multiply_rejects_parity_mismatch():
 
 def test_multiply_refuses_a_grid_over_its_budget(monkeypatch):
     # u v: 2 by 2 words, 2 narrow cells, 2 x 2 cells out (32 bytes a
-    # polynomial), so the sums at one word per pair and one block of both
-    # wide words, 2 shifts and 2 products each, take (4 + 4 x 2) 32 = 384
-    # bytes; one byte less refuses
+    # polynomial), rows 2 and 4 codes wide.  A pair counts its sum and
+    # 3 x 2 + 4 row bytes and 96 index bytes, 138 bytes, and one block of
+    # both wide words 2 shifts and 2 products each: 4 x 138 + 4 x 2 x 32
+    # = 808 bytes; one byte less refuses
     u, v = free_pair()
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 384)
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 808)
     assert trace(multiply(u, v)) == PRODUCT_RULE
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 383)
-    with pytest.raises(MemoryError, match="4 word pairs need 384 bytes"):
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 807)
+    with pytest.raises(MemoryError, match="4 word pairs need 808 bytes"):
         multiply(u, v)
 
 
 def test_exact_rows_fit_the_grid_budget(monkeypatch):
     # the largest product of the exact rows, X c_3* in the w_4 build (16,385
-    # by 2 words, 2 narrow cells, 25 out: 200 bytes a polynomial), counts
-    # 32,770 sums and 655 wide words a block of 4 polynomials each,
-    # (32,770 + 2,620) 200 = 7,078,000 bytes: the default budget holds it
-    # many times over, and a budget one byte smaller refuses it
-    assert algebra._GRID_BUDGET > 64 * 7_078_000
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 7_078_000)
+    # by 2 words, 2 narrow cells, 25 out: 200 bytes a polynomial; rows 42
+    # and 4 codes wide), counts 32,770 pairs of 200 + 3 x 42 + 4 + 96 = 426
+    # bytes and 655 wide words a block of 4 polynomials each,
+    # 32,770 x 426 + 2,620 x 200 = 14,484,020 bytes: the default budget
+    # holds it many times over, and a budget one byte smaller refuses it
+    assert algebra._GRID_BUDGET > 64 * 14_484_020
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 14_484_020)
     assert _ExactTraces()[5]
-    monkeypatch.setattr(algebra, "_GRID_BUDGET", 7_077_999)
-    with pytest.raises(MemoryError, match="32770 word pairs need 7078000 bytes"):
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 14_484_019)
+    with pytest.raises(MemoryError, match="32770 word pairs need 14484020 bytes"):
         _ExactTraces()[4]
+
+
+def test_budget_counts_the_rows_before_spelling_them(monkeypatch):
+    # X c_3*'s sums and block alone take 7,078,000 bytes: a budget there,
+    # below the 14,484,020 the rows add, refuses before any row is spelled
+    _, c, outer = outer_factor()
+
+    def no_rows(*args):
+        raise AssertionError("rows spelled over the budget")
+
+    monkeypatch.setattr(algebra, "_GRID_BUDGET", 7_078_000)
+    monkeypatch.setattr(algebra, "_row_products", no_rows)
+    with pytest.raises(MemoryError, match="32770 word pairs need 14484020 bytes"):
+        multiply(outer, star(c))
+
+
+def _counted_bytes(monkeypatch, a, b):
+    """The bytes ``multiply(a, b)`` counts against its budget, read off its refusal."""
+    with monkeypatch.context() as patch, pytest.raises(MemoryError) as exc:
+        patch.setattr(algebra, "_GRID_BUDGET", 0)
+        multiply(a, b)
+    return int(re.search(r"need (\d+) bytes", str(exc.value)).group(1))
+
+
+def test_budget_count_covers_the_traced_peak(monkeypatch):
+    # many words by two, equal words with and without cancellation: the
+    # budget counts at least the peak that tracemalloc sees
+    w, c, outer = outer_factor()
+    for a, b in ((outer, star(c)), (w, star(w)), (w, w)):
+        assert traced_peak(multiply, a, b) <= _counted_bytes(monkeypatch, a, b)
 
 
 def test_product_scratch_is_below_the_pair_grid():

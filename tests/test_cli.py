@@ -309,6 +309,20 @@ def test_mif_sym3_word_check(capsys, tmp_path):
     assert doc["scan"]["identities"] == []
 
 
+def test_mif_huge_exponent_matches_its_residue(capsys):
+    # t^(10^9) on Sym3 is t^4, since a^6 = 1: the same verdict and witness
+    # at the cost of four products
+    checks = []
+    for e in (10**9, 10**9 % 6):
+        code, doc = run_json(capsys, ["mif", "--group-name", "sym3", "--depth", "1",
+                                      "--word", f"e . t^{e} . (12)"])
+        assert code == 0
+        checks.append(doc["word_checks"][0])
+    assert checks[0].pop("word") == "e . t^1000000000 . (12)"
+    assert checks[1].pop("word") == "e . t^4 . (12)"
+    assert checks[0] == checks[1] and checks[0]["is_identity"] is False
+
+
 def test_mif_depth_validation(capsys):
     assert exit_code(["mif", "--group-name", "cyclic2", "--depth", "0"]) == 2
 
@@ -367,6 +381,10 @@ def test_usage_error_exit_code_on_unknown_flag():
     pytest.param(["freeness", "--n", "8", "--trials", "1", "--tol", "-0.5"],
                  id="freeness-tol-negative"),
     pytest.param(["freeness", "--n", "8", "--trials", "1", "--tol", "NaN"], id="freeness-tol-nan"),
+    pytest.param(["freeness", "--n", "8", "--trials", "1", "--seed", "-1"],
+                 id="freeness-seed-negative"),
+    pytest.param(["dynamics", "--model", "matrix", "--alpha", "0.9", "--n", "8", "--seed", "-3",
+                  "--n-max", "2"], id="dynamics-seed-negative"),
 ])
 def test_bad_numeric_argument_is_usage_error(argv, capsys):
     assert exit_code(argv) == 2

@@ -648,6 +648,14 @@ def test_matrix_curve_dimension_mismatch():
         decay_curve_matrix(unitary_with_trace(0.5, 4, 0)[0], sample_cue(8, 0), 2)
 
 
+def test_matrix_curve_checks_a_raw_partner():
+    # a raw v goes through check_unitary: 0.5 I would shrink every word
+    # and put each row in bounds
+    u, _ = unitary_with_trace(0.5, 16, 0)
+    with pytest.raises(ValueError, match="not unitary"):
+        decay_curve_matrix(u, 0.5 * np.eye(16), 3)
+
+
 def test_matrix_curve_needs_a_reflection():
     # a dense u has no low-rank factor; the route takes Reflections only
     with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from freecomm.groups import (
@@ -86,6 +87,35 @@ def test_quaternion_structure():
     assert q.mul(i, i) == minus_one
     assert q.element_order(i) == 4
     assert q.exponent() == 4
+
+
+def test_quaternion_table_matches_its_matrices():
+    # 1, i, j, k as I, diag(i, -i), [[0, 1], [-1, 0]] and their product ij:
+    # every entry of the table, and its labels, against matrix products
+    i, j = np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+    units = dict(zip("1ijk", (np.eye(2), i, j, i @ j)))
+    mats = {**units, **{"-" + u: -m for u, m in units.items()}}
+    q = quaternion_group()
+    assert list(q.labels) == ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    for a in range(8):
+        for b in range(8):
+            got = mats[q.label(q.mul(a, b))]
+            assert np.array_equal(got, mats[q.label(a)] @ mats[q.label(b)]), (a, b)
+
+
+def test_power_reduces_the_exponent_by_the_order():
+    # a^|G| = 1, so an exponent of 10^18 costs what its residue does; a
+    # negative exponent is the inverse power; small exponents against
+    # repeated products
+    for g in (cyclic_group(6), symmetric_group(3), quaternion_group()):
+        for a in range(g.order):
+            assert g.power(a, 10**18) == g.power(a, 10**18 % g.order)
+            assert g.power(a, -(10**18)) == g.inv(g.power(a, 10**18))
+            for e in range(-2 * g.order, 2 * g.order + 1):
+                want, step = g.identity, a if e >= 0 else g.inv(a)
+                for _ in range(abs(e)):
+                    want = g.mul(want, step)
+                assert g.power(a, e) == want, (g.name, a, e)
 
 
 def test_klein_group():

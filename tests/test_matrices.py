@@ -426,6 +426,15 @@ def test_freeness_trial_deviations_small():
         assert rep.d1 <= 0.05 and rep.d2 <= 0.05
 
 
+def test_freeness_report_checks_raw_operands():
+    # a raw array goes through check_unitary: 2 I and the all-ones matrix
+    # are not unitary, so no deviation (d2 = 15 here) is reported
+    with pytest.raises(ValueError, match="not unitary"):
+        freeness_report(2 * np.eye(4), np.ones((4, 4)))
+    with pytest.raises(ValueError, match="not unitary"):
+        freeness_report(sample_haar(4, 0), 0.5 * np.eye(4))
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         two_norm_dist(np.eye(2), np.eye(3))
