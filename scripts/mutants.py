@@ -122,6 +122,23 @@ MUTANTS = (
         "flip = u and v and (v - u) % 3 != 1", "flip = u and v and (v - u) % 3 != 2",
         ("tests/test_groups.py::test_quaternion_table_matches_its_matrices",),
     ),
+    Mutant(
+        "scan-constant-two-columns", "src/freecomm/mixed.py",
+        "constant = (value == value[:, :1]).all(axis=1)",
+        "constant = (value[:, :2] == value[:, :1]).all(axis=1)",
+        ("tests/test_mixed.py::test_scan_matches_brute_force",),
+    ),
+    Mutant(
+        "scan-interior-before-g0", "src/freecomm/mixed.py",
+        "for g0, row in enumerate(ends.tolist()) for mid, gk in zip(mids, row)]",
+        "for mid, col in zip(mids, ends.T.tolist()) for g0, gk in enumerate(col)]",
+        ("tests/test_mixed.py::test_scan_matches_brute_force",),
+    ),
+    Mutant(
+        "round-floats-passes-floats", "src/freecomm/reporting.py",
+        "if set(map(type, obj)) <= {str, int}:", "if set(map(type, obj)) <= {str, int, float}:",
+        ("tests/test_acceptance.py::test_round_floats_passes_plain_lists_and_rounds_mixed_ones",),
+    ),
 )
 
 

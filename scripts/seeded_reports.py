@@ -76,7 +76,7 @@ def cli_calls() -> list[tuple[str, list[str]]]:
         ("zassenhaus.txt", ["zassenhaus", "--out", "zassenhaus"]),
     ]
     groups = finite_group_catalog()
-    scans = [(name, 2) for name in groups] + [("sym3", 3), ("quaternion8", 3)]
+    scans = [(name, 2) for name in groups] + [("sym3", 3), ("quaternion8", 3), ("sym3", 4)]
     for name, depth in scans:
         argv = ["mif", "--group-name", name, "--depth", str(depth)]
         argv += [f"--word={w}" for w in _mif_words(groups[name])]

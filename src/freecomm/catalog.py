@@ -9,6 +9,7 @@ multiplication-table document from :mod:`freecomm.groups`.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,15 +76,18 @@ def load_unitary_catalog(path: str | Path) -> dict[str, tuple[np.ndarray, ...]]:
     return out
 
 
-def finite_group_catalog() -> dict[str, FiniteGroup]:
-    """Groups used by the mixed-identity checks."""
-    return {
-        "cyclic2": cyclic_group(2),
-        "cyclic3": cyclic_group(3),
-        "cyclic6": cyclic_group(6),
-        "klein4": klein_group(),
-        "sym3": symmetric_group(3),
-        "sym4": symmetric_group(4),
-        "quaternion8": quaternion_group(),
-    }
+#: name -> constructor of each group the mixed-identity checks use
+FINITE_GROUPS = {
+    "cyclic2": partial(cyclic_group, 2),
+    "cyclic3": partial(cyclic_group, 3),
+    "cyclic6": partial(cyclic_group, 6),
+    "klein4": klein_group,
+    "sym3": partial(symmetric_group, 3),
+    "sym4": partial(symmetric_group, 4),
+    "quaternion8": quaternion_group,
+}
 
+
+def finite_group_catalog() -> dict[str, FiniteGroup]:
+    """Every group of ``FINITE_GROUPS``, built."""
+    return {name: build() for name, build in FINITE_GROUPS.items()}

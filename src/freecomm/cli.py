@@ -9,13 +9,14 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .algebra import verify_free_commutator_identity
-from .catalog import finite_group_catalog, load_unitary_catalog, unitary_group_catalog
+from .catalog import FINITE_GROUPS, load_unitary_catalog, unitary_group_catalog
 from .discrete import MatrixGroup, gamma_filter, group_closure
 from .dynamics import EXACT_SLACK, MATRIX_SLACK, decay_curve_exact, decay_curve_matrix
 from .groups import load_finite_group
@@ -180,10 +181,10 @@ def cmd_mif(args) -> int:
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"unreadable group file {args.group}: {exc}") from exc
     else:
-        stock = finite_group_catalog()
-        if args.group_name not in stock:
-            raise UsageError(f"unknown group name {args.group_name!r}; options: {sorted(stock)}")
-        group = stock[args.group_name]
+        if args.group_name not in FINITE_GROUPS:
+            raise UsageError(f"unknown group name {args.group_name!r}; "
+                             f"options: {sorted(FINITE_GROUPS)}")
+        group = FINITE_GROUPS[args.group_name]()
 
     exp = group.exponent()
     exp_word = MixedWord.t_power(group, exp)
@@ -300,9 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` reuses: building it costs more than most parses
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

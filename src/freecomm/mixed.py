@@ -12,7 +12,9 @@ constants may be trivial).  Normal forms come from
 element for t turns the word into an element of G; a word whose every
 substitution is trivial is a mixed identity for G.  ``is_mixed_identity``
 decides this by evaluating at every element; ``mixed_identity_scan``
-decides a window of words with one pass over G per exponents and interior.
+decides a whole window of words with array gathers over the
+multiplication table, each exponent tuple for a chunk of interior
+constants and every substitution at once.
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .algebra import FreeProductGroup, Word, Z
 from .groups import FiniteGroup
+
+#: entries of the (interiors x |G|) array that ``mixed_identity_scan``
+#: fills in one chunk, which bounds its memory at deep windows
+SCAN_CHUNK_CELLS = 1 << 16
 
 
 def _free_product(group: FiniteGroup) -> FreeProductGroup:
@@ -172,38 +180,50 @@ def mixed_identity_scan(group: FiniteGroup, max_syllables: int, exp_bound: int) 
     ``max_syllables`` t-powers and exponents bounded by ``exp_bound``.
 
     g0 u(t) gk with u = t^e1 g1 ... t^ek is an identity exactly when u is a
-    constant c on G, and then gk = (g0 c)^-1.  So one pass over G, stopped at
-    the first u(g) != u(0), decides each (exponents, interior) choice, and a
-    constant u yields one identity per g0 (order: k, exponents, g0, interior).
-    ``checked`` counts the window's words.  Never concludes that a group has
-    no mixed identities, only that none was found within the window.
+    constant c on G, and then gk = (g0 c)^-1.  So each exponent tuple is
+    decided for a chunk of interiors (g1, ..., g_{k-1}) at once: an
+    (interiors x |G|) array holds u(t) for every t, built by one step
+    ``value = table[table[value, g_j], t^e_j]`` a syllable, and a row equal
+    to its first column is a constant choice.  Each constant choice yields
+    one identity per g0 (order: k, exponents, g0, interior).  ``checked``
+    counts the window's words.  Never concludes that a group has no mixed
+    identities, only that none was found within the window.
     """
     if max_syllables < 1 or exp_bound < 1:
         raise ValueError("depth and exponent bound must be >= 1")
-    n, table, one, labels = group.order, group.table, group.identity, group.labels
+    n, labels = group.order, group.labels
+    table = np.array(group.table, dtype=np.intp)
+    inv = np.array(group.inverse, dtype=np.intp)
     exp_values = [e for m in range(1, exp_bound + 1) for e in (m, -m)]
-    powers = {e: [group.power(g, e) for g in range(n)] for e in exp_values}
-    nontrivial = [g for g in range(n) if g != one]
+    # powers[e] is the row t -> t^e
+    powers = {e: np.array([[group.power(g, e) for g in range(n)]], dtype=np.intp)
+              for e in exp_values}
+    nontrivial = [g for g in range(n) if g != group.identity]
+    rows = max(1, SCAN_CHUNK_CELLS // n)
     identities: list[str] = []
 
-    def u_at(g: int, steps: list) -> int:
-        value = one
-        for h, power in steps:
-            value = table[table[value][h]][power[g]]
-        return value
-
     for k in range(1, max_syllables + 1):
-        for exps in itertools.product(exp_values, repeat=k):
-            constant = []
-            for interior in itertools.product(nontrivial, repeat=k - 1):
-                steps = list(zip((one, *interior), [powers[e] for e in exps]))
-                c = u_at(0, steps)
-                if all(u_at(g, steps) == c for g in range(1, n)):
-                    constant.append((interior, c))
-            for g0 in range(n):
-                for interior, c in constant:
-                    coeffs = (g0, *interior, group.inv(table[g0][c]))
-                    identities.append(_format_word(labels, coeffs, exps))
+        # per exponent tuple: the middles " . t^e1 . g1 ... . t^ek . " and
+        # the constants c of its constant choices, in interior order
+        found = {exps: ([], []) for exps in itertools.product(exp_values, repeat=k)}
+        interiors = itertools.product(nontrivial, repeat=k - 1)
+        while batch := list(itertools.islice(interiors, rows)):
+            chunk = np.array(batch, dtype=np.intp)
+            columns = [chunk[:, j, None] for j in range(k - 1)]
+            for exps, (mids, consts) in found.items():
+                value = powers[exps[0]]
+                for h, e in zip(columns, exps[1:]):
+                    value = table[table[value, h], powers[e]]
+                constant = (value == value[:, :1]).all(axis=1)
+                for row in chunk[constant].tolist():
+                    middle = "".join(f" . t^{e} . {labels[h]}" for e, h in zip(exps, row))
+                    mids.append(f"{middle} . t^{exps[-1]} . ")
+                consts += value[constant, 0].tolist()
+        for mids, consts in found.values():
+            # ends[g0, i] = (g0 c_i)^-1, the last constant of the i-th choice
+            ends = inv[table[:, consts]]
+            identities += [labels[g0] + mid + labels[gk]
+                           for g0, row in enumerate(ends.tolist()) for mid, gk in zip(mids, row)]
     return {
         "group": group.name,
         "order": group.order,
@@ -214,3 +234,4 @@ def mixed_identity_scan(group: FiniteGroup, max_syllables: int, exp_bound: int) 
         "identities": identities,
         "identity_found": bool(identities),
     }
+

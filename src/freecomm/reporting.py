@@ -29,6 +29,8 @@ def round_floats(obj: Any):
     if isinstance(obj, dict):
         return {str(k): round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {str, int}:  # nothing to round: no walk in Python
+            return list(obj)
         return [round_floats(v) for v in obj]
     return obj
 

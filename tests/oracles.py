@@ -656,6 +656,49 @@ def brute_force_mixed_scan(group, max_syllables, exp_bound):
     }
 
 
+def loop_mixed_scan(group, max_syllables, exp_bound):
+    """``mixed_identity_scan``'s report by the loop it replaced: each
+    (exponents, interior) choice is decided by evaluating u(t) = t^e1 g1
+    ... t^ek at t = 0, 1, ... in turn, stopping at the first value that
+    differs from u(0)."""
+    from freecomm.mixed import _format_word
+
+    n, table, one, labels = group.order, group.table, group.identity, group.labels
+    exp_values = [e for m in range(1, exp_bound + 1) for e in (m, -m)]
+    powers = {e: [group.power(g, e) for g in range(n)] for e in exp_values}
+    nontrivial = [g for g in range(n) if g != one]
+    identities = []
+
+    def u_at(g, steps):
+        value = one
+        for h, power in steps:
+            value = table[table[value][h]][power[g]]
+        return value
+
+    for k in range(1, max_syllables + 1):
+        for exps in itertools.product(exp_values, repeat=k):
+            constant = []
+            for interior in itertools.product(nontrivial, repeat=k - 1):
+                steps = list(zip((one, *interior), [powers[e] for e in exps]))
+                c = u_at(0, steps)
+                if all(u_at(g, steps) == c for g in range(1, n)):
+                    constant.append((interior, c))
+            for g0 in range(n):
+                for interior, c in constant:
+                    coeffs = (g0, *interior, group.inv(table[g0][c]))
+                    identities.append(_format_word(labels, coeffs, exps))
+    return {
+        "group": group.name,
+        "order": group.order,
+        "max_syllables": max_syllables,
+        "exp_bound": exp_bound,
+        "checked": sum(len(exp_values) ** k * n * n * (n - 1) ** (k - 1)
+                       for k in range(1, max_syllables + 1)),
+        "identities": identities,
+        "identity_found": bool(identities),
+    }
+
+
 def dense_decay_curve(u, v, n_max):
     """(trace, ell, ell_bar) of w_1 .. w_{n_max}(u, v) on dense N x N
     matrices: the conjugates c_n = v^n u v^-n are tracked incrementally,

@@ -323,6 +323,28 @@ def test_mif_huge_exponent_matches_its_residue(capsys):
     assert checks[0] == checks[1] and checks[0]["is_identity"] is False
 
 
+def test_mif_second_call_forgets_the_first_calls_words(capsys):
+    # main reuses one parser; an appended option must not carry over
+    argv = ["mif", "--group-name", "sym3", "--depth", "1"]
+    code, first = run_json(capsys, [*argv, "--word", "e . t^6 . e"])
+    assert code == 0 and first["config"]["word"] == ["e . t^6 . e"]
+    code, second = run_json(capsys, argv)
+    assert code == 0 and second["config"]["word"] is None and second["word_checks"] == []
+
+
+def test_usage_error_between_good_calls_changes_neither_report(capsys):
+    good = ["mif", "--group-name", "klein4", "--depth", "2", "--word", "e|e . t^2 . e|e"]
+    assert main(good) == 0
+    before = capsys.readouterr().out
+    # --word is parsed before --depth fails the parse
+    bad = ["mif", "--group-name", "sym3", "--word", "e . t^1 . e", "--exp-bound", "3",
+           "--depth", "0"]
+    assert exit_code(bad) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(good) == 0
+    assert capsys.readouterr().out == before
+
+
 def test_mif_depth_validation(capsys):
     assert exit_code(["mif", "--group-name", "cyclic2", "--depth", "0"]) == 2
 

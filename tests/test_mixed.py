@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freecomm.catalog import finite_group_catalog
+from freecomm import mixed
 from freecomm.groups import cyclic_group, quaternion_group, symmetric_group
 from freecomm.mixed import (
     MixedWord,
@@ -13,7 +14,7 @@ from freecomm.mixed import (
     parse_mixed_word,
 )
 
-from oracles import brute_force_mixed_scan, reduce_mixed_letters
+from oracles import brute_force_mixed_scan, loop_mixed_scan, reduce_mixed_letters
 
 
 def test_normal_form_merges_interior_identity():
@@ -183,3 +184,25 @@ def test_scan_matches_brute_force(name, depth, exp_bound):
     assert mixed_identity_scan(group, depth, exp_bound) == brute_force_mixed_scan(
         group, depth, exp_bound
     )
+
+
+@settings(max_examples=40)
+@example(_CATALOG["sym4"], 3, 3)  # the largest window in range: 529 interiors a tuple
+@given(
+    st.sampled_from([*_CATALOG.values(), *map(cyclic_group, range(1, 8))]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_array_scan_matches_loop_oracle(group, depth, exp_bound):
+    # the whole report, identities in the loop's order
+    assert mixed_identity_scan(group, depth, exp_bound) == loop_mixed_scan(group, depth, exp_bound)
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 8, 5 * 8])
+def test_scan_chunks_give_the_same_list(cells, monkeypatch):
+    # quaternion8 at depth 3 has 49 interiors: one a chunk, 3 a chunk with
+    # a ragged last chunk of 1, and 5 a chunk with a last chunk of 4
+    group = _CATALOG["quaternion8"]
+    whole = mixed_identity_scan(group, 3, 2)
+    monkeypatch.setattr(mixed, "SCAN_CHUNK_CELLS", cells)
+    assert mixed_identity_scan(group, 3, 2) == whole == loop_mixed_scan(group, 3, 2)
