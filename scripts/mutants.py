@@ -139,6 +139,28 @@ MUTANTS = (
         "if set(map(type, obj)) <= {str, int}:", "if set(map(type, obj)) <= {str, int, float}:",
         ("tests/test_acceptance.py::test_round_floats_passes_plain_lists_and_rounds_mixed_ones",),
     ),
+    Mutant(
+        "closure-band-known-only", "src/freecomm/discrete.py",
+        "if j < hi or j - hi in added]", "if j < hi]",
+        ("tests/test_discrete.py::test_layered_closure_matches_sequential_oracle",
+         "tests/test_discrete.py::test_closure_cayley_table_consistent"),
+    ),
+    Mutant(
+        "near-identity-gate-cap", "src/freecomm/discrete.py",
+        "if to_id[q] <= band_fro or n >= cap:", "if n >= cap:",
+        ("tests/test_discrete.py::test_irrational_rotation_is_non_discrete",
+         "tests/test_discrete.py::test_maybe_band_without_op_match_is_near_identity"),
+    ),
+    Mutant(
+        "range-type-strict", "src/freecomm/cli.py",
+        "if not value >= least:", "if not value > least:",
+        ("tests/test_cli.py::test_numeric_types_accept_their_least_value_and_name_it",),
+    ),
+    Mutant(
+        "mixed-mul-any-group", "src/freecomm/mixed.py",
+        "if self.group is not other.group:", "if False:",
+        ("tests/test_mixed.py::test_words_over_two_groups_rejected",),
+    ),
 )
 
 

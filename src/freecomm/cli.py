@@ -41,37 +41,22 @@ def _config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and sizes: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _at_least(cast, least, what: str):
+    """An argparse type: ``cast(text)``, at least ``least`` and so not NaN."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not value >= least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for seeds: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    """argparse type for tolerances and thresholds: a number >= 0, not NaN."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
-    return value
+_positive_int = _at_least(int, 1, "a positive integer")
+_nonnegative_int = _at_least(int, 0, "a nonnegative integer")
+_nonnegative_float = _at_least(float, 0, "a nonnegative number")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -280,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zassenhaus)
 
     p = sub.add_parser("mif", help="mixed-identity scan and specific word checks")
-    p.add_argument("--group", default=None, help="finite group JSON document")
-    p.add_argument("--group-name", default="cyclic2", help="bundled group name")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--group", default=None, help="finite group JSON document")
+    source.add_argument("--group-name", default="cyclic2", help="bundled group name")
     p.add_argument("--depth", type=_positive_int, required=True, help="max variable occurrences")
     p.add_argument("--exp-bound", type=_positive_int, default=2, help="max |exponent| enumerated")
     p.add_argument("--word", action="append", help="mixed-word literal to check (repeatable)")

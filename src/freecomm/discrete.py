@@ -153,13 +153,13 @@ def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonC
     index order by their exact op-norm distance.  The search runs one BFS
     layer at a time: the layer's products come from one batched matmul and
     are compared at once with all earlier elements and with each other
-    (``_close_pairs``); only the products that match no earlier element
-    are then resolved one by one, in discovery order, against the new
-    elements found before them.  That makes the same merges, in the same
-    order, as looking up one product at a time.
-    A new element's op-norm distance to the identity is computed only when
-    its Frobenius distance lets it lie in the near-identity band, or when
-    it would pass the cap and needs a witness.
+    (``_close_pairs``), then resolved in one pass, in discovery order,
+    against that band: the known elements, then the new ones found before
+    them in the layer.  That makes the same merges, in the same order, as
+    looking up one product at a time.  A product that becomes a new
+    element gets its op-norm distance to the identity only when its
+    Frobenius distance lets it lie in the near-identity band, or when it
+    would pass the cap and needs a witness.
 
     The Cayley table is read off the search by index arithmetic alone
     (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 4.1):
@@ -193,37 +193,32 @@ def group_closure(generators: Sequence, cap: int = 10_000) -> MatrixGroup | NonC
         flat = prods.reshape(len(prods), -1)
         # columns below hi are the known elements, the rest this layer's products
         close = _close_pairs(np.concatenate([mats[:hi].reshape(hi, -1), flat]), flat, maybe_eps)
-        found = [next((j for j, d in close.get(q, ()) if j < hi and d <= eps), -1)
-                 for q in range(len(prods))]
-        unmatched = [q for q, j in enumerate(found) if j < 0]
-        if unmatched:
-            to_id = np.linalg.norm(flat[unmatched] - eye.ravel(), axis=1).tolist()
-            added: dict[int, int] = {}  # product -> element, for this layer's new ones
-            for q, near_id in zip(unmatched, to_id):
-                # the band in index order: known elements, then earlier new ones
-                band = [(j if j < hi else added[j - hi], d) for j, d in close.get(q, ())
-                        if j < hi or j - hi in added]
-                match = next((j for j, d in band if d <= eps), None)
-                if match is None:
-                    match = next((j for j, _ in band if op_norm(mats[j] - prods[q]) <= eps), None)
-                if match is None:
-                    if near_id <= band_fro or n >= cap:
-                        d_id = op_norm(prods[q] - eye)
-                        if d_id <= NEAR_IDENTITY_BAND:
-                            # not merged with the identity, yet inside the band
-                            return NonClosure("near_identity", prods[q].copy(), d_id, n)
-                        if n >= cap:
-                            return NonClosure("cap_exceeded", prods[q].copy(), d_id, n)
-                    if n == len(mats):
-                        mats = np.concatenate([mats, np.empty_like(mats)])
-                        right = np.concatenate([right, np.empty_like(right)])
-                    mats[n] = prods[q]
-                    parents.append(lo + q // n_steps)
-                    moves.append(q % n_steps)
-                    match = added[q] = n
-                    n += 1
-                found[q] = match
-        right[lo:hi] = np.reshape(found, (hi - lo, n_steps))
+        to_id = np.linalg.norm(flat - eye.ravel(), axis=1).tolist()
+        added: dict[int, int] = {}  # product -> element, for this layer's new ones
+        for q, p in enumerate(prods):
+            # the band in index order: known elements, then earlier new ones
+            band = [(j if j < hi else added[j - hi], d) for j, d in close.get(q, ())
+                    if j < hi or j - hi in added]
+            match = next((j for j, d in band if d <= eps), None)
+            if match is None:
+                match = next((j for j, _ in band if op_norm(mats[j] - p) <= eps), None)
+            if match is None:
+                if to_id[q] <= band_fro or n >= cap:
+                    d_id = op_norm(p - eye)
+                    if d_id <= NEAR_IDENTITY_BAND:
+                        # not merged with the identity, yet inside the band
+                        return NonClosure("near_identity", p.copy(), d_id, n)
+                    if n >= cap:
+                        return NonClosure("cap_exceeded", p.copy(), d_id, n)
+                if n == len(mats):
+                    mats = np.concatenate([mats, np.empty_like(mats)])
+                    right = np.concatenate([right, np.empty_like(right)])
+                mats[n] = p
+                parents.append(lo + q // n_steps)
+                moves.append(q % n_steps)
+                match = added[q] = n
+                n += 1
+            right[lo + q // n_steps, q % n_steps] = match
         lo = hi
 
     # table[i, j] = table[i, parent_j] @ step_j, one BFS layer of columns
@@ -263,7 +258,7 @@ class FilterReport:
 def gamma_filter(group: MatrixGroup, threshold: float) -> FilterReport:
     """Subgroup generated by {g : ||1 - g|| < threshold}, generated and
     verified entirely inside the Cayley table."""
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too
         raise ValueError("threshold must be nonnegative")
     ells = group.element_ells()
     gens = [i for i, l in enumerate(ells) if l < threshold]

@@ -19,7 +19,8 @@ import numpy as np
 
 class FiniteGroup:
     """A finite group given by an ``n x n`` multiplication table of indices:
-    integer entries, ``labels`` a list or tuple of strings, ``name`` a str."""
+    integer entries, ``labels`` a list or tuple of strings, each nonempty
+    and free of '.' and surrounding whitespace, ``name`` a str."""
 
     def __init__(
         self,
@@ -60,6 +61,9 @@ class FiniteGroup:
             raise ValueError("labels length does not match group order")
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
+        if any(not x or "." in x or x != x.strip() for x in labels):
+            # the mixed-word literal splits on "." and strips each segment
+            raise ValueError("'labels' must be nonempty, without '.' or surrounding whitespace")
         self.labels = labels
 
         self.identity = self._find_identity(t)

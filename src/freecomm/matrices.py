@@ -99,10 +99,12 @@ def unitarity_defect(u) -> float:
 
 
 def check_unitary(u) -> np.ndarray:
-    """The package's one test of a dense unitary: ``u`` as a complex array,
-    or ValueError unless it is square with ``unitarity_defect`` at most
-    ``UNITARY_OP_TOL``."""
-    a = as_array(u)
+    """The package's one unitary gate: ``u`` as a complex array.  A ``UnitaryMatrix``,
+    ``Reflection`` or ``CMVMatrix`` held its bound on construction; a raw array
+    must be square with ``unitarity_defect`` at most ``UNITARY_OP_TOL``, or ValueError."""
+    if isinstance(u, (UnitaryMatrix, Reflection, CMVMatrix)):
+        return u.array
+    a = np.asarray(u, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("unitary must be square")
     defect = unitarity_defect(a)
@@ -112,10 +114,8 @@ def check_unitary(u) -> np.ndarray:
 
 
 def unitary_operand(u):
-    """``u`` ready for products: a ``CMVMatrix`` as it is, a ``UnitaryMatrix``
-    or ``Reflection`` as its array, and a raw array through ``check_unitary``."""
-    if isinstance(u, (UnitaryMatrix, Reflection)):
-        return u.array
+    """``u`` ready for products: a ``CMVMatrix`` as it is, which keeps its
+    products O(N^2), and anything else through ``check_unitary``."""
     return u if isinstance(u, CMVMatrix) else check_unitary(u)
 
 

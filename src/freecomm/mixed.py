@@ -142,10 +142,6 @@ def iterated_commutator(ws: Sequence[MixedWord]) -> MixedWord:
     """Right-nested commutator [w1, [w2, ... [w_{l-1}, w_l]]]."""
     if not ws:
         raise ValueError("need at least one word")
-    group = ws[0].group
-    for w in ws:
-        if w.group is not group:
-            raise ValueError("all words must share a coefficient group")
     out = ws[-1]
     for w in reversed(ws[:-1]):
         out = mixed_commutator(w, out)

@@ -44,9 +44,6 @@ class CriterionVerdict:
     least_dimension: bool
     guarantee: bool
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def least_dimension_criterion(
     group: MatrixGroup, nontrivial_irrep_dims: Sequence[int]

@@ -20,7 +20,7 @@ from freecomm.catalog import unitary_group_catalog
 from freecomm.discrete import MatrixGroup
 from freecomm.dynamics import decay_curve_exact, find_small_element
 from freecomm.matrices import freeness_trial, subseed
-from freecomm.reporting import canonical_json_bytes, round_floats
+from freecomm.reporting import atomic_write_bytes, canonical_json_bytes, round_floats
 from freecomm.reps import cyclic_su2_rep, dihedral_chain_demo, icosahedral_rotation_group
 
 GRID = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.9)
@@ -284,3 +284,13 @@ def test_round_floats_passes_plain_lists_and_rounds_mixed_ones():
     assert round_floats((1, "a", 2)) == [1, "a", 2]
     assert round_floats(["a", 0.1234567890123456789, 3]) == ["a", 0.123456789012, 3]
     assert round_floats([1, 2.0000000000001]) == [1, 2.0]
+
+
+def test_atomic_write_leaves_no_temporary_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError("no rename")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError, match="no rename"):
+        atomic_write_bytes(tmp_path / "report.json", b"{}")
+    assert list(tmp_path.iterdir()) == []

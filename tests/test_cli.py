@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from freecomm.cli import build_parser, main
+from freecomm.cli import _nonnegative_float, _nonnegative_int, _positive_int, build_parser, main
 from freecomm.groups import symmetric_group
 from freecomm.matrices import sample_cue, subseed, unitary_with_trace
 
@@ -253,8 +253,12 @@ _C2 = {"order": 2, "table": [0, 1, 1, 0]}
     ({**_C2, "labels": 5}, "'labels'"),
     ([], "JSON object"),
     ({"order": 2}, "'table'"),
+    # the word literal splits on "." and strips each segment
+    ({**_C2, "labels": ["e", "a . t^1"]}, "'labels'"),
+    ({**_C2, "labels": ["e", ""]}, "'labels'"),
+    ({**_C2, "labels": ["e", " a"]}, "'labels'"),
 ], ids=["table-float", "order-float", "order-bool", "labels-string", "name-list",
-        "labels-number", "list", "no-table"])
+        "labels-number", "list", "no-table", "labels-dot", "labels-empty", "labels-space"])
 def test_mif_group_file_error_names_the_field(doc, field, tmp_path, capsys):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(doc))
@@ -407,6 +411,9 @@ def test_usage_error_exit_code_on_unknown_flag():
                  id="freeness-seed-negative"),
     pytest.param(["dynamics", "--model", "matrix", "--alpha", "0.9", "--n", "8", "--seed", "-3",
                   "--n-max", "2"], id="dynamics-seed-negative"),
+    pytest.param(["freeness", "--n", "8", "--trials", "1", "--seed", "x"], id="freeness-seed-x"),
+    pytest.param(["dynamics", "--alpha", "0.9", "--tol", "x"], id="dynamics-tol-x"),
+    pytest.param(["zassenhaus", "--t", "x"], id="zassenhaus-t-x"),
 ])
 def test_bad_numeric_argument_is_usage_error(argv, capsys):
     assert exit_code(argv) == 2
@@ -414,6 +421,27 @@ def test_bad_numeric_argument_is_usage_error(argv, capsys):
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind, least, below, what", [
+    (_positive_int, "1", "0", "a positive integer"),
+    (_nonnegative_int, "0", "-1", "a nonnegative integer"),
+    (_nonnegative_float, "0", "-0.5", "a nonnegative number"),
+])
+def test_numeric_types_accept_their_least_value_and_name_it(kind, least, below, what):
+    assert kind(least) == float(least)
+    for text in ("x", below):
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            kind(text)
+        assert str(exc.value) == f"expected {what}, got {text!r}"
+
+
+def test_mif_group_file_and_name_exclude_each_other(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(_C2))
+    assert exit_code(["mif", "--group", str(path), "--group-name", "sym4", "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err and captured.out == ""
 
 
 _CONFIG_ARGV = {

@@ -53,12 +53,14 @@ def test_ell_op_and_closure_share_one_unitarity_gate():
     assert group_closure([nearer]).order == 1
 
 
-@pytest.mark.parametrize("u, v", [
-    (2 * np.eye(2), np.diag([1.0, -1.0])),  # margin 1.0 if unchecked
-    (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])),  # margin -3.24
-], ids=["scalar-two", "shears"])
-def test_commutator_check_rejects_non_unitary_pairs(u, v):
-    with pytest.raises(ValueError, match="not unitary"):
+@pytest.mark.parametrize("u, v, error", [
+    (2 * np.eye(2), np.diag([1.0, -1.0]), "not unitary"),  # margin 1.0 if unchecked
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]]),
+     "not unitary"),  # margin -3.24
+    (np.eye(2), np.eye(3), "dimension mismatch"),
+], ids=["scalar-two", "shears", "two-sizes"])
+def test_commutator_check_rejects_non_unitary_pairs(u, v, error):
+    with pytest.raises(ValueError, match=error):
         commutator_ineq_check(u, v)
 
 
@@ -198,6 +200,14 @@ def test_filter_threshold_zero():
     mg = group_closure(list(pauli_generators()))
     rep = gamma_filter(mg, 0.0)
     assert rep.subgroup_indices == (mg.identity,)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, math.nan])
+def test_filter_rejects_a_threshold_below_zero_or_nan(threshold):
+    # NaN compares false with every length: it would select no generator
+    mg = group_closure(list(quaternion_generators()))
+    with pytest.raises(ValueError, match="nonnegative"):
+        gamma_filter(mg, threshold)
 
 
 def test_filter_threshold_is_strict():

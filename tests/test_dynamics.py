@@ -382,6 +382,8 @@ def test_decay_curve_validation():
         decay_curve_exact(1.0, 3)
     with pytest.raises(ValueError):
         decay_curve_exact(0.9, 0)
+    with pytest.raises(ValueError, match="n_max"):
+        decay_curve_matrix(unitary_with_trace(0.5, 4, 0)[0], sample_haar(4, 0), 0)
 
 
 def _close(value, exact, rel):

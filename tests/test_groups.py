@@ -32,12 +32,26 @@ def test_bad_row_rejected():
         FiniteGroup([[0, 0], [1, 1]])
 
 
+@pytest.mark.parametrize("build", [cyclic_group, symmetric_group])
+def test_stock_groups_need_a_positive_size(build):
+    with pytest.raises(ValueError, match="positive"):
+        build(0)
+
+
 @pytest.mark.parametrize("table, kwargs, field", [
     ([[0, 1], [1, 0.5]], {}, "table entries"),  # no int() truncation to C2
     ([[0, 1], [1, 0]], {"labels": "ab"}, "'labels'"),  # a string is not two labels
     ([[0, 1], [1, 0]], {"labels": ["e", 1]}, "'labels'"),
     ([[0, 1], [1, 0]], {"name": ["q"]}, "'name'"),
-], ids=["float-entry", "labels-string", "labels-int", "name-list"])
+    ([], {}, "at least one element"),
+    ([[0, 1], [1, 0]], {"labels": ["e"]}, "labels length"),
+    ([[0, 1], [1, 0]], {"labels": ["e", "e"]}, "distinct"),
+    # the mixed-word literal splits on "." and strips each segment
+    ([[0, 1], [1, 0]], {"labels": ["e", ""]}, "'labels'"),
+    ([[0, 1], [1, 0]], {"labels": ["e", "a . t^1"]}, "'labels'"),
+    ([[0, 1], [1, 0]], {"labels": ["e", "a "]}, "'labels'"),
+], ids=["float-entry", "labels-string", "labels-int", "name-list", "empty", "labels-short",
+        "labels-repeated", "labels-empty", "labels-dot", "labels-space"])
 def test_constructor_rejects_loose_arguments(table, kwargs, field):
     with pytest.raises(ValueError, match=field):
         FiniteGroup(table, **kwargs)
@@ -144,6 +158,9 @@ def test_json_roundtrip(tmp_path):
     assert g2.table == g.table
     assert g2.labels == g.labels
     assert g2.identity == g.identity
+    doc["table"].pop()
+    with pytest.raises(ValueError, match="flattened table has 35 entries, expected 36"):
+        FiniteGroup.from_json_dict(doc)
 
 
 def test_conjugate():

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from freecomm import matrices
+from freecomm.discrete import commutator_ineq_check, ell_op
 from freecomm.matrices import (
     UNITARY_OP_TOL,
     CMVMatrix,
     Reflection,
     UnitaryMatrix,
     as_array,
+    check_unitary,
     corner_haar,
     freeness_report,
     freeness_trial,
@@ -242,6 +245,8 @@ def test_unitary_with_trace_large():
 
 def test_unitary_with_trace_validation():
     with pytest.raises(ValueError):
+        sample_haar(0, 0)
+    with pytest.raises(ValueError):
         unitary_with_trace(0.5, 1, 0)
     with pytest.raises(ValueError):
         unitary_with_trace(1.5, 8, 0)
@@ -433,6 +438,22 @@ def test_freeness_report_checks_raw_operands():
         freeness_report(2 * np.eye(4), np.ones((4, 4)))
     with pytest.raises(ValueError, match="not unitary"):
         freeness_report(sample_haar(4, 0), 0.5 * np.eye(4))
+
+
+def test_typed_unitaries_pass_the_gate_unchecked(monkeypatch):
+    # each typed unitary held its bound when it was built; a raw array is
+    # still checked
+    typed = [sample_haar(8, 3), unitary_with_trace(0.5, 8, 0)[0], sample_cue(8, 0)]
+    checked = []
+    monkeypatch.setattr(matrices, "unitarity_defect", lambda a: checked.append(a) or 0.0)
+    for u in typed:
+        assert np.array_equal(check_unitary(u), u.array)
+    assert check_unitary(typed[0]) is typed[0].array
+    assert ell_op(typed[0]) == op_norm(np.eye(8) - typed[0].array)
+    commutator_ineq_check(typed[0], typed[1])
+    assert checked == []
+    check_unitary(np.eye(2))
+    assert len(checked) == 1
 
 
 def test_dimension_mismatch_rejected():

@@ -74,6 +74,8 @@ def test_invalid_normal_form_rejected():
     ]:
         with pytest.raises(ValueError, match="invalid syllable"):
             MixedWord(g, coeffs, exps)
+    with pytest.raises(ValueError, match="lengths are inconsistent"):
+        MixedWord(g, (0,), (1,))
 
 
 def test_literal_roundtrip():
@@ -85,6 +87,10 @@ def test_literal_roundtrip():
         parse_mixed_word(s3, "e . t^1")  # must end with a coefficient
     with pytest.raises(KeyError):
         parse_mixed_word(s3, "nope . t^1 . e")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_mixed_word(s3, "e . . e")
+    with pytest.raises(ValueError, match="expected t"):
+        parse_mixed_word(s3, "e . x . e")
 
 
 def test_exponent_word_is_identity_for_catalog():
@@ -154,6 +160,15 @@ def test_iterated_commutator_three_words_matches_step_eval():
 def test_iterated_commutator_empty_rejected():
     with pytest.raises(ValueError):
         iterated_commutator([])
+
+
+def test_words_over_two_groups_rejected():
+    # equal tables, distinct groups: a word knows the group it was built over
+    a, b = MixedWord.t_power(cyclic_group(2), 1), MixedWord.t_power(cyclic_group(2), 1)
+    with pytest.raises(ValueError, match="different coefficient groups"):
+        a * b
+    with pytest.raises(ValueError, match="different coefficient groups"):
+        iterated_commutator([a, a, b])
 
 
 def test_scan_finds_square_identity_for_c2():

@@ -199,6 +199,8 @@ def test_dihedral_row_detects_a_missing_subgroup():
 
 def test_dihedral_validation():
     with pytest.raises(ValueError):
+        dihedral_generators(1)
+    with pytest.raises(ValueError):
         dihedral_chain_demo(2, 1)
     with pytest.raises(ValueError):
         dihedral_chain_demo(6, 0)
@@ -206,8 +208,7 @@ def test_dihedral_validation():
 
 def test_verdict_json_dict():
     verdict = least_dimension_criterion(icosahedral_rotation_group(), [3, 3, 4, 5])
-    doc = verdict.to_json_dict()
-    assert doc == {
+    assert vars(verdict) == {
         "irreducible": True,
         "commutant_dim": 1,
         "fixed_space_dim": 0,

@@ -68,6 +68,10 @@ def test_word_invariants_rejected():
         FREE_XY.word([("x", 0)])
     with pytest.raises(ValueError):
         FREE_XY.word([("x", 1), ("x", 1)])
+    with pytest.raises(ValueError, match="invalid syllable"):
+        FREE_XY.word([("z", 1)])  # no factor labelled z
+    with pytest.raises(ValueError, match="FiniteGroup or Z"):
+        FreeProductGroup({"x": Z, "y": 3})
 
 
 def test_w_sequence_first_three():
